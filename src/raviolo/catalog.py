@@ -9,11 +9,11 @@ q-Pochhammer products that serve as the independent oracle.
 
 from fractions import Fraction
 
-from .scalars import (Scalar, Grading, ZERO, ONE, K_PARAM, KAPPA_PARAM,
+from .scalars import (Scalar, Grading, ONE, K_PARAM, KAPPA_PARAM,
                       XI_PARAM, vadd, vscale, vsub, veq)
 from .modes import GeneratorInfo, FieldExpr, OpeTable
 from .engine import Presentation, PBWModule, default_samples
-from .linalg import kernel_basis
+from .linalg import kernel_basis, rational_coords
 
 K = Scalar.param(K_PARAM)
 KAP = Scalar.param(KAPPA_PARAM)
@@ -183,7 +183,6 @@ def highest_weight_kernel(mod, spin_cap):
     """Basis-span states killed by every annihilation mode: nu_(n) for
     n >= 1 and b_(n) for n >= 0.  Returns the list of kernel states."""
     keys = [k for k, g in mod.basis() if g.spin <= spin_cap]
-    index = {k: i for i, k in enumerate(keys)}
     rows = []
     nmax = int(spin_cap) + 1
     for k in keys:
@@ -198,9 +197,10 @@ def highest_weight_kernel(mod, spin_cap):
     mat = []
     for s in range(slots):
         targets = sorted({t for r in rows for t in r[s]})
-        for t in targets:
-            mat.append([r[s].get(t, ZERO).rational_value() or Fraction(0)
-                        for r in rows])
+        tindex = {t: i for i, t in enumerate(targets)}
+        coords = [rational_coords(r[s], tindex) for r in rows]
+        for i in range(len(targets)):
+            mat.append([c.get(i, Fraction(0)) for c in coords])
     if not mat:
         mat = [[Fraction(0)] * len(keys)]
     out = []

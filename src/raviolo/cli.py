@@ -25,12 +25,12 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
-                      XI_PARAM, vadd, vscale, veq, ONE)
+                      XI_PARAM, vscale, veq)
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
 from .engine import (
     Presentation, PBWModule, verify_axioms, superpotential_check,
     differential_map, check_square_zero, dg_cohomology, ghost_extension,
-    brst_charge, conformal_check,
+    brst_charge,
 )
 from . import catalog
 
@@ -585,14 +585,17 @@ def cmd_cohomology(doc, args):
     mod = _build_module(doc, args, specialize={"K": 1})
     w = mod.expr_to_state(doc.superpotential)
     rep = Report(doc.name, args.spin, args.word)
-    sp = superpotential_check(mod, w)
-    rep.add("superpotential-grading", sp["grading"])
-    rep.add("self-bracket-exact", sp["self-bracket-exact"])
-    d = differential_map(mod, w)
-    ok, wit = check_square_zero(mod, d)
-    rep.add("square-zero", ok, wit)
+    try:
+        sp = superpotential_check(mod, w)
+        rep.add("superpotential-grading", sp["grading"])
+        rep.add("self-bracket-exact", sp["self-bracket-exact"])
+        d = differential_map(mod, w)
+        ok, wit = check_square_zero(mod, d)
+        rep.add("square-zero", ok, wit)
+        coh = dg_cohomology(mod, d, spin_cap=args.spin) if rep.ok else None
+    except ValueError as e:  # parameters left in, or the window too small
+        raise SpecError(str(e))
     if rep.ok:
-        coh = dg_cohomology(mod, d, spin_cap=args.spin)
         bits = []
         for (spin, deg, fl), (dim, _) in sorted(coh.items()):
             if dim:

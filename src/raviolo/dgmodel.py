@@ -15,8 +15,8 @@ up to exact terms.
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO
-from .linalg import rref, kernel_basis, solve, in_span
+from .scalars import Scalar, ZERO, ONE
+from .linalg import Echelon, column_kernel, rational_coords
 
 
 def _coeff(c):
@@ -182,66 +182,38 @@ def monomial_basis(cap):
     return out
 
 
-def _to_vector(poly, basis, index):
-    v = [Fraction(0)] * len(basis)
-    for k, c in poly.items():
-        q = c.rational_value()
-        assert q is not None, "cohomology works over rational coefficients"
-        v[index[k]] = q
-    return v
-
-
-def _image_vectors(cap):
+def _d_echelon(cap):
+    """The monomials of total degree <= cap, their index, the echelon
+    basis of their images under d' (tagged by index), and the kernel of
+    d' on them as APolys."""
     basis = monomial_basis(cap)
     index = {k: i for i, k in enumerate(basis)}
-    vecs = []
-    for k in basis:
-        img = d_poly({k: Scalar.one()})
-        if img:
-            vecs.append(_to_vector(img, basis, index))
-    return basis, index, vecs
+    image, kernel = column_kernel(
+        [rational_coords(d_poly({k: ONE}), index) for k in basis])
+    return basis, index, image, [
+        apoly({basis[i]: q for i, q in vec.items()}) for vec in kernel]
 
 
 def cohomology_basis(degree, cap):
     """Representatives of H^degree on the filtration-by-total-degree
     piece <= cap; reliable one step inside the cap."""
-    assert degree in (0, 1)
-    basis, index, image = _image_vectors(cap)
+    if degree not in (0, 1):
+        raise ValueError("the model has cohomology in degrees 0 and 1 only,"
+                         " not %r" % (degree,))
+    basis, _, image, kernel = _d_echelon(cap)
     if degree == 0:
-        rows = []
-        for k in basis:
-            img = d_poly({k: Scalar.one()})
-            rows.append(_to_vector(img, basis, index))
-        mat = [list(col) for col in zip(*rows)]  # columns = source monomials
-        reps = []
-        for v in kernel_basis(mat):
-            reps.append(apoly({basis[i]: Fraction(q)
-                               for i, q in enumerate(v) if q}))
-        return reps
-    rows, pivots = rref(image)
-    reps = []
-    for i, k in enumerate(basis):
-        if i not in pivots:
-            reps.append(apoly({k: 1}))
-    return reps
+        return kernel
+    return [apoly({k: 1}) for i, k in enumerate(basis) if i not in image.rows]
 
 
 def is_exact(poly, cap):
     """Is the omega-coefficient poly in the image of d' (sources <= cap)?
     Returns a primitive APoly or None."""
-    basis, index, _ = _image_vectors(cap)
-    cols = []
-    srcs = []
-    for k in basis:
-        img = d_poly({k: Scalar.one()})
-        cols.append(_to_vector(img, basis, index))
-        srcs.append(k)
-    mat = [list(r) for r in zip(*cols)]
-    rhs = _to_vector(poly, basis, index)
-    x = solve(mat, rhs)
-    if x is None:
+    basis, index, image, _ = _d_echelon(cap)
+    res, comb = image.reduce(rational_coords(poly, index))
+    if res:
         return None
-    return apoly({srcs[i]: q for i, q in enumerate(x) if q})
+    return apoly({basis[i]: comb[i] for i in sorted(comb)})
 
 
 def exactness_witness(m, cap=None):
@@ -255,34 +227,31 @@ def exactness_witness(m, cap=None):
 def check_cohomology_window(cap):
     """Verify H^0 = span{z^n}, H^1 = span{lam^n omega} for total degree
     <= cap-1.  Returns (ok, failure witness or None)."""
-    basis, index, image = _image_vectors(cap)
-    zs = []
-    for n in range(cap):
-        zs.append(_to_vector({(n, 0, 0): Scalar.one()}, basis, index))
-    lams = []
-    for n in range(cap):
-        lams.append(_to_vector({(0, n, 0): Scalar.one()}, basis, index))
+    basis, index, image, kernel = _d_echelon(cap)
     # degree 0: kernel elements supported inside the window lie in C[z]
-    for rep in cohomology_basis(0, cap):
+    for rep in kernel:
         if any(a + b + e > cap - 1 for (a, b, e) in rep):
             continue
-        v = _to_vector(rep, basis, index)
-        if not in_span(zs, v):
+        if any(b or e for (a, b, e) in rep):
             return False, ("H0", rep)
+    h0 = Echelon()
+    for j, rep in enumerate(kernel):
+        h0.add(rational_coords(rep, index), j)
     for n in range(cap):
-        if not in_span([_to_vector(r, basis, index)
-                        for r in cohomology_basis(0, cap)], zs[n]):
+        if h0.reduce({index[(n, 0, 0)]: 1})[0]:
             return False, ("H0-missing", n)
     # degree 1: each lam^n omega is non-exact, and every monomial inside
     # the window is congruent to C[lam]omega modulo the image
+    lams = [{index[(0, n, 0)]: 1} for n in range(cap)]
     for n in range(cap):
-        if in_span(image, lams[n]):
+        if not image.reduce(lams[n])[0]:
             return False, ("H1-collapse", n)
+    for n in range(cap):
+        image.add(lams[n], ("lam", n))
     for k in basis:
         if sum(k) > cap - 1:
             continue
-        v = _to_vector({k: Scalar.one()}, basis, index)
-        if not in_span(image + lams, v):
+        if image.reduce({index[k]: 1})[0]:
             return False, ("H1-extra", k)
     return True, None
 

@@ -26,8 +26,8 @@ from .scalars import (Scalar, ZERO, ONE, Grading, binom,
                       vadd, vscale, vsub, veq)
 from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
-from .series import BiDist, RavSeries, delta_decompose, combine_indices
-from .linalg import solve, rref, kernel_basis, in_span
+from .series import BiDist, delta_decompose, combine_indices
+from .linalg import Echelon, column_kernel, rational_coords
 
 
 def _ceil(x):
@@ -1040,29 +1040,13 @@ def cell_basis(mod, grading):
 
 
 def state_coords(state, keys, index=None):
-    index = index or {k: i for i, k in enumerate(keys)}
+    """Dense rational coordinates of a state over the listed keys;
+    ValueError if a coefficient is not rational or a key is not listed."""
     v = [Fraction(0)] * len(keys)
-    for k, c in state.items():
-        q = c.rational_value()
-        assert q is not None, "non-rational coefficient %s" % c
-        assert k in index, "state leaves the enumerated window: %r" % (k,)
-        v[index[k]] = q
+    for i, q in rational_coords(
+            state, index or {k: i for i, k in enumerate(keys)}).items():
+        v[i] = q
     return v
-
-
-def image_of_translation(mod, target_grading):
-    """Column vectors spanning the translation image inside a cell,
-    together with the target cell keys."""
-    src = Grading(target_grading.cohdeg, target_grading.spin - 1,
-                  target_grading.parity, target_grading.flavor)
-    tkeys = cell_basis(mod, target_grading)
-    index = {k: i for i, k in enumerate(tkeys)}
-    cols = []
-    for k in cell_basis(mod, src):
-        img = mod.translate({k: ONE})
-        if img:
-            cols.append(state_coords(img, tkeys, index))
-    return tkeys, cols
 
 
 def in_translation_image(mod, state):
@@ -1072,23 +1056,16 @@ def in_translation_image(mod, state):
     g = mod.state_grading(state)
     src = Grading(g.cohdeg, g.spin - 1, g.parity, g.flavor)
     skeys = cell_basis(mod, src)
-    tkeys = cell_basis(mod, g)
-    index = {k: i for i, k in enumerate(tkeys)}
-    cols = []
-    for k in skeys:
-        cols.append(state_coords(mod.translate({k: ONE}), tkeys, index))
-    if not cols:
+    if not skeys:
         return False, None
-    mat = [list(row) for row in zip(*cols)]
-    rhs = state_coords(state, tkeys, index)
-    x = solve(mat, rhs)
-    if x is None:
+    index = {k: i for i, k in enumerate(cell_basis(mod, g))}
+    image, _ = column_kernel(
+        [rational_coords(mod.translate({k: ONE}), index) for k in skeys])
+    res, comb = image.reduce(rational_coords(state, index))
+    if res:
         return False, None
-    prim = {}
-    for i, q in enumerate(x):
-        if q:
-            prim[skeys[i]] = Scalar.from_rational(q)
-    return True, prim
+    return True, {skeys[i]: Scalar.from_rational(comb[i])
+                  for i in sorted(comb)}
 
 
 # ------------------------------------------------------ deformations
@@ -1137,36 +1114,26 @@ def dg_cohomology(mod, d, spin_cap=None):
             continue
         cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
 
-    def matrix(src_cell, dst_keys):
+    def images(src_keys, dst_keys):
         index = {k: i for i, k in enumerate(dst_keys)}
-        cols = []
-        for k in src_cell:
-            cols.append(state_coords(d({k: ONE}), dst_keys, index))
-        return cols
+        return [rational_coords(d({k: ONE}), index) for k in src_keys]
 
     out = {}
     for (spin, deg, fl), keys in sorted(cells.items()):
         nxt = cells.get((spin, deg + 1, fl), [])
         prv = cells.get((spin, deg - 1, fl), [])
-        # d out of this cell
-        cols_out = matrix(keys, nxt)
-        mat_out = [list(r) for r in zip(*cols_out)] if nxt else \
-            [[Fraction(0)] * len(keys)]
-        kern = kernel_basis(mat_out)
-        # d into this cell
-        cols_in = matrix(prv, keys) if prv else []
-        _, pivots = rref(cols_in) if cols_in else ([], [])
-        rank_in = len(pivots)
-        dim = len(kern) - rank_in
+        # kernel of d out of this cell
+        _, kern = column_kernel(images(keys, nxt))
+        # image of d into this cell
+        img = Echelon()
+        for k, v in zip(prv, images(prv, keys)):
+            img.add(v, k)
+        dim = len(kern) - len(img.rows)
         reps = []
-        img = cols_in
-        for vec in kern:
-            if img and in_span(img, list(vec)):
-                continue
-            if len(reps) < dim:
+        for j, vec in enumerate(kern):
+            if img.add(vec, j) is None and len(reps) < dim:
                 reps.append({keys[i]: Scalar.from_rational(q)
-                             for i, q in enumerate(vec) if q})
-            img = img + [list(vec)]
+                             for i, q in vec.items()})
         out[(spin, deg, fl)] = (dim, reps)
     return out
 
@@ -1218,16 +1185,6 @@ def brst_charge(mod, current_names, structure=None, pairing=None, w=None):
                 vadd(total, term, _frac(f) * Fraction(1, 2))
     if w:
         vadd(total, w, Fraction(1))
-    return total
-
-
-def ghost_stress(mod, current_names, gamma=None):
-    """gamma - sum_a :b_a d c_a:, the stress state on a ghost extension."""
-    total = dict(gamma) if gamma else {}
-    for nm in current_names:
-        term = mod.nop(mod.gen_state("b_" + nm),
-                       mod.translate(mod.gen_state("c_" + nm)))
-        vadd(total, term, Fraction(-1))
     return total
 
 

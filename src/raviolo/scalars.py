@@ -120,16 +120,6 @@ class Scalar:
             return self.terms[()]
         return None
 
-    @property
-    def tot_parity(self):
-        """Totalized parity if homogeneous; None for 0; error if mixed."""
-        ps = {sum(p.tot for p in mono) % 2 for mono in self.terms}
-        if not ps:
-            return None
-        if len(ps) > 1:
-            raise ValueError("scalar of mixed parity: %s" % self)
-        return ps.pop()
-
     def parity_twist(self, p):
         """Sign an operator of parity p picks up passing this scalar:
         negate the odd-parameter monomials when p is odd."""

@@ -13,7 +13,7 @@ finite.  All coefficients are Scalar.
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar, ZERO, ONE, Param, binom
+from .scalars import Scalar, ZERO, ONE, binom
 from .scalars import K_PARAM, KAPPA_PARAM, XI_PARAM
 
 DEFAULT_PARAMS = {p.name: p for p in (K_PARAM, KAPPA_PARAM, XI_PARAM)}
@@ -68,11 +68,6 @@ class RavSeries:
         r = RavSeries({}, self.trunc, self.twist)
         r.terms = dict(self.terms)
         return r
-
-    def pole_order(self):
-        """Largest m with a nonzero Omega^m coefficient, or None."""
-        polar = [i for i in self.terms if i >= 0]
-        return max(polar) if polar else None
 
     def __add__(self, other):
         assert self.twist == other.twist, "twist mismatch"

@@ -7,6 +7,8 @@ hand values.
 
 from fractions import Fraction
 
+import pytest
+
 from raviolo.engine import (
     PBWModule, verify_axioms, conformal_check, primary_check,
 )
@@ -106,6 +108,11 @@ def test_fock_highest_weight_structure():
     assert len(ker) == 1
     (key, c), = ker[0].items()
     assert key == ()
+    # with K left symbolic the conditions are not over Q: refused, where
+    # reading them as 0 would put b_(-1)|0> in the kernel
+    with pytest.raises(ValueError, match="non-rational"):
+        highest_weight_kernel(
+            PBWModule(heisenberg(), spin_cap=2, word_cap=3), 2)
     # zero mode eigenvalue and conformal data of the cyclic vector
     assert veq(Fk.act("nu", 0, Fk.vacuum()), vscale(Fk.vacuum(), lam))
     T = stress_tensor(Fk, "heisenberg")

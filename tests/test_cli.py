@@ -12,6 +12,7 @@ from raviolo.scalars import Grading
 from fractions import Fraction
 
 DSL_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "dsl")
+BENCH_CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus")
 
 
 def _doc_path(name):
@@ -53,6 +54,11 @@ def test_example_documents_match_presets():
         assert set(doc.entries) == set(ref_entries), name
         for k in ref_entries:
             assert (doc.entries[k] - ref_entries[k]).is_zero(), (name, k)
+    # the benchmark runs its own copies of the documents
+    for name in ("fc.rav", "h.rav", "vir.rav", "sl2.rav", "chiral.rav"):
+        with open(_doc_path(name), "rb") as a, \
+                open(os.path.join(BENCH_CORPUS, name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
 def test_skew_conflict_rejected():
@@ -215,7 +221,17 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("algebra x\ngenerator G : deg 1 spin 2 even\n"
                    "ope G G : 1 -> 3 * D^1 G\n")
     assert main(["check", str(bad)]) == 2
-    capsys.readouterr()
+    # a parameter left in the OPE has no rational cohomology to compute
+    param = tmp_path / "param.rav"
+    param.write_text("algebra chirala\n"
+                     "param a : deg 0 even\n"
+                     "generator X : deg 1 spin 1/2 odd\n"
+                     "generator psi : deg 0 spin 1/2 odd\n"
+                     "ope psi X : 0 -> a\n"
+                     "superpotential NO[X, X]\n")
+    assert main(["cohomology", str(param), "--spin", "2",
+                 "--word", "4"]) == 2
+    assert "non-rational coefficient" in capsys.readouterr().err
     # 1: a verified-false identity (structure constants violate the
     # triple-bracket identity; skew-consistent, so it parses)
     wrong = tmp_path / "wrong.rav"

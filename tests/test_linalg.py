@@ -3,12 +3,20 @@ from fractions import Fraction
 
 import sympy
 
-from raviolo.linalg import rref, rank, kernel_basis, solve, in_span
+from raviolo.linalg import rref, kernel_basis, solve, in_span
 
 
 def _rand_matrix(rng, m, n):
-    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-            for _ in range(m)]
+    """Dense or mostly zero; with three or more rows, often rank-deficient
+    (the last row a combination of the first two)."""
+    density = rng.choice((1.0, 0.5, 0.2))
+    a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+          if rng.random() < density else Fraction(0) for _ in range(n)]
+         for _ in range(m)]
+    if m > 2 and rng.random() < 0.5:
+        c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        a[-1] = [x + c * y for x, y in zip(a[0], a[1])]
+    return a
 
 
 def test_rank_against_sympy():
@@ -16,7 +24,7 @@ def test_rank_against_sympy():
     for _ in range(25):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _rand_matrix(rng, m, n)
-        assert rank(a) == sympy.Matrix(a).rank()
+        assert len(rref(a)[1]) == sympy.Matrix(a).rank()
 
 
 def test_kernel_against_sympy():
@@ -25,7 +33,8 @@ def test_kernel_against_sympy():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _rand_matrix(rng, m, n)
         ker = kernel_basis(a)
-        assert len(ker) == len(sympy.Matrix(a).nullspace())
+        # the canonical basis: x[j] = 1 on one free column, 0 on the others
+        assert ker == [list(v) for v in sympy.Matrix(a).nullspace()]
         for v in ker:
             for row in a:
                 assert sum(x * y for x, y in zip(row, v)) == 0
@@ -40,6 +49,8 @@ def test_solve_consistent():
         rhs = [sum(r[j] * x0[j] for j in range(n)) for r in a]
         x = solve(a, rhs)
         assert x is not None
+        sol, params = sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(rhs))
+        assert x == list(sol.subs({t: 0 for t in params}))  # free vars 0
         for r, b in zip(a, rhs):
             assert sum(u * v for u, v in zip(r, x)) == b
 
