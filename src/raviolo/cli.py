@@ -27,6 +27,7 @@ from math import factorial
 from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
                       XI_PARAM, vscale, veq)
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
+from .linalg import CoordinateError
 from .engine import (
     Presentation, PBWModule, verify_axioms, superpotential_check,
     differential_map, check_square_zero, dg_cohomology, ghost_extension,
@@ -593,7 +594,7 @@ def cmd_cohomology(doc, args):
         ok, wit = check_square_zero(mod, d)
         rep.add("square-zero", ok, wit)
         coh = dg_cohomology(mod, d, spin_cap=args.spin) if rep.ok else None
-    except ValueError as e:  # parameters left in, or the window too small
+    except CoordinateError as e:  # parameters left in, or window too small
         raise SpecError(str(e))
     if rep.ok:
         bits = []

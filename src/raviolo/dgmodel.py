@@ -16,7 +16,8 @@ up to exact terms.
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Echelon, column_kernel, rational_coords
+from .linalg import (column_kernel, rational_coords, dense_coords, solve,
+                     in_span)
 
 
 def _coeff(c):
@@ -183,15 +184,13 @@ def monomial_basis(cap):
 
 
 def _d_echelon(cap):
-    """The monomials of total degree <= cap, their index, the echelon
-    basis of their images under d' (tagged by index), and the kernel of
-    d' on them as APolys."""
+    """The monomials of total degree <= cap, their index, and the
+    column_kernel (echelon basis, kernel) of d' on them, tagged by
+    index."""
     basis = monomial_basis(cap)
     index = {k: i for i, k in enumerate(basis)}
-    image, kernel = column_kernel(
+    return (basis, index) + column_kernel(
         [rational_coords(d_poly({k: ONE}), index) for k in basis])
-    return basis, index, image, [
-        apoly({basis[i]: q for i, q in vec.items()}) for vec in kernel]
 
 
 def cohomology_basis(degree, cap):
@@ -202,18 +201,20 @@ def cohomology_basis(degree, cap):
                          " not %r" % (degree,))
     basis, _, image, kernel = _d_echelon(cap)
     if degree == 0:
-        return kernel
+        return [apoly({basis[i]: q for i, q in v.items()}) for v in kernel]
     return [apoly({k: 1}) for i, k in enumerate(basis) if i not in image.rows]
 
 
 def is_exact(poly, cap):
     """Is the omega-coefficient poly in the image of d' (sources <= cap)?
     Returns a primitive APoly or None."""
-    basis, index, image, _ = _d_echelon(cap)
-    res, comb = image.reduce(rational_coords(poly, index))
-    if res:
+    basis = monomial_basis(cap)
+    index = {k: i for i, k in enumerate(basis)}
+    cols = [dense_coords(d_poly({k: ONE}), index) for k in basis]
+    x = solve(list(zip(*cols)), dense_coords(poly, index))
+    if x is None:
         return None
-    return apoly({basis[i]: comb[i] for i in sorted(comb)})
+    return apoly({k: q for k, q in zip(basis, x) if q})
 
 
 def exactness_witness(m, cap=None):
@@ -227,18 +228,18 @@ def exactness_witness(m, cap=None):
 def check_cohomology_window(cap):
     """Verify H^0 = span{z^n}, H^1 = span{lam^n omega} for total degree
     <= cap-1.  Returns (ok, failure witness or None)."""
-    basis, index, image, kernel = _d_echelon(cap)
-    # degree 0: kernel elements supported inside the window lie in C[z]
-    for rep in kernel:
+    basis, index, image, _ = _d_echelon(cap)
+    # degree 0: representatives supported inside the window lie in C[z],
+    # and they span every z^n there
+    reps = cohomology_basis(0, cap)
+    for rep in reps:
         if any(a + b + e > cap - 1 for (a, b, e) in rep):
             continue
         if any(b or e for (a, b, e) in rep):
             return False, ("H0", rep)
-    h0 = Echelon()
-    for j, rep in enumerate(kernel):
-        h0.add(rational_coords(rep, index), j)
+    vecs = [dense_coords(rep, index) for rep in reps]
     for n in range(cap):
-        if h0.reduce({index[(n, 0, 0)]: 1})[0]:
+        if not in_span(vecs, dense_coords({(n, 0, 0): ONE}, index)):
             return False, ("H0-missing", n)
     # degree 1: each lam^n omega is non-exact, and every monomial inside
     # the window is congruent to C[lam]omega modulo the image

@@ -27,7 +27,8 @@ from .scalars import (Scalar, ZERO, ONE, Grading, binom,
 from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
 from .series import BiDist, delta_decompose, combine_indices
-from .linalg import Echelon, column_kernel, rational_coords
+from .linalg import (Echelon, column_kernel, rational_coords, dense_coords,
+                     solve)
 
 
 def _ceil(x):
@@ -1041,12 +1042,9 @@ def cell_basis(mod, grading):
 
 def state_coords(state, keys, index=None):
     """Dense rational coordinates of a state over the listed keys;
-    ValueError if a coefficient is not rational or a key is not listed."""
-    v = [Fraction(0)] * len(keys)
-    for i, q in rational_coords(
-            state, index or {k: i for i, k in enumerate(keys)}).items():
-        v[i] = q
-    return v
+    CoordinateError if a coefficient is not rational or a key is not
+    listed."""
+    return dense_coords(state, index or {k: i for i, k in enumerate(keys)})
 
 
 def in_translation_image(mod, state):
@@ -1059,13 +1057,11 @@ def in_translation_image(mod, state):
     if not skeys:
         return False, None
     index = {k: i for i, k in enumerate(cell_basis(mod, g))}
-    image, _ = column_kernel(
-        [rational_coords(mod.translate({k: ONE}), index) for k in skeys])
-    res, comb = image.reduce(rational_coords(state, index))
-    if res:
+    cols = [dense_coords(mod.translate({k: ONE}), index) for k in skeys]
+    x = solve(list(zip(*cols)), dense_coords(state, index))
+    if x is None:
         return False, None
-    return True, {skeys[i]: Scalar.from_rational(comb[i])
-                  for i in sorted(comb)}
+    return True, {k: Scalar.from_rational(q) for k, q in zip(skeys, x) if q}
 
 
 # ------------------------------------------------------ deformations

@@ -8,9 +8,10 @@ are the reduced row echelon form of everything added.  Each row also
 carries its combination of the tagged vectors that were added, which
 answers dependency and solution questions without a second elimination.
 
-`rref`, `kernel_basis`, `solve` and `in_span` take dense lists of rows
-and read their answers off that basis; sizes are desk scale, exactness
-is the point.
+`rref`, `kernel_basis`, `solve` and `in_span` take dense lists and read
+their answers off such a basis; a caller with one question uses them,
+and a caller with many questions against one span holds an `Echelon`.
+Sizes are desk scale, exactness is the point.
 """
 
 from fractions import Fraction
@@ -85,19 +86,33 @@ def _sparse(vec):
     return {i: Fraction(x) for i, x in enumerate(vec) if x}
 
 
+class CoordinateError(ValueError):
+    """A state has no rational coordinates over the given keys."""
+
+
 def rational_coords(state, index):
     """Sparse coordinates of a {key: Scalar} state over the keys of index;
-    ValueError if a coefficient is not rational or a key is not indexed."""
+    CoordinateError if a coefficient is not rational or a key is not
+    indexed."""
     out = {}
     for k, c in state.items():
         q = c.rational_value()
         if q is None:
-            raise ValueError("non-rational coefficient %s" % c)
+            raise CoordinateError("non-rational coefficient %s" % c)
         if k not in index:
-            raise ValueError("state leaves the enumerated window: %r" % (k,))
+            raise CoordinateError("state leaves the enumerated window: %r"
+                                  % (k,))
         if q:
             out[index[k]] = q
     return out
+
+
+def dense_coords(state, index):
+    """rational_coords as a list of len(index) Fractions."""
+    v = [Fraction(0)] * len(index)
+    for i, q in rational_coords(state, index).items():
+        v[i] = q
+    return v
 
 
 def _row_echelon(mat):
@@ -123,21 +138,12 @@ def rref(mat):
 def kernel_basis(mat):
     """Basis of the right kernel {x : mat @ x = 0}: one vector per
     non-pivot column j, with x[j] = 1 and x[p] = -rref[p][j] on the
-    pivot columns."""
+    pivot columns (column_kernel of the columns, made dense)."""
     if not mat:
         return []
     ncols = len(mat[0])
-    rows, pivots = rref(mat)
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[j]
-        basis.append(v)
-    return basis
+    _, kernel = column_kernel([_sparse(col) for col in zip(*mat)])
+    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel]
 
 
 def solve(mat, rhs):
