@@ -29,9 +29,9 @@ from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
 from .linalg import CoordinateError
 from .engine import (
-    Presentation, PBWModule, verify_axioms, superpotential_check,
-    differential_map, check_square_zero, dg_cohomology, ghost_extension,
-    brst_charge,
+    IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
+    superpotential_check, differential_map, check_square_zero,
+    dg_cohomology, ghost_extension, brst_charge,
 )
 from . import catalog
 
@@ -486,18 +486,17 @@ def _fug_names(doc):
 # ------------------------------------------------------ commands
 
 def cmd_check(doc, args):
+    wanted = set(args.checks.split(",")) if args.checks else None
+    if wanted is not None:
+        unknown = wanted - set(IDENTITIES)
+        if unknown:
+            raise SpecError("unknown checks: %s" % ", ".join(sorted(unknown)))
     mod = _build_module(doc, args)
     rep = Report(doc.name, args.spin, args.word)
     for key in doc.derived:
         rep.lines.append("derived by skew-symmetry: (%s, %s, %d)" % key)
-    wanted = set(args.checks.split(",")) if args.checks else None
-    for name, ok, wit in verify_axioms(mod):
-        if wanted is None or name in wanted:
-            rep.add(name, ok, wit)
-    if wanted is not None:
-        missing = wanted - {c["name"] for c in rep.checks}
-        if missing:
-            raise SpecError("unknown checks: %s" % ", ".join(sorted(missing)))
+    for name, ok, wit in verify_axioms(mod, checks=wanted):
+        rep.add(name, ok, wit)
     return rep
 
 
@@ -645,11 +644,23 @@ def cmd_lattice(args):
 
 # ------------------------------------------------------ entry point
 
+def _window(text):
+    """A window size: a non-negative int (a negative one would make
+    every verdict vacuous)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def _add_common(p, order_default=5):
-    p.add_argument("--spin", type=int, default=3)
-    p.add_argument("--word", type=int, default=4)
-    p.add_argument("--order", type=int, default=order_default)
-    p.add_argument("--flavor-window", type=int, default=None)
+    p.add_argument("--spin", type=_window, default=3)
+    p.add_argument("--word", type=_window, default=4)
+    p.add_argument("--order", type=_window, default=order_default)
+    p.add_argument("--flavor-window", type=_window, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--checks", default=None)
 
@@ -718,7 +729,7 @@ def main(argv=None):
             rep = cmd_fock(args)
         else:
             rep = cmd_lattice(args)
-    except SpecError as e:
+    except (SpecError, PresentationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     print(rep.render(args.format))

@@ -7,7 +7,7 @@ spin by s-n-1.  Per-example labels (X_n, c_n, J_{a,n}, G_m, ...) are
 aliases converted to this convention.
 """
 
-from fractions import Fraction
+from math import factorial
 
 from .scalars import Scalar, ZERO, ONE, Grading, binom
 
@@ -23,7 +23,8 @@ class GeneratorInfo:
         return Grading(g.cohdeg - drop, g.spin - n - 1, g.parity, g.flavor)
 
     def mode_parity(self, n):
-        return self.mode_grading(n).tot
+        # the tot of mode_grading(n), without building it
+        return (self.grading.tot + (n >= 0)) % 2
 
     def __repr__(self):
         return "GeneratorInfo(%r)" % self.name
@@ -174,10 +175,7 @@ def expr_modes(expr, t):
                 out.append((c, None, -1))
         elif len(mono) == 1:
             name, k = mono[0]
-            fac = Fraction((-1) ** k)
-            for i in range(1, k + 1):
-                fac *= i
-            coeff = fac * binom(t, k) * c
+            coeff = (-1) ** k * factorial(k) * binom(t, k) * c
             if not coeff.is_zero():
                 out.append((coeff, name, t - k))
         else:
@@ -211,7 +209,7 @@ def bracket_from_ope(A, B, table):
         cn = table.get(A.gen.name, B.gen.name, n)
         if cn.is_zero():
             continue
-        coeff = Fraction(sign) * binom(m, n)
+        coeff = sign * binom(m, n)
         if coeff == 0:
             continue
         out.append((Scalar.from_rational(coeff), cn, m + l - n))

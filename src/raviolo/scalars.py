@@ -8,6 +8,7 @@ with other odd parameters.  Every other module builds on this layer.
 
 from fractions import Fraction
 from collections import namedtuple
+from math import factorial
 
 
 class Param(namedtuple("Param", "name cohdeg parity")):
@@ -67,20 +68,56 @@ def _merge_monomials(m1, m2):
 
 
 def _as_fraction(x):
-    if isinstance(x, Fraction):
+    """The canonical exact coefficient: an int when integral, else a
+    Fraction with denominator > 1."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
+def _canon(c):
+    # an arithmetic result back in canonical form (int results stay int)
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+# monomial -> its totalized parity is odd; a pure function of the
+# monomial, so entries never go stale
+_ODD = {}
+
+
+def _mono_odd(mono):
+    odd = _ODD.get(mono)
+    if odd is None:
+        odd = _ODD[mono] = sum(p.tot for p in mono) % 2 == 1
+    return odd
+
+
+def _scalar(terms):
+    """Wrap a canonical {monomial: coefficient} dict, zeros dropped."""
+    r = object.__new__(Scalar)
+    r.terms = terms
+    return r
+
+
 class Scalar:
-    """Element of the graded-commutative parameter ring over Q."""
+    """Element of the graded-commutative parameter ring over Q.
+
+    Coefficients are exact and canonical: an int when integral, a
+    Fraction only while a denominator is present.  Scalars are immutable
+    -- no operation changes `terms` in place -- so states and vector
+    helpers may share one Scalar between several dicts.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: {monomial tuple of Param: Fraction}, zeros dropped
+        # terms: {monomial tuple of Param: int | Fraction}, zeros dropped
         self.terms = {}
         if terms:
             for mono, c in terms.items():
@@ -96,16 +133,16 @@ class Scalar:
 
     @staticmethod
     def one():
-        return Scalar({(): Fraction(1)})
+        return Scalar({(): 1})
 
     @staticmethod
     def from_rational(q):
-        return Scalar({(): _as_fraction(q)})
+        return Scalar({(): q})
 
     @staticmethod
     def param(p):
         assert isinstance(p, Param)
-        return Scalar({(p,): Fraction(1)})
+        return Scalar({(p,): 1})
 
     # -- predicates --------------------------------------------------
 
@@ -113,25 +150,27 @@ class Scalar:
         return not self.terms
 
     def rational_value(self):
-        """The constant value if this scalar has no parameters, else None."""
+        """The constant value (a Fraction) if this scalar has no
+        parameters, else None."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+            return Fraction(self.terms[()])
         return None
 
     def parity_twist(self, p):
         """Sign an operator of parity p picks up passing this scalar:
         negate the odd-parameter monomials when p is odd."""
-        if p % 2 == 0:
+        if not p % 2:
             return self
-        out = {}
-        for mono, q in self.terms.items():
-            if sum(pp.tot for pp in mono) % 2:
-                out[mono] = -q
-            else:
-                out[mono] = q
-        return Scalar(out)
+        terms = self.terms
+        flips = [m for m in terms if _mono_odd(m)]
+        if not flips:
+            return self
+        out = dict(terms)
+        for m in flips:
+            out[m] = -out[m]
+        return _scalar(out)
 
     def degrees(self):
         """(cohdeg, parity) if homogeneous; (0, 0) for rationals."""
@@ -146,56 +185,82 @@ class Scalar:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
             other = Scalar.from_rational(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
+            s = out.get(mono)
+            if s is None:
+                out[mono] = c
+                continue
+            s = _canon(s + c)
             if s:
                 out[mono] = s
-            elif mono in out:
+            else:
                 del out[mono]
-        r = Scalar()
-        r.terms = out
-        return r
+        return _scalar(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = Scalar()
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
+        return _scalar({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
             other = Scalar.from_rational(other)
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = out.get(mono)
+            if s is None:
+                out[mono] = -c
+                continue
+            s = _canon(s - c)
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        return _scalar(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c):
+        # c: a canonical nonzero rational
+        if c == 1:
+            return self
+        return _scalar({m: _canon(c * v) for m, v in self.terms.items()})
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar):
             c = _as_fraction(other)
-            r = Scalar()
-            if c:
-                r.terms = {m: c * v for m, v in self.terms.items()}
-            return r
+            return self._scaled(c) if c else Scalar()
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Scalar()
+        # a pure rational factor needs no monomial merging
+        if len(b) == 1 and () in b:
+            return self._scaled(b[()])
+        if len(a) == 1 and () in a:
+            return other._scaled(a[()])
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 merged = _merge_monomials(m1, m2)
                 if merged is None:
                     continue
                 sign, mono = merged
-                s = out.get(mono, Fraction(0)) + sign * c1 * c2
+                s = _canon(out.get(mono, 0) + sign * c1 * c2)
                 if s:
                     out[mono] = s
                 elif mono in out:
                     del out[mono]
-        r = Scalar()
-        r.terms = out
-        return r
+        return _scalar(out)
 
     def __rmul__(self, other):
         # rationals are even; no sign
@@ -209,10 +274,14 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # hash(2) == hash(Fraction(2)), so equal scalars hash equal
         return hash(frozenset(self.terms.items()))
 
     def subs(self, assignment):
         """Substitute parameters by name: {name: Scalar|int|Fraction}."""
+        if not any(p.name in assignment for mono in self.terms
+                   for p in mono):
+            return self
         out = Scalar.zero()
         for mono, c in self.terms.items():
             term = Scalar.from_rational(c)
@@ -287,28 +356,45 @@ def koszul_sign(g1, g2):
 
 # -- small vector helpers used throughout ---------------------------
 # A "vector" is a dict {hashable key: Scalar} with zero entries dropped.
+# Entries may be shared with other vectors: Scalars are immutable.
+
+def _coeff(coeff):
+    """A vector-helper coefficient in canonical form; None for 1."""
+    if isinstance(coeff, Scalar):
+        t = coeff.terms
+        return None if len(t) == 1 and t.get(()) == 1 else coeff
+    coeff = _as_fraction(coeff)
+    return None if coeff == 1 else coeff
+
 
 def vadd(dst, src, coeff=None):
     """dst += coeff*src in place (coeff multiplies from the left)."""
+    if coeff is not None:
+        coeff = _coeff(coeff)
     for k, v in src.items():
         if coeff is not None:
-            if isinstance(coeff, Scalar):
-                v = coeff * v
-            else:
-                v = _as_fraction(coeff) * v
-        s = dst.get(k, ZERO) + v
-        if s.is_zero():
-            dst.pop(k, None)
-        else:
+            v = coeff * v
+        cur = dst.get(k)
+        if cur is None:
+            if v.terms:
+                dst[k] = v
+            continue
+        s = cur + v
+        if s.terms:
             dst[k] = s
+        else:
+            del dst[k]
     return dst
 
 
 def vscale(v, coeff):
+    coeff = _coeff(coeff)
+    if coeff is None:
+        return dict(v)
     out = {}
     for k, c in v.items():
-        s = coeff * c if isinstance(coeff, Scalar) else _as_fraction(coeff) * c
-        if not s.is_zero():
+        s = coeff * c
+        if s.terms:
             out[k] = s
     return out
 
@@ -316,26 +402,35 @@ def vscale(v, coeff):
 def vsub(a, b):
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, ZERO) - v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
+        cur = out.get(k)
+        if cur is None:
+            if v.terms:
+                out[k] = -v
+            continue
+        s = cur - v
+        if s.terms:
             out[k] = s
+        else:
+            del out[k]
     return out
 
 
 def veq(a, b):
-    return not vsub(a, b)
+    return a == b or not vsub(a, b)
+
+
+_BINOM = {}
 
 
 def binom(n, k):
-    """Generalized binomial C(n, k) for integer n (possibly negative), k >= 0."""
+    """Generalized binomial C(n, k) for integer n (possibly negative),
+    k >= 0; an exact int."""
     if k < 0:
-        return Fraction(0)
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(n - i)
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    return num / den
+        return 0
+    c = _BINOM.get((n, k))
+    if c is None:
+        num = 1
+        for i in range(k):
+            num *= n - i
+        c = _BINOM[(n, k)] = num // factorial(k)
+    return c

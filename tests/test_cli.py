@@ -180,6 +180,50 @@ def test_checks_filter(capsys):
     assert "vacuum" in rep and "skew-symmetry " not in rep
 
 
+def test_checks_filter_reports_failed_conditions(monkeypatch, capsys):
+    import raviolo.engine as engine
+
+    def failing_locality(mod, a, b, v, tay=2):
+        return [("order-ab", False, ("forced",)), ("order-ba", True, None)]
+
+    def not_selected(*args, **kwargs):
+        raise AssertionError("an unselected identity ran")
+
+    monkeypatch.setattr(engine, "check_locality", failing_locality)
+    monkeypatch.setattr(engine, "check_skew", not_selected)
+    monkeypatch.setattr(engine, "check_associativity", not_selected)
+    assert main(["check", _doc_path("vir.rav"), "--checks",
+                 "vacuum,locality", "--spin", "3", "--word", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "locality/order-ab" in out and "fail" in out
+    assert "vacuum" in out and "order-ba" not in out
+
+
+def test_invalid_presentation_exits_2_with_and_without_asserts(tmp_path):
+    # validation must not rest on assert, which python -O strips
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    neg = tmp_path / "neg.rav"
+    neg.write_text("algebra neg\ngenerator a : deg 0 spin -1 even\n")
+    # the ghost extension of J adds a second generator named c_J
+    dup = tmp_path / "dup.rav"
+    dup.write_text("algebra dup\ngenerator J : deg 1 spin 1 even\n"
+                   "generator c_J : deg 1 spin 1/2 odd\n")
+    for flags in ([], ["-O"]):
+        for cmd, path, msg in (("check", neg, "negative spin"),
+                               ("brst", dup, "duplicate generator names")):
+            r = subprocess.run(
+                [sys.executable] + flags + ["-m", "raviolo.cli", cmd,
+                                            str(path)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert r.returncode == 2, (flags, cmd, r.stdout, r.stderr)
+            assert msg in r.stderr and "Traceback" not in r.stderr
+
+
 def test_ope_command(capsys):
     assert main(["ope", _doc_path("vir.rav"), "Gamma", "Gamma"]) == 0
     out = capsys.readouterr().out
@@ -244,3 +288,16 @@ def test_exit_codes(tmp_path, capsys):
                      "ope mu_e mu_f : 0 -> mu_h + mu_e\n")
     assert main(["check", str(wrong), "--spin", "2", "--word", "3"]) == 1
     assert "fail" in capsys.readouterr().out
+    # 2: a negative window would make every verdict vacuous
+    for argv in (["cohomology", _doc_path("chiral.rav"), "--spin", "-1",
+                  "--word", "6"],
+                 ["character", _doc_path("vir.rav"), "--order", "-2"],
+                 ["check", _doc_path("vir.rav"), "--word", "-1"],
+                 ["character", _doc_path("sl2.rav"),
+                  "--flavor-window", "-1"]):
+        assert main(argv) == 2, argv
+        assert ">= 0" in capsys.readouterr().err, argv
+    # 2: a check name outside the suite, before any module is built
+    assert main(["check", _doc_path("vir.rav"), "--checks",
+                 "vacuum,bogus"]) == 2
+    assert "unknown checks: bogus" in capsys.readouterr().err

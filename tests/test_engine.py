@@ -9,10 +9,14 @@ runs on all builtin presentations.
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
+from raviolo.catalog import sl2
 from raviolo.engine import (
-    Presentation, PBWModule, verify_axioms, check_locality,
+    Presentation, PresentationError, PBWModule, verify_axioms,
+    default_samples, check_locality,
     check_composite_fields, superpotential_check, differential_map,
     check_square_zero, dg_cohomology, cell_basis, state_coords,
     in_translation_image, simplicity_probe,
@@ -203,6 +207,58 @@ def test_axiom_suite_all_builtins():
                       spin_cap=4, word_cap=3)
         for check, ok, wit in verify_axioms(M):
             assert ok, (name, check, wit)
+
+
+def _failed_identities(pres):
+    # the benchmark's axiom-suite window
+    M = PBWModule(pres, spin_cap=4, word_cap=3)
+    gens = [M.gen_state(g.name) for g in M.gens]
+    res = verify_axioms(M, states=default_samples(M, max_word=1), tay=1,
+                        deep_states=gens)
+    for name, ok, wit in res:
+        assert ok or wit is not None, name
+    return [name for name, ok, _ in res if not ok]
+
+
+def _sl2_doubled(keys):
+    pres = sl2()
+    entries = dict(pres.table.entries)
+    for k in keys:
+        entries[k] = entries[k].scale(2)
+    return Presentation("sl2", pres.gens, OpeTable(entries))
+
+
+def test_verifier_detects_broken_sl2_tables():
+    assert _failed_identities(sl2()) == []
+    # a skew-consistent but non-Jacobi table: only the Jacobi guards see it
+    assert _failed_identities(_sl2_doubled(
+        [("mu_e", "mu_f", 0), ("mu_f", "mu_e", 0)])) == \
+        ["descent-jacobi", "poisson-split"]
+    # one side doubled also breaks skew-symmetry and the bivariate forms
+    assert _failed_identities(_sl2_doubled([("mu_e", "mu_f", 0)])) == [
+        "skew-symmetry", "descent-jacobi",
+        "locality/order-ba", "locality/commutator-delta",
+        "locality/order-ba", "locality/commutator-delta",
+        "associativity/expand-z-near-0", "associativity/expand-z-near-0",
+        "poisson-split"]
+
+
+def test_verify_axioms_runs_only_selected_identities():
+    M = PBWModule(Presentation("vir", [vir_gen()], vir_table()),
+                  spin_cap=3, word_cap=3)
+    assert [n for n, _, _ in verify_axioms(
+        M, checks={"poisson-split", "vacuum", "locality"})] == \
+        ["vacuum", "locality", "poisson-split"]
+    with pytest.raises(ValueError, match="unknown checks: bogus"):
+        verify_axioms(M, checks=["vacuum", "bogus"])
+
+
+def test_invalid_presentations_raise():
+    with pytest.raises(PresentationError, match="duplicate"):
+        Presentation("dup", [vir_gen(), vir_gen()], vir_table())
+    neg = GeneratorInfo("a", Grading(0, -1, 0))
+    with pytest.raises(PresentationError, match="negative spin"):
+        PBWModule(Presentation("neg", [neg], OpeTable()))
 
 
 def test_composite_fields_on_tensor():

@@ -49,11 +49,15 @@ def test_str_roundtrip_sanity():
     assert "K" in str(K)
 
 
-# random scalars built from the three builtin parameters
+# random scalars built from the three builtin parameters, with integer
+# and non-integer rational coefficients
 def _scalars():
     gens = st.sampled_from([K, kap, xi, Scalar.one(),
                             Scalar.from_rational(Fraction(1, 2))])
-    coeff = st.integers(min_value=-3, max_value=3)
+    coeff = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([Fraction(1, 3), Fraction(-2, 5), Fraction(2, 5),
+                         Fraction(-3, 2), Fraction(4, 2)]))
 
     def build(parts):
         out = Scalar.zero()
@@ -97,6 +101,85 @@ def test_graded_commutative(a, b):
     assert ae * bo == bo * ae
     assert ao * be == be * ao
     assert ao * bo == -(bo * ao)
+
+
+def _canonical(s):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in s.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalars(), _scalars(), _scalars())
+def test_distributive_and_cancelling(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + b - b == a
+    for s in (a * b, a + b, a - b, a * (b + c), -a):
+        assert _canonical(s), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalars())
+def test_parity_twist_is_an_involution(a):
+    assert a.parity_twist(1).parity_twist(1) == a
+    assert a.parity_twist(0) == a
+    assert _canonical(a.parity_twist(1))
+
+
+def test_integral_coefficients_are_ints():
+    two = Scalar({(): Fraction(4, 2)})
+    assert two == Scalar({(): 2}) and hash(two) == hash(Scalar({(): 2}))
+    assert type(two.terms[()]) is int
+    assert type(Scalar.one().terms[()]) is int
+    assert type(K.terms[(K_PARAM,)]) is int
+    half = Scalar.from_rational(Fraction(1, 2))
+    assert type((half + half).terms[()]) is int
+    assert type((half * 2).terms[()]) is int
+    assert type((half * K * 2).terms[(K_PARAM,)]) is int
+    # an int-coefficient scalar and its Fraction-built twin are one key
+    assert len({Scalar({(K_PARAM,): Fraction(3)}), 3 * K}) == 1
+    assert str(half * K + Fraction(-4, 2)) == "-2 + 1/2*K"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scalars())
+def test_rational_value_is_a_fraction(a):
+    q = a.rational_value()
+    if set(a.terms) <= {()}:
+        assert type(q) is Fraction
+        assert Scalar.from_rational(q) == a
+    else:
+        assert q is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scalars(), _scalars(), _scalars())
+def test_vadd_leaves_src_unchanged(a, b, c):
+    src = {k: v for k, v in (("x", a), ("y", b)) if not v.is_zero()}
+    snapshot = {k: Scalar(dict(v.terms)) for k, v in src.items()}
+    dst = {"x": c} if not c.is_zero() else {}
+    vadd(dst, src)
+    vadd(dst, src, c)
+    vadd(dst, src, Fraction(1, 3))
+    assert src == snapshot
+    assert veq(dst, {"x": c + a + c * a + a * Fraction(1, 3),
+                     "y": b + c * b + b * Fraction(1, 3)})
+
+
+def test_binom_matches_fraction_product():
+    def old_binom(n, k):
+        num = Fraction(1)
+        for i in range(k):
+            num *= Fraction(n - i)
+        den = 1
+        for i in range(1, k + 1):
+            den *= i
+        return num / den
+
+    for n in range(-6, 7):
+        for k in range(0, 7):
+            b = binom(n, k)
+            assert type(b) is int and b == old_binom(n, k), (n, k)
 
 
 def test_koszul_sign():
