@@ -79,13 +79,6 @@ def _as_fraction(x):
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
-def _canon(c):
-    # an arithmetic result back in canonical form (int results stay int)
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 # monomial -> its totalized parity is odd; a pure function of the
 # monomial, so entries never go stale
 _ODD = {}
@@ -197,7 +190,7 @@ class Scalar:
             if s is None:
                 out[mono] = c
                 continue
-            s = _canon(s + c)
+            s = _as_fraction(s + c)
             if s:
                 out[mono] = s
             else:
@@ -220,7 +213,7 @@ class Scalar:
             if s is None:
                 out[mono] = -c
                 continue
-            s = _canon(s - c)
+            s = _as_fraction(s - c)
             if s:
                 out[mono] = s
             else:
@@ -234,7 +227,8 @@ class Scalar:
         # c: a canonical nonzero rational
         if c == 1:
             return self
-        return _scalar({m: _canon(c * v) for m, v in self.terms.items()})
+        return _scalar({m: _as_fraction(c * v)
+                        for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -255,7 +249,7 @@ class Scalar:
                 if merged is None:
                     continue
                 sign, mono = merged
-                s = _canon(out.get(mono, 0) + sign * c1 * c2)
+                s = _as_fraction(out.get(mono, 0) + sign * c1 * c2)
                 if s:
                     out[mono] = s
                 elif mono in out:

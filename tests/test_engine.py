@@ -15,7 +15,7 @@ from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
 from raviolo.catalog import sl2
 from raviolo.engine import (
-    Presentation, PresentationError, PBWModule, verify_axioms,
+    IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
     default_samples, check_locality,
     check_composite_fields, superpotential_check, differential_map,
     check_square_zero, dg_cohomology, cell_basis, state_coords,
@@ -246,6 +246,7 @@ def test_verifier_detects_broken_sl2_tables():
 def test_verify_axioms_runs_only_selected_identities():
     M = PBWModule(Presentation("vir", [vir_gen()], vir_table()),
                   spin_cap=3, word_cap=3)
+    assert [n for n, _, _ in verify_axioms(M)] == list(IDENTITIES)
     assert [n for n, _, _ in verify_axioms(
         M, checks={"poisson-split", "vacuum", "locality"})] == \
         ["vacuum", "locality", "poisson-split"]
