@@ -198,6 +198,18 @@ def test_checks_filter_reports_failed_conditions(monkeypatch, capsys):
     assert "locality/order-ab" in out and "fail" in out
     assert "vacuum" in out and "order-ba" not in out
 
+    def failing_associativity(mod, a, b, v, tay=2):
+        return [("expand-w-near-0", True, None),
+                ("expand-z-near-0", False, ("forced",))]
+
+    monkeypatch.setattr(engine, "check_associativity", failing_associativity)
+    monkeypatch.setattr(engine, "check_locality", not_selected)
+    assert main(["check", _doc_path("vir.rav"), "--checks", "associativity",
+                 "--spin", "3", "--word", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "associativity/expand-z-near-0" in out
+    assert "vacuum" not in out and "expand-w-near-0" not in out
+
 
 def test_invalid_presentation_exits_2_with_and_without_asserts(tmp_path):
     # validation must not rest on assert, which python -O strips
