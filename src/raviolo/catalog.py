@@ -10,9 +10,10 @@ q-Pochhammer products that serve as the independent oracle.
 from fractions import Fraction
 
 from .scalars import (Scalar, Grading, ONE, K_PARAM, KAPPA_PARAM,
-                      XI_PARAM, vadd, vscale, vsub, veq)
+                      XI_PARAM, vadd, vscale, vsub)
 from .modes import GeneratorInfo, FieldExpr, OpeTable
-from .engine import Presentation, PBWModule, default_samples
+from .engine import (Presentation, PBWModule, default_samples,
+                     identity_check)
 from .linalg import kernel_basis, rational_coords
 
 K = Scalar.param(K_PARAM)
@@ -308,6 +309,7 @@ class LatticeModule:
                 if g.spin <= max_spin]
 
 
+@identity_check
 def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
     """The defining relations of the sector-shift fields, verified
     mode-wise on all basis states within the spin cap:
@@ -331,8 +333,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                                    vscale(lat.vertex_mode(
                                        m, t, lat.act("b", l, mst))[1],
                                        Fraction(ks)))
-                        if lhs:
-                            return False, ("b-commute", m, l, t, mst[0])
+                        yield ("b-commute", m, l, t, mst[0]), lhs, {}
                         # 2) the nu bracket gives the weight times the
                         # delta kernel: in mode components, with the
                         # canonical-ordering signs (creation nu modes
@@ -359,8 +360,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                                 Fraction(sgn))
                         else:
                             expect = {}
-                        if not veq(lhs, expect):
-                            return False, ("nu-delta", m, l, t, mst[0])
+                        yield ("nu-delta", m, l, t, mst[0]), lhs, expect
     # 3) :V_1 dV_(-1): reproduces b, via the two-block mode sums.  For
     # t >= 0 the inner factor sits in an annihilation mode (odd), and
     # putting it right of the outer tower symbol costs one Koszul sign,
@@ -385,9 +385,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                         inner = lat.vertex_mode(1, t - n - 1, mst)
                         vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1],
                              Fraction(-1))
-                if not veq(lat.act("b", t, mst)[1], rhs):
-                    return False, ("nop-b", t, m2)
-    return True, None
+                yield ("nop-b", t, m2), lat.act("b", t, mst)[1], rhs
 
 
 # ------------------------------------------------------------ characters
@@ -581,6 +579,7 @@ def morphism_image(dst, gen_map, state):
     return out
 
 
+@identity_check
 def check_morphism(src, dst, gen_map, states=None, nrange=(-2, 3)):
     """The assignment intertwines every generator mode within the
     window: phi(g_(n) v) = phi(g)_(n) phi(v)."""
@@ -591,6 +590,4 @@ def check_morphism(src, dst, gen_map, states=None, nrange=(-2, 3)):
             for n in range(nrange[0], nrange[1] + 1):
                 lhs = morphism_image(dst, gen_map, src.act(gi, n, v))
                 rhs = dst.field_mode(gen_map[gi], n, pv)
-                if not veq(lhs, rhs):
-                    return False, (src.gens[gi].name, n, src.state_str(v))
-    return True, None
+                yield (src.gens[gi].name, n, v), lhs, rhs

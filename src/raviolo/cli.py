@@ -29,8 +29,8 @@ from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
 from .linalg import CoordinateError
 from .engine import (
-    IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
-    superpotential_check, differential_map, check_square_zero,
+    Presentation, PresentationError, PBWModule, selected_identities,
+    verify_axioms, superpotential_check, differential_map, check_square_zero,
     dg_cohomology, ghost_extension, brst_charge,
 )
 from . import catalog
@@ -487,10 +487,10 @@ def _fug_names(doc):
 
 def cmd_check(doc, args):
     wanted = set(args.checks.split(",")) if args.checks else None
-    if wanted is not None:
-        unknown = wanted - set(IDENTITIES)
-        if unknown:
-            raise SpecError("unknown checks: %s" % ", ".join(sorted(unknown)))
+    try:
+        selected_identities(wanted)
+    except ValueError as e:
+        raise SpecError(str(e))
     mod = _build_module(doc, args)
     rep = Report(doc.name, args.spin, args.word)
     for key in doc.derived:

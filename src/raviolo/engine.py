@@ -16,10 +16,12 @@ kernels, the three-expansion form of associativity, properties of the
 normal-ordered product, the descent-bracket identities, the splitting
 into a commutative product plus a vertex-Lie tower, and the deformation
 layer (odd square-zero differentials from a superpotential, ghost
-systems, graded cohomology, conformal and primary checks).
+systems, graded cohomology, conformal and primary checks).  A check is a
+generator of (witness, lhs, rhs) instances, judged by identity_check.
 """
 
 from fractions import Fraction
+from functools import wraps
 from math import factorial
 
 from .scalars import (Scalar, ZERO, ONE, Grading, binom,
@@ -415,8 +417,23 @@ class PBWModule:
 
 # ================================================================ checks
 #
-# Every check returns (ok, witness); witness is None on success and a
-# small descriptive tuple on failure.
+# A check is a generator of (witness, lhs, rhs) instances; identity_check
+# turns it into a function returning (ok, witness).
+
+
+def identity_check(instances):
+    """Decorator: the check over the instances a generator function
+    yields.  It returns (True, None) when every lhs equals its rhs, else
+    (False, witness) for the first instance that differs, each state (a
+    dict) in the witness tuple printed by the first argument's state_str."""
+    @wraps(instances)
+    def check(mod, *args, **kwargs):
+        for wit, lhs, rhs in instances(mod, *args, **kwargs):
+            if not veq(lhs, rhs):
+                return False, tuple(mod.state_str(x) if isinstance(x, dict)
+                                    else x for x in wit)
+        return True, None
+    return check
 
 
 def default_samples(mod, max_word=2):
@@ -435,27 +452,24 @@ def default_samples(mod, max_word=2):
     return [s for s in out if s]
 
 
+@identity_check
 def check_vacuum_axiom(mod, states=None, nmax=4):
     states = states or default_samples(mod)
     vac = mod.vacuum()
-    if mod.translate(vac):
-        return False, ("translate-vacuum",)
+    yield ("translate-vacuum",), mod.translate(vac), {}
     for a in states:
         for t in range(0, nmax + 1):
-            if mod.field_mode(a, t, vac):
-                return False, ("creation", t, mod.state_str(a))
-        if not veq(mod.field_mode(a, -1, vac), a):
-            return False, ("state-field", mod.state_str(a))
-        if not veq(mod.field_mode(a, -2, vac), mod.translate(a)):
-            return False, ("first-derivative", mod.state_str(a))
+            yield ("creation", t, a), mod.field_mode(a, t, vac), {}
+        yield ("state-field", a), mod.field_mode(a, -1, vac), a
+        yield (("first-derivative", a), mod.field_mode(a, -2, vac),
+               mod.translate(a))
     for v in states:
         for t in range(-3, nmax + 1):
-            expect = v if t == -1 else {}
-            if not veq(mod.field_mode(vac, t, v), expect):
-                return False, ("identity-field", t)
-    return True, None
+            yield (("identity-field", t), mod.field_mode(vac, t, v),
+                   v if t == -1 else {})
 
 
+@identity_check
 def check_translation_axiom(mod, states=None, trange=(-3, 3)):
     states = states or default_samples(mod)
     for a in states:
@@ -464,11 +478,10 @@ def check_translation_axiom(mod, states=None, trange=(-3, 3)):
             for t in range(trange[0], trange[1] + 1):
                 lhs = vsub(mod.translate(mod.field_mode(a, t, v)),
                            mod.field_mode(a, t, mod.translate(v)))
-                if not veq(lhs, mod.field_mode(da, t, v)):
-                    return False, (t, mod.state_str(a), mod.state_str(v))
-    return True, None
+                yield (t, a, v), lhs, mod.field_mode(da, t, v)
 
 
+@identity_check
 def check_skew(mod, states=None, nmin=-2):
     """a_(n) b = (-1)^(|a||b|) sum_l (s/l!) d^l (b_(n+l) a).  Plain powers
     and the singular tower never mix under translation, so for n < 0 only
@@ -493,34 +506,29 @@ def check_skew(mod, states=None, nmin=-2):
                     e = n + l + (1 if n < 0 else 0)
                     vadd(rhs, term,
                          Fraction(kos * (-1) ** (e % 2), factorial(l)))
-                if not veq(mod.field_mode(a, n, b), rhs):
-                    return False, (n, mod.state_str(a), mod.state_str(b))
-    return True, None
+                yield (n, a, b), mod.field_mode(a, n, b), rhs
 
 
+@identity_check
 def check_nop_commutative(mod, states=None):
     states = states or default_samples(mod)
     for a in states:
         for b in states:
             sign = (-1) ** (mod.state_parity(a) * mod.state_parity(b))
-            if not veq(mod.nop(a, b), vscale(mod.nop(b, a), sign)):
-                return False, (mod.state_str(a), mod.state_str(b))
-    return True, None
+            yield (a, b), mod.nop(a, b), vscale(mod.nop(b, a), sign)
 
 
+@identity_check
 def check_nop_associative(mod, states=None):
     states = states or default_samples(mod)
     for a in states:
         for b in states:
             for c in states:
-                lhs = mod.nop(a, mod.nop(b, c))
-                rhs = mod.nop(mod.nop(a, b), c)
-                if not veq(lhs, rhs):
-                    return False, (mod.state_str(a), mod.state_str(b),
-                                   mod.state_str(c))
-    return True, None
+                yield ((a, b, c), mod.nop(a, mod.nop(b, c)),
+                       mod.nop(mod.nop(a, b), c))
 
 
+@identity_check
 def check_descent_derivation(mod, states=None, nmax=None):
     """a_(n), n >= 0, is an (appropriately signed) derivation of the
     normal-ordered product."""
@@ -538,12 +546,10 @@ def check_descent_derivation(mod, states=None, nmax=None):
                     rhs = mod.nop(mod.field_mode(a, n, b), c)
                     vadd(rhs, mod.nop(b, mod.field_mode(a, n, c)),
                          (-1) ** ((pa + 1) * pb))
-                    if not veq(lhs, rhs):
-                        return False, (n, mod.state_str(a),
-                                       mod.state_str(b), mod.state_str(c))
-    return True, None
+                    yield (n, a, b, c), lhs, rhs
 
 
+@identity_check
 def check_descent_jacobi(mod, states=None, nmax=3):
     """{{a,{{b,c}}^(m)}}^(n) = (-1)^(|a|+1) sum_l C(n,l)
     {{{{a,b}}^(l),c}}^(m+n-l) + (-1)^((|a|+1)(|b|+1)) {{b,{{a,c}}^(n)}}^(m),
@@ -568,11 +574,7 @@ def check_descent_jacobi(mod, states=None, nmax=3):
                                 mod.field_mode(a, l, b), m + n - l, c)
                             vadd(rhs, term,
                                  (-1) ** (pa + 1) * cl)
-                        if not veq(lhs, rhs):
-                            return False, (n, m, mod.state_str(a),
-                                           mod.state_str(b),
-                                           mod.state_str(c))
-    return True, None
+                        yield (n, m, a, b, c), lhs, rhs
 
 
 def check_zero_mode_derivation(mod, states=None):
@@ -598,7 +600,7 @@ def _sv_add(F, key, state, coeff):
         del F[key]
 
 
-def _mode_cap(mod, field_spin, vspin):
+def _mode_cap(field_spin, vspin):
     """Largest mode index that can act without killing a spin-vspin state."""
     return _floor(vspin + field_spin - 1)
 
@@ -609,11 +611,11 @@ def _prod_fab(mod, a, b, v, T):
     sa, sb = mod.state_spin(a), mod.state_spin(b)
     vspin = mod.state_spin(v)
     F = {}
-    for l in range(-(T + 1), _mode_cap(mod, sb, vspin) + 1):
+    for l in range(-(T + 1), _mode_cap(sb, vspin) + 1):
         bv = mod.field_mode(b, l, v)
         if not bv:
             continue
-        for m in range(-(T + 1), _mode_cap(mod, sa, mod.state_spin(bv)) + 1):
+        for m in range(-(T + 1), _mode_cap(sa, mod.state_spin(bv)) + 1):
             abv = mod.field_mode(a, m, bv)
             if not abv:
                 continue
@@ -629,11 +631,11 @@ def _prod_fba(mod, a, b, v, T):
     sa, sb = mod.state_spin(a), mod.state_spin(b)
     vspin = mod.state_spin(v)
     F = {}
-    for m in range(-(T + 1), _mode_cap(mod, sa, vspin) + 1):
+    for m in range(-(T + 1), _mode_cap(sa, vspin) + 1):
         av = mod.field_mode(a, m, v)
         if not av:
             continue
-        for l in range(-(T + 1), _mode_cap(mod, sb, mod.state_spin(av)) + 1):
+        for l in range(-(T + 1), _mode_cap(sb, mod.state_spin(av)) + 1):
             bav = mod.field_mode(b, l, av)
             if not bav:
                 continue
@@ -652,7 +654,7 @@ def _nop_biv(mod, a, b, v, T):
     sa, sb = mod.state_spin(a), mod.state_spin(b)
     vspin = mod.state_spin(v)
     F = {}
-    for l in range(-(T + 1), _mode_cap(mod, sb, vspin) + 1):
+    for l in range(-(T + 1), _mode_cap(sb, vspin) + 1):
         bv = mod.field_mode(b, l, v)
         if not bv:
             continue
@@ -661,11 +663,11 @@ def _nop_biv(mod, a, b, v, T):
             if abv:
                 sign = -1 if (l >= 0 and pa) else 1
                 _sv_add(F, (m, l), abv, sign)
-    for m in range(0, _mode_cap(mod, sa, vspin) + 1):
+    for m in range(0, _mode_cap(sa, vspin) + 1):
         av = mod.field_mode(a, m, v)
         if not av:
             continue
-        for l in range(-(T + 1), _mode_cap(mod, sb, mod.state_spin(av)) + 1):
+        for l in range(-(T + 1), _mode_cap(sb, mod.state_spin(av)) + 1):
             bav = mod.field_mode(b, l, av)
             if bav:
                 e = (pa + 1) * (pb + (1 if l >= 0 else 0))
@@ -682,25 +684,24 @@ def _sv_sub(F1, F2, scale2=1):
     return out
 
 
-def _sv_eq_within(F1, F2, tay, pol):
+@identity_check
+def _sv_eq_within(mod, F1, F2, tay, pol):
     for k in set(F1) | set(F2):
         m, l = k
         if (m < 0 and -m - 1 > tay) or (l < 0 and -l - 1 > tay):
             continue
         if (m >= 0 and m > pol) or (l >= 0 and l > pol):
             continue
-        if not veq(F1.get(k, {}), F2.get(k, {})):
-            return False, k
-    return True, None
+        yield k, F1.get(k, {}), F2.get(k, {})
 
 
-def _cmode_table(mod, cstates, v, T, pol):
+def _cmode_table(mod, cstates, v, T):
     """For each singular product state c^n, the modes (c^n)_(l') v."""
     out = []
     for cs in cstates:
         row = {}
         if cs:
-            hi = _mode_cap(mod, mod.state_spin(cs), mod.state_spin(v))
+            hi = _mode_cap(mod.state_spin(cs), mod.state_spin(v))
             for lp in range(-(T + 1), hi + 1):
                 st = mod.field_mode(cs, lp, v)
                 if st:
@@ -722,7 +723,7 @@ def _delta_minus_term(cmodes, T, pol):
     return F
 
 
-def _delta_plus_term(cmodes, T, pol):
+def _delta_plus_term(cmodes, T):
     """sum_n Delta_+^(n)(z,w) C^n(w) v; only the w-creation modes of C
     survive against the Omega_w tower."""
     F = {}
@@ -754,7 +755,7 @@ def check_locality(mod, a, b, v, tay=2):
     T = tay + N + 2
     pol = _floor(vspin + sa + sb) + N + 2
     cstates = [mod.field_mode(a, n, b) for n in range(N + 1)]
-    cmodes = _cmode_table(mod, cstates, v, T, pol)
+    cmodes = _cmode_table(mod, cstates, v, T)
 
     fab = _prod_fab(mod, a, b, v, T)
     fba = _prod_fba(mod, a, b, v, T)
@@ -766,12 +767,12 @@ def check_locality(mod, a, b, v, tay=2):
 
     # operator orders against the normal-ordered product
     dminus = _delta_minus_term(cmodes, T, pol)
-    dplus = _delta_plus_term(cmodes, T, pol)
+    dplus = _delta_plus_term(cmodes, T)
     lhs = _sv_sub(fab, nop)
-    ok, wit = _sv_eq_within(lhs, dminus, tay, pol)
+    ok, wit = _sv_eq_within(mod, lhs, dminus, tay, pol)
     results.append(("order-ab", ok, wit))
     lhs = _sv_sub(vscale_biv(fba, kos), nop)
-    ok, wit = _sv_eq_within(lhs, vscale_biv(dplus, -1), tay, pol)
+    ok, wit = _sv_eq_within(mod, lhs, vscale_biv(dplus, -1), tay, pol)
     results.append(("order-ba", ok, wit))
 
     # the commutator as a pure delta distribution, key by key
@@ -831,7 +832,7 @@ def check_associativity(mod, a, b, v, tay=2):
         ct = mod.field_mode(a, t, b)
         if not ct:
             continue
-        hi = _mode_cap(mod, mod.state_spin(ct), vspin)
+        hi = _mode_cap(mod.state_spin(ct), vspin)
         for l in range(-(L + 1), hi + 1):
             st = mod.field_mode(ct, l, v)
             if st:
@@ -865,14 +866,15 @@ def check_associativity(mod, a, b, v, tay=2):
     fab = _prod_fab(mod, a, b, v, T)
     fba = _prod_fba(mod, a, b, v, T)
     results = []
-    ok, wit = _sv_eq_within(H1, fab, tay, pol)
+    ok, wit = _sv_eq_within(mod, H1, fab, tay, pol)
     results.append(("expand-w-near-0", ok, wit))
     ok, wit = _sv_eq_within(
-        H2, vscale_biv(fba, (-1) ** (pa * pb)), tay, pol)
+        mod, H2, vscale_biv(fba, (-1) ** (pa * pb)), tay, pol)
     results.append(("expand-z-near-0", ok, wit))
     return results
 
 
+@identity_check
 def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
     """Fields of product states agree with the two-block normal-ordered
     mode sums of the factor fields.
@@ -918,13 +920,10 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
                                 av = mod.field_mode(da, t - n - 1, v)
                                 if av:
                                     vadd(rhs, mod.field_mode(b, n, av), s2)
-                        if not veq(lhs, rhs):
-                            return False, (k, t, mod.state_str(a),
-                                           mod.state_str(b),
-                                           mod.state_str(v))
-    return True, None
+                        yield (k, t, a, b, v), lhs, rhs
 
 
+@identity_check
 def check_commutative_half(mod, states=None, tay=3):
     """The creation halves of all fields graded-commute."""
     states = states or default_samples(mod)
@@ -936,12 +935,10 @@ def check_commutative_half(mod, states=None, tay=3):
                     for l in range(-(tay + 1), 0):
                         lhs = mod.field_mode(a, m, mod.field_mode(b, l, v))
                         rhs = mod.field_mode(b, l, mod.field_mode(a, m, v))
-                        if not veq(lhs, vscale(rhs, kos)):
-                            return False, (m, l, mod.state_str(a),
-                                           mod.state_str(b))
-    return True, None
+                        yield (m, l, a, b), lhs, vscale(rhs, kos)
 
 
+@identity_check
 def check_lie_half(mod, states=None, nmax=3):
     """The annihilation halves form a vertex-Lie tower: translation
     compatibility, skew-symmetry, and the mode commutation rule."""
@@ -951,10 +948,8 @@ def check_lie_half(mod, states=None, nmax=3):
         da = mod.translate(a)
         for v in states:
             for m in range(0, nmax + 1):
-                lhs = mod.field_mode(da, m, v)
-                rhs = vscale(mod.field_mode(a, m - 1, v), -m)
-                if not veq(lhs, rhs):
-                    return False, ("translation", m, mod.state_str(a))
+                yield (("translation", m, a), mod.field_mode(da, m, v),
+                       vscale(mod.field_mode(a, m - 1, v), -m))
     # commutator of annihilation modes against singular products
     for a in states:
         pa = mod.state_parity(a)
@@ -979,32 +974,53 @@ def check_lie_half(mod, states=None, nmax=3):
                                 mod.field_mode(a, n, b), m + l - n, v)
                             vadd(rhs, term,
                                  (-1) ** (pa + 1) * cn)
-                        if not veq(lhs, rhs):
-                            return False, ("commutator", m, l,
-                                           mod.state_str(a),
-                                           mod.state_str(b))
-    return True, None
+                        yield ("commutator", m, l, a, b), lhs, rhs
 
 
 def check_poisson_split(mod, states=None, tay=3, nmax=3):
     """Commutative creation half + vertex-Lie annihilation half, with the
     annihilation modes acting as derivations of the product."""
-    ok, wit = check_commutative_half(mod, states, tay)
-    if not ok:
-        return False, ("commutative-half",) + wit
-    ok, wit = check_lie_half(mod, states, nmax)
-    if not ok:
-        return False, ("lie-half",) + wit
-    ok, wit = check_descent_derivation(mod, states, nmax=nmax)
-    if not ok:
-        return False, ("derivation",) + wit
+    for label, check, bound in (
+            ("commutative-half", check_commutative_half, tay),
+            ("lie-half", check_lie_half, nmax),
+            ("derivation", check_descent_derivation, nmax)):
+        ok, wit = check(mod, states, bound)
+        if not ok:
+            return False, (label,) + wit
     return True, None
 
 
-IDENTITIES = ("vacuum", "translation", "skew-symmetry", "product-commutative",
-              "product-associative", "zero-mode-derivation",
-              "descent-derivation", "descent-jacobi", "composite-fields",
-              "locality", "associativity", "poisson-split")
+# The suite in row order: identity, its check's name here (looked up at
+# run time, so a wrapper put in this namespace sees every call), and
+# whether the check takes the sample states, them and the Taylor order,
+# or each pair of generator states against the vacuum.
+_SUITE = (
+    ("vacuum", "check_vacuum_axiom", "states"),
+    ("translation", "check_translation_axiom", "states"),
+    ("skew-symmetry", "check_skew", "states"),
+    ("product-commutative", "check_nop_commutative", "states"),
+    ("product-associative", "check_nop_associative", "states"),
+    ("zero-mode-derivation", "check_zero_mode_derivation", "states"),
+    ("descent-derivation", "check_descent_derivation", "states"),
+    ("descent-jacobi", "check_descent_jacobi", "states"),
+    ("composite-fields", "check_composite_fields", "states"),
+    ("locality", "check_locality", "pairs"),
+    ("associativity", "check_associativity", "pairs"),
+    ("poisson-split", "check_poisson_split", "tay"),
+)
+
+IDENTITIES = tuple(name for name, _, _ in _SUITE)
+
+
+def selected_identities(checks):
+    """The identities a suite run computes; ValueError for a name outside
+    IDENTITIES."""
+    if checks is None:
+        return IDENTITIES
+    unknown = set(checks) - set(IDENTITIES)
+    if unknown:
+        raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
+    return checks
 
 
 def verify_axioms(mod, states=None, tay=2, deep_states=None, checks=None):
@@ -1012,31 +1028,19 @@ def verify_axioms(mod, states=None, tay=2, deep_states=None, checks=None):
     order; returns a list of (name, ok, witness).  A failed locality or
     associativity condition is reported as a "locality/<cond>" or
     "associativity/<cond>" row in place of the passing row."""
-    if checks is None:
-        checks = IDENTITIES
-    unknown = set(checks) - set(IDENTITIES)
-    if unknown:
-        raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
+    checks = selected_identities(checks)
     states = states or default_samples(mod)
-    out = []
-    for name, fn in [
-            ("vacuum", check_vacuum_axiom),
-            ("translation", check_translation_axiom),
-            ("skew-symmetry", check_skew),
-            ("product-commutative", check_nop_commutative),
-            ("product-associative", check_nop_associative),
-            ("zero-mode-derivation", check_zero_mode_derivation),
-            ("descent-derivation", check_descent_derivation),
-            ("descent-jacobi", check_descent_jacobi),
-            ("composite-fields", check_composite_fields)]:
-        if name in checks:
-            ok, wit = fn(mod, states)
-            out.append((name, ok, wit))
     pairs = deep_states or [s for s in states if len(s) == 1
                             and list(s)[0] and len(list(s)[0]) == 1]
-    for name, fn in [("locality", check_locality),
-                     ("associativity", check_associativity)]:
+    out = []
+    for name, fn_name, form in _SUITE:
         if name not in checks:
+            continue
+        fn = globals()[fn_name]
+        if form != "pairs":
+            ok, wit = fn(mod, states, tay=tay) if form == "tay" \
+                else fn(mod, states)
+            out.append((name, ok, wit))
             continue
         failed = []
         for a in pairs:
@@ -1047,9 +1051,6 @@ def verify_axioms(mod, states=None, tay=2, deep_states=None, checks=None):
                             (name + "/" + cond, False,
                              (mod.state_str(a), mod.state_str(b), wit)))
         out.extend(failed or [(name, True, None)])
-    if "poisson-split" in checks:
-        ok, wit = check_poisson_split(mod, states, tay=tay)
-        out.append(("poisson-split", ok, wit))
     return out
 
 
@@ -1108,12 +1109,12 @@ def differential_map(mod, w):
     return d
 
 
+@identity_check
 def check_square_zero(mod, d, keys=None):
+    """d(d(k)) = 0 on every basis key; the witness is the failing key."""
     keys = keys if keys is not None else [k for k, _ in mod.basis()]
     for k in keys:
-        if d(d({k: ONE})):
-            return False, k
-    return True, None
+        yield k, d(d({k: ONE})), {}
 
 
 def dg_cohomology(mod, d, spin_cap=None):
@@ -1206,16 +1207,14 @@ def brst_charge(mod, current_names, structure=None, pairing=None, w=None):
 
 # ------------------------------------------------------ conformal data
 
+@identity_check
 def conformal_check(mod, gamma, states=None):
     """gamma_(0) acts as translation, gamma_(1) as the spin grading."""
     states = states or default_samples(mod)
     for v in states:
-        if not veq(mod.field_mode(gamma, 0, v), mod.translate(v)):
-            return False, ("zero-mode", mod.state_str(v))
-        sv = mod.state_spin(v)
-        if not veq(mod.field_mode(gamma, 1, v), vscale(v, sv)):
-            return False, ("weight", mod.state_str(v))
-    return True, None
+        yield ("zero-mode", v), mod.field_mode(gamma, 0, v), mod.translate(v)
+        yield (("weight", v), mod.field_mode(gamma, 1, v),
+               vscale(v, mod.state_spin(v)))
 
 
 def primary_check(mod, gamma, a, nmax=None):

@@ -259,8 +259,10 @@ def test_criterion_04_structure_theorems():
         # three-expansion agreement on every generator pair
         for a in gstates:
             for b in gstates:
-                ok, wit = check_associativity(M, a, b, M.vacuum())
-                assert ok, (name, M.state_str(a), M.state_str(b), wit)
+                for cond, ok, wit in check_associativity(M, a, b,
+                                                         M.vacuum()):
+                    assert ok, (name, M.state_str(a), M.state_str(b),
+                                cond, wit)
         # the triple-bracket identity on every generator triple
         ok, wit = check_descent_jacobi(M, gstates)
         assert ok, (name, wit)

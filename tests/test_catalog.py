@@ -55,6 +55,8 @@ def test_stress_tensors_are_conformal():
     T = stress_tensor(H, "heisenberg")
     ok, wit = conformal_check(H, T)
     assert ok, wit
+    assert conformal_check(H, vscale(T, 2)) == \
+        (False, ("zero-mode", "b_(-1)|0>"))
     for g in ("b", "nu"):
         rep = primary_check(H, T, H.gen_state(g))
         assert rep["weight-ok"] and rep["higher-ok"], (g, rep)
@@ -223,6 +225,8 @@ def test_weight_one_pair_embeds_in_field_pair():
           1: F.gen_state("psi")}
     ok, wit = check_morphism(H, F, gm)
     assert ok, wit
+    assert check_morphism(H, F, {0: gm[0], 1: vscale(gm[1], 2)}) == \
+        (False, ("nu", 1, "b_(-1)|0>"))
     F1 = PBWModule(fc(1, 0), spin_cap=3, word_cap=6, flavor_window=4)
     gm1 = {0: F1.gen_state("X"),
            1: F1.translate(F1.gen_state("psi"))}

@@ -13,7 +13,7 @@ import pytest
 
 from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
-from raviolo.catalog import sl2
+from raviolo.catalog import sl2, virasoro, heisenberg
 from raviolo.engine import (
     IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
     default_samples, check_locality,
@@ -217,30 +217,66 @@ def _failed_identities(pres):
                         deep_states=gens)
     for name, ok, wit in res:
         assert ok or wit is not None, name
-    return [name for name, ok, _ in res if not ok]
+    return [(name, wit) for name, ok, wit in res if not ok]
 
 
-def _sl2_doubled(keys):
-    pres = sl2()
+def _edited(pres, edits):
+    """The presentation with each listed entry scaled, or dropped for a
+    factor of None."""
     entries = dict(pres.table.entries)
-    for k in keys:
-        entries[k] = entries[k].scale(2)
-    return Presentation("sl2", pres.gens, OpeTable(entries))
+    for k, factor in edits.items():
+        if factor is None:
+            del entries[k]
+        else:
+            entries[k] = entries[k].scale(factor)
+    return Presentation(pres.name, pres.gens, OpeTable(entries))
 
 
 def test_verifier_detects_broken_sl2_tables():
+    E, H, F = "mu_e_(-1)|0>", "mu_h_(-1)|0>", "mu_f_(-1)|0>"
     assert _failed_identities(sl2()) == []
     # a skew-consistent but non-Jacobi table: only the Jacobi guards see it
-    assert _failed_identities(_sl2_doubled(
-        [("mu_e", "mu_f", 0), ("mu_f", "mu_e", 0)])) == \
-        ["descent-jacobi", "poisson-split"]
+    assert _failed_identities(_edited(sl2(), {
+        ("mu_e", "mu_f", 0): 2, ("mu_f", "mu_e", 0): 2})) == [
+        ("descent-jacobi", (0, 1, E, H, F)),
+        ("poisson-split", ("lie-half", "commutator", 0, 1, E, H))]
     # one side doubled also breaks skew-symmetry and the bivariate forms
-    assert _failed_identities(_sl2_doubled([("mu_e", "mu_f", 0)])) == [
-        "skew-symmetry", "descent-jacobi",
-        "locality/order-ba", "locality/commutator-delta",
-        "locality/order-ba", "locality/commutator-delta",
-        "associativity/expand-z-near-0", "associativity/expand-z-near-0",
-        "poisson-split"]
+    fail = ("decompose", ((1, -4),), ("omega-replacement", (3, (0, 0))))
+    assert _failed_identities(_edited(sl2(), {
+        ("mu_e", "mu_f", 0): 2})) == [
+        ("skew-symmetry", (0, E, F)),
+        ("descent-jacobi", (0, 1, E, H, F)),
+        ("locality/order-ba", (E, F, (-2, 1))),
+        ("locality/commutator-delta", (E, F, fail)),
+        ("locality/order-ba", (F, E, (-2, 1))),
+        ("locality/commutator-delta", (F, E, fail)),
+        ("associativity/expand-z-near-0", (E, F, (-2, 0))),
+        ("associativity/expand-z-near-0", (F, E, (-2, 0))),
+        ("poisson-split", ("lie-half", "commutator", 0, 1, E, H))]
+
+
+def test_verifier_detects_broken_vir_and_h_tables():
+    G = "Gamma_(-1)|0>"
+    assert _failed_identities(_edited(virasoro(), {
+        ("Gamma", "Gamma", 1): None})) == [
+        ("skew-symmetry", (0, G, G)),
+        ("descent-jacobi", (1, 0, G, G, G)),
+        ("locality/order-ba", (G, G, (-2, 1))),
+        ("locality/commutator-delta", (G, G, (
+            "decompose", ((0, -5),), ("omega-replacement", (3, (0, 0)))))),
+        ("associativity/expand-z-near-0", (G, G, (-2, 0))),
+        ("poisson-split", ("lie-half", "commutator", 1, 0, G, G))]
+    B, NU = "b_(-1)|0>", "nu_(-1)|0>"
+    fail = ("decompose", (), ("omega-replacement", (0, (0, 1))))
+    assert _failed_identities(_edited(heisenberg(), {
+        ("b", "nu", 1): -1})) == [
+        ("skew-symmetry", (1, B, NU)),
+        ("locality/order-ba", (B, NU, (-1, 1))),
+        ("locality/commutator-delta", (B, NU, fail)),
+        ("locality/order-ba", (NU, B, (-1, 1))),
+        ("locality/commutator-delta", (NU, B, fail)),
+        ("associativity/expand-z-near-0", (B, NU, (-2, 2))),
+        ("associativity/expand-z-near-0", (NU, B, (-2, 2)))]
 
 
 def test_verify_axioms_runs_only_selected_identities():
@@ -299,6 +335,9 @@ def test_superpotential_differential():
     d = differential_map(M, w)
     ok, wit = check_square_zero(M, d)
     assert ok, wit
+    # translation does not square to zero; the witness is the bare key
+    V = PBWModule(virasoro(), spin_cap=4, word_cap=3)
+    assert check_square_zero(V, V.translate) == (False, ((0, -1),))
 
 
 def _sympy_cell_dim(M, d, cell, cells):
