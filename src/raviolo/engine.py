@@ -21,14 +21,15 @@ generator of (witness, lhs, rhs) instances, judged by identity_check.
 """
 
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from math import factorial
 
 from .scalars import (Scalar, ZERO, ONE, Grading, binom,
                       vadd, vscale, vsub, veq)
 from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
-from .series import BiDist, delta_decompose, combine_indices
+from .series import (BiDist, DeltaKernel, combine_indices, delta_decompose,
+                     delta_expand, expand_region, tri_normalize)
 from .linalg import (Echelon, column_kernel, rational_coords, dense_coords,
                      solve)
 
@@ -82,9 +83,7 @@ class Presentation:
                 g.name, Grading(gr.cohdeg, gr.spin, gr.parity,
                                 (0,) * pad + gr.flavor)))
         entries = dict(self.table.entries)
-        for k, e in other.table.entries.items():
-            assert k not in entries
-            entries[k] = e
+        entries.update(other.table.entries)
         return Presentation(name or "%s(x)%s" % (self.name, other.name),
                             gens, OpeTable(entries))
 
@@ -161,7 +160,8 @@ class PBWModule:
                            (kg.parity + cp) % 2, kg.flavor))
         if not gs:
             return None
-        assert len(gs) == 1, "state not homogeneous: %s" % gs
+        if len(gs) != 1:
+            raise ValueError("state not homogeneous: %s" % gs)
         return gs.pop()
 
     def state_spin(self, state):
@@ -585,7 +585,10 @@ def check_zero_mode_derivation(mod, states=None):
 #
 # State-valued bivariate distributions are dicts {(m, l): state} whose
 # (m, l) entry is the operator coefficient of mon_z(m) mon_w(l) in the
-# canonical z-then-w monomial order (indices as in series.py).
+# canonical z-then-w monomial order (indices as in series.py).  The
+# expansion rules they meet -- the Delta_+/- halves and the re-expansions
+# of the Omega_{z-w} tower near w = 0 and near z = 0 -- are read from
+# series, their one source; this file only applies them (_expansion).
 
 
 def _sv_add(F, key, state, coeff):
@@ -710,34 +713,34 @@ def _cmode_table(mod, cstates, v, T):
     return out
 
 
-def _delta_minus_term(cmodes, T, pol):
-    """sum_n Delta_-^(n)(z,w) C^n(w) v as a state-valued bivariate."""
-    F = {}
-    for n, row in enumerate(cmodes):
-        for lp, st in row.items():
-            for a in range(0, T + pol + 2):
-                l = combine_indices(-a - 1, lp)
-                if l is None:
-                    continue
-                _sv_add(F, (a + n, l), st, binom(a + n, n))
-    return F
+@lru_cache(maxsize=None)
+def _expansion(kind, t, trunc):
+    """The index map series derives for one index t, as (m, j, c) with c
+    rational: the Delta_-/Delta_+ half of order t ("minus"/"plus"), or
+    mon_u(t), u = z-w, re-expanded near w = 0 or z = 0 ("w_near_0"/
+    "z_near_0").  The maps are ring maps, so a w monomial mon_w(l)
+    multiplies through (_apply_expansion) and one memo entry per index
+    serves every l."""
+    if kind in ("minus", "plus"):
+        b = delta_expand(DeltaKernel(kind, t), trunc)
+    else:
+        if t < 0:
+            # (z-w)^k = sum_i C(k,i) z^(k-i) (-w)^i
+            k = -t - 1
+            raw = [((-1) ** i * binom(k, i), k - i, i, ())
+                   for i in range(k + 1)]
+        else:
+            raw = [(1, 0, 0, (("d", t),))]
+        b = expand_region(tri_normalize(raw, trunc), kind, trunc)
+    return tuple((m, j, c.rational_value()) for (m, j), c in b.terms.items())
 
 
-def _delta_plus_term(cmodes, T):
-    """sum_n Delta_+^(n)(z,w) C^n(w) v; only the w-creation modes of C
-    survive against the Omega_w tower."""
-    F = {}
-    for n, row in enumerate(cmodes):
-        for lp, st in row.items():
-            if lp >= 0:
-                continue
-            for k in range(0, T + 1):
-                j = n + k + lp + 1
-                if j < 0:
-                    continue
-                _sv_add(F, (-k - 1, j), st,
-                        (-1) ** (n + 1) * binom(n + k, n))
-    return F
+def _apply_expansion(F, expansion, l, st):
+    """F += expansion * mon_w(l) * st, entry by entry."""
+    for m, j, c in expansion:
+        lw = combine_indices(j, l)
+        if lw is not None:
+            _sv_add(F, (m, lw), st, c)
 
 
 def check_locality(mod, a, b, v, tay=2):
@@ -766,8 +769,12 @@ def check_locality(mod, a, b, v, tay=2):
     results = []
 
     # operator orders against the normal-ordered product
-    dminus = _delta_minus_term(cmodes, T, pol)
-    dplus = _delta_plus_term(cmodes, T)
+    dminus, dplus = {}, {}
+    for n, row in enumerate(cmodes):
+        for lp, st in row.items():
+            _apply_expansion(dminus, _expansion("minus", n, T + pol + 1),
+                             lp, st)
+            _apply_expansion(dplus, _expansion("plus", n, T), lp, st)
     lhs = _sv_sub(fab, nop)
     ok, wit = _sv_eq_within(mod, lhs, dminus, tay, pol)
     results.append(("order-ab", ok, wit))
@@ -826,8 +833,9 @@ def check_associativity(mod, a, b, v, tay=2):
     T = tay + N + 2
     L = tay + pol + N + 4
 
-    # G(u, w) = sum_t mon_u(t) (a_(t)b)(w) v over the (u = z-w, w) slots
-    G = {}
+    # sum_t mon_u(t) (a_(t)b)(w) v, u = z-w, re-expanded in each region
+    amax = pol + tay + 2
+    H1, H2 = {}, {}
     for t in range(-(2 * tay + 3), N + 1):
         ct = mod.field_mode(a, t, b)
         if not ct:
@@ -836,32 +844,8 @@ def check_associativity(mod, a, b, v, tay=2):
         for l in range(-(L + 1), hi + 1):
             st = mod.field_mode(ct, l, v)
             if st:
-                G[(t, l)] = st
-
-    amax = pol + tay + 2
-    H1, H2 = {}, {}
-    for (t, l), st in G.items():
-        if t < 0:
-            # (z-w)^k expands polynomially; valid in both regions
-            k = -t - 1
-            for i in range(k + 1):
-                lw = combine_indices(-(k - i) - 1, l)
-                if lw is None:
-                    continue
-                c = (-1) ** (k - i) * binom(k, i)
-                _sv_add(H1, (-i - 1, lw), st, c)
-                _sv_add(H2, (-i - 1, lw), st, c)
-        else:
-            for alpha in range(amax + 1):
-                # near w = 0: Om^t_u -> C(t+alpha,alpha) w^alpha Om_z
-                lw = combine_indices(-alpha - 1, l)
-                if lw is not None:
-                    _sv_add(H1, (t + alpha, lw), st, binom(t + alpha, alpha))
-                # near z = 0: Om^t_u -> (-1)^t C(t+alpha,alpha) z^alpha Om_w
-                lw = combine_indices(t + alpha, l)
-                if lw is not None:
-                    _sv_add(H2, (-alpha - 1, lw), st,
-                            (-1) ** t * binom(t + alpha, alpha))
+                _apply_expansion(H1, _expansion("w_near_0", t, amax), l, st)
+                _apply_expansion(H2, _expansion("z_near_0", t, amax), l, st)
 
     fab = _prod_fab(mod, a, b, v, T)
     fba = _prod_fba(mod, a, b, v, T)

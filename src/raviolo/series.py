@@ -14,9 +14,6 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import Scalar, ZERO, ONE, binom
-from .scalars import K_PARAM, KAPPA_PARAM, XI_PARAM
-
-DEFAULT_PARAMS = {p.name: p for p in (K_PARAM, KAPPA_PARAM, XI_PARAM)}
 
 
 def _coeff(c):
@@ -188,130 +185,6 @@ def format_series(f):
     for p in bits[1:]:
         out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
     return out
-
-
-class _Tok:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_while(self, pred):
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and pred(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def parse_series(text, trunc=8, twist=0, params=None):
-    """Parse the textual format `3*z^2 - 2*O[1] + K*O[3]` back to RavSeries."""
-    params = DEFAULT_PARAMS if params is None else params
-    tok = _Tok(text.strip())
-    terms = {}
-
-    def parse_scalar_atom():
-        ch = tok.peek()
-        if ch == "(":
-            tok.pos += 1
-            s = parse_scalar_sum()
-            assert tok.peek() == ")", "expected ) at %d" % tok.pos
-            tok.pos += 1
-            return s
-        if ch.isdigit():
-            num = tok.take_while(lambda c: c.isdigit())
-            val = Fraction(int(num))
-            if tok.peek() == "/":
-                tok.pos += 1
-                den = tok.take_while(lambda c: c.isdigit())
-                val /= int(den)
-            return ("num", val)
-        name = tok.take_while(lambda c: c.isalnum() or c == "_")
-        if not name:
-            raise ValueError("parse error at %d in %r" % (tok.pos, text))
-        return ("name", name)
-
-    def parse_scalar_sum():
-        # a sum of products inside parentheses -> Scalar
-        total = Scalar.zero()
-        sign = 1
-        if tok.peek() in "+-":
-            sign = -1 if tok.peek() == "-" else 1
-            tok.pos += 1
-        while True:
-            term = Scalar.from_rational(sign)
-            while True:
-                kind, val = _atom_scalar(parse_scalar_atom())
-                term = term * val
-                if tok.peek() == "*":
-                    tok.pos += 1
-                else:
-                    break
-            total = total + term
-            ch = tok.peek()
-            if ch in "+-":
-                sign = -1 if ch == "-" else 1
-                tok.pos += 1
-            else:
-                return total
-
-    def _atom_scalar(atom):
-        if isinstance(atom, Scalar):
-            return ("scalar", atom)
-        kind, val = atom
-        if kind == "num":
-            return ("num", Scalar.from_rational(val))
-        if kind == "name":
-            if val not in params:
-                raise ValueError("unknown parameter %r" % val)
-            return ("param", Scalar.param(params[val]))
-        raise AssertionError
-
-    sign = 1
-    if tok.peek() in "+-":
-        sign = -1 if tok.peek() == "-" else 1
-        tok.pos += 1
-    while True:
-        coeff = Scalar.from_rational(sign)
-        index = -1
-        while True:
-            ch = tok.peek()
-            if ch == "z":
-                tok.pos += 1
-                power = 1
-                if tok.peek() == "^":
-                    tok.pos += 1
-                    power = int(tok.take_while(lambda c: c.isdigit()))
-                index = -power - 1
-            elif ch == "O" and tok.text[tok.pos:tok.pos + 2] == "O[":
-                tok.pos += 2
-                m = int(tok.take_while(lambda c: c.isdigit()))
-                assert tok.peek() == "]"
-                tok.pos += 1
-                index = m
-            else:
-                coeff = coeff * _atom_scalar(parse_scalar_atom())[1]
-            if tok.peek() == "*":
-                tok.pos += 1
-            else:
-                break
-        prev = terms.get(index, ZERO)
-        s = prev + coeff
-        if s.is_zero():
-            terms.pop(index, None)
-        else:
-            terms[index] = s
-        ch = tok.peek()
-        if ch == "":
-            break
-        assert ch in "+-", "unexpected %r at %d" % (ch, tok.pos)
-        sign = -1 if ch == "-" else 1
-        tok.pos += 1
-    return RavSeries(terms, trunc, twist)
 
 
 # ---------------------------------------------------------------- BiDist

@@ -296,6 +296,15 @@ def test_invalid_presentations_raise():
     neg = GeneratorInfo("a", Grading(0, -1, 0))
     with pytest.raises(PresentationError, match="negative spin"):
         PBWModule(Presentation("neg", [neg], OpeTable()))
+    with pytest.raises(PresentationError, match="duplicate"):
+        heisenberg().tensor(heisenberg())
+
+
+def test_inhomogeneous_state_has_no_grading():
+    M = PBWModule(heisenberg(), spin_cap=3, word_cap=3)
+    b = M.gen_state("b")
+    with pytest.raises(ValueError, match="not homogeneous"):
+        M.state_spin({**b, **M.nop(b, b)})
 
 
 def test_composite_fields_on_tensor():

@@ -8,7 +8,7 @@ from raviolo.series import (
     RavSeries, BiDist, DeltaKernel, TriElement,
     delta_expand, apply_delta, delta_decompose, delta_build,
     tri_normalize, expand_region, residue_pair,
-    format_series, parse_series, combine_indices,
+    format_series, combine_indices,
 )
 
 K = Scalar.param(K_PARAM)
@@ -61,35 +61,6 @@ def test_pairing_nondegenerate_window():
 def test_format_example():
     f = RavSeries({-3: 3, 1: -2, 3: K}, 8)
     assert format_series(f) == "3*z^2 - 2*O[1] + K*O[3]"
-
-
-def test_parse_example():
-    f = parse_series("3*z^2 - 2*O[1] + K*O[3]")
-    assert f == RavSeries({-3: 3, 1: -2, 3: K}, 8)
-
-
-def test_roundtrip_bit_exact():
-    cases = [
-        RavSeries({-1: 1}, 8),
-        RavSeries({-2: Fraction(-1, 2), 0: 1}, 8),
-        RavSeries({-3: 3, 1: -2, 3: K}, 8),
-        RavSeries({2: K + 1}, 8),           # compound coefficient
-        RavSeries({-1: K * Fraction(2, 3), 4: -K}, 8),
-        RavSeries({}, 8),
-    ]
-    for f in cases:
-        text = format_series(f)
-        g = parse_series(text)
-        assert g.terms == f.terms, text
-        assert format_series(g) == text
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.integers(min_value=-6, max_value=6),
-                       st.integers(min_value=-5, max_value=5), max_size=6))
-def test_roundtrip_random(d):
-    f = RavSeries({i: c for i, c in d.items()}, 8)
-    assert parse_series(format_series(f)).terms == f.terms
 
 
 # ---------------------------------------------------------------- delta
@@ -307,6 +278,89 @@ def test_normalize_reduces_mixed_monomials():
     assert t.terms == {}
     t = tri_normalize([(1, 1, 0, (("d", 1),))], 8)
     assert t.terms == {("d", 1, 1): Scalar.one(), ("d", 0, 0): Scalar.one()}
+
+
+# ------------------------------------------- closed forms of the rules
+
+def _region_reference(t, l, region, A):
+    """mon_u(t) mon_w(l), u = z-w, re-expanded in closed form: for t >= 0
+    Omega^t_u -> sum_a C(t+a, a) w^a Omega^(t+a)_z near w = 0 and
+    (-1)^t sum_a C(t+a, a) z^a Omega^(t+a)_w near z = 0, a <= A; for
+    t < 0 the polynomial (z-w)^k, k = -t-1, in either region."""
+    out = {}
+
+    def put(m, j, c):
+        j = combine_indices(j, l)
+        if j is not None:
+            out[(m, j)] = c
+
+    if t < 0:
+        k = -t - 1
+        for i in range(k + 1):
+            put(-i - 1, -(k - i) - 1, (-1) ** (k - i) * binom(k, i))
+    elif region == "w_near_0":
+        for a in range(A + 1):
+            put(t + a, -a - 1, binom(t + a, a))
+    else:
+        for a in range(A + 1):
+            put(-a - 1, t + a, (-1) ** t * binom(t + a, a))
+    return BiDist(out, A, A)
+
+
+def _mon_u_raw(t, wfactor=()):
+    """Raw trivariate terms of mon_u(t), u = z-w, times the listed w
+    factors (an Omega_w written to its right)."""
+    if t >= 0:
+        return [(1, 0, 0, (("d", t),) + wfactor)]
+    k = -t - 1
+    return [((-1) ** (k - i) * binom(k, i), i, k - i, wfactor)
+            for i in range(k + 1)]
+
+
+def test_region_expansion_closed_forms():
+    A = 7
+    for t in range(-5, 5):
+        for l in range(-5, 5):
+            mon_w = RavSeries({l: 1}, A)
+            # w^b or Omega^l_w inside the trivariate element
+            if l < 0:
+                inside = [(c, a, b - l - 1, oms)
+                          for c, a, b, oms in _mon_u_raw(t)]
+            else:
+                inside = _mon_u_raw(t, (("w", l),))
+            for region in ("w_near_0", "z_near_0"):
+                want = _region_reference(t, l, region, A)
+                outside = expand_region(
+                    tri_normalize(_mon_u_raw(t), A), region, A)
+                assert outside.mul_series_w(mon_w).terms == want.terms, \
+                    (t, l, region)
+                got = expand_region(tri_normalize(inside, A), region, A)
+                assert got.terms == want.terms, (t, l, region)
+
+
+def _delta_reference(kind, n, lp, T):
+    """Delta_-^(n) or Delta_+^(n) times mon_w(lp), summed in closed form
+    to Taylor order T."""
+    out = {}
+    for a in range(T + 1):
+        if kind == "minus":
+            l = combine_indices(-a - 1, lp)
+            if l is not None:
+                out[(a + n, l)] = binom(a + n, n)
+        elif lp < 0 and n + a + lp + 1 >= 0:
+            out[(-a - 1, n + a + lp + 1)] = (-1) ** (n + 1) * binom(n + a, n)
+    return BiDist(out, T, T)
+
+
+def test_delta_halves_closed_forms():
+    T = 9
+    for kind in ("minus", "plus"):
+        for n in range(3):
+            for lp in range(-7, 5):
+                got = delta_expand(DeltaKernel(kind, n), T).mul_series_w(
+                    RavSeries({lp: 1}, T))
+                assert got.terms == _delta_reference(kind, n, lp, T).terms, \
+                    (kind, n, lp)
 
 
 def test_combine_indices_rule():
