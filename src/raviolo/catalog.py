@@ -92,10 +92,8 @@ def current(names, f, form, weights=None, name=None):
         for b in names:
             fab = f.get((a, b), {})
             if fab:
-                expr = FieldExpr.zero()
-                for c, v in fab.items():
-                    expr = expr + FieldExpr.gen("mu_" + c).scale(v)
-                entries[("mu_" + a, "mu_" + b, 0)] = expr
+                entries[("mu_" + a, "mu_" + b, 0)] = FieldExpr(
+                    {(("mu_" + c, 0),): v for c, v in fab.items()})
             hab = form.get((a, b), 0)
             if hab:
                 entries[("mu_" + a, "mu_" + b, 1)] = \
@@ -270,8 +268,8 @@ class LatticeModule:
         if not st:
             return (m1 + m2, {})
         tgt = m1 + m2
-        assert -self.window <= tgt <= self.window, \
-            "sector %d outside the window" % tgt
+        if not -self.window <= tgt <= self.window:
+            raise ValueError("sector %d outside the window" % tgt)
         mod = self.sectors[m2]
         # spin directly from the keys (both generators have spin one, so
         # mode n adds -n); intermediate states can mix flavor weights,
@@ -490,8 +488,8 @@ def character(mod, order, fug_names=(), fug_window=None):
     """Signed graded dimensions from the PBW basis: totalized-even
     states count +1, totalized-odd states -1; flavor axes map to the
     given fugacity names."""
-    assert mod.spin_cap >= Fraction(order) - 1, \
-        "module window too small for the requested order"
+    if mod.spin_cap < Fraction(order) - 1:
+        raise ValueError("module window too small for the requested order")
     qs = QSeries({}, order, fug_window)
     for key, g in mod.basis():
         if g.spin >= Fraction(order):
@@ -544,8 +542,8 @@ def pochhammer_expand(factors, order, fug_window=None):
                 k = 0
                 while True:
                     if s == 0:
-                        assert work is not None and mono, \
-                            "unbounded inverse factor"
+                        if work is None or not mono:
+                            raise ValueError("unbounded inverse factor")
                         if k * min(abs(p) for _, p in mono) > work:
                             break
                     elif k * s >= Fraction(order):

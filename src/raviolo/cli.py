@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
-                      XI_PARAM, vscale, veq)
+                      XI_PARAM, vadd, vscale, veq)
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
 from .linalg import CoordinateError
 from .engine import (
@@ -99,11 +99,11 @@ def _tokenize(text):
 
 
 def _nop_concat(e1, e2):
-    out = FieldExpr()
+    out = {}
     for m1, c1 in e1.terms.items():
         for m2, c2 in e2.terms.items():
-            out = out + FieldExpr({m1 + m2: c1 * c2})
-    return out
+            vadd(out, {m1 + m2: c1 * c2})
+    return FieldExpr(out)
 
 
 class _ExprParser:

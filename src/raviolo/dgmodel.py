@@ -15,33 +15,16 @@ up to exact terms.
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import ONE, as_vector, vadd, vscale, vsub
 from .linalg import (column_kernel, rational_coords, dense_coords, solve,
                      in_span)
 
 
-def _coeff(c):
-    return c if isinstance(c, Scalar) else Scalar.from_rational(c)
+# APoly: {(a, b, e): Scalar} with e in {0,1}; keys are z^a lam^b x^e.  An
+# APoly is a vector of the scalars layer, so its sums are vadd/vsub/vscale.
 
-
-# APoly: {(a, b, e): Scalar} with e in {0,1}; keys are z^a lam^b x^e.
-
-def apoly(terms=None):
-    out = {}
-    if terms:
-        for k, c in terms.items():
-            c = _coeff(c)
-            if not c.is_zero():
-                out[k] = c
-    return out
-
-
-def _put(poly, key, c):
-    s = poly.get(key, ZERO) + c
-    if s.is_zero():
-        poly.pop(key, None)
-    else:
-        poly[key] = s
+apoly = as_vector
+apoly_sub = vsub
 
 
 def _put_reduced(poly, a, b, e, c):
@@ -51,7 +34,7 @@ def _put_reduced(poly, a, b, e, c):
         _put_reduced(poly, a, b, e - 2, c)
         _put_reduced(poly, a + 1, b + 1, e - 2, -1 * c)
         return
-    _put(poly, (a, b, e), c)
+    vadd(poly, {(a, b, e): c})
 
 
 def apoly_mul(u, v):
@@ -59,25 +42,6 @@ def apoly_mul(u, v):
     for (a1, b1, e1), c1 in u.items():
         for (a2, b2, e2), c2 in v.items():
             _put_reduced(out, a1 + a2, b1 + b2, e1 + e2, c1 * c2)
-    return out
-
-
-def apoly_scale(u, c):
-    c = _coeff(c)
-    return apoly({k: c * v for k, v in u.items()})
-
-
-def apoly_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        _put(out, k, c)
-    return out
-
-
-def apoly_sub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        _put(out, k, -c)
     return out
 
 
@@ -107,7 +71,7 @@ def sl2_action(which, u):
             if a > 0:
                 _put_reduced(out, a - 1, b, e + 1, 2 * a * c)
         elif which == "h":
-            _put(out, (a, b, e), (2 * a - 2 * b) * c)
+            vadd(out, {(a, b, e): (2 * a - 2 * b) * c})
         else:
             raise ValueError(which)
     return out
@@ -132,15 +96,15 @@ class AElement:
         return AElement({(0, 0, 0): 1})
 
     def __add__(self, other):
-        return AElement(apoly_add(self.even, other.even),
-                        apoly_add(self.odd, other.odd))
+        return AElement(vadd(dict(self.even), other.even),
+                        vadd(dict(self.odd), other.odd))
 
     def __sub__(self, other):
-        return AElement(apoly_sub(self.even, other.even),
-                        apoly_sub(self.odd, other.odd))
+        return AElement(vsub(self.even, other.even),
+                        vsub(self.odd, other.odd))
 
     def scale(self, c):
-        return AElement(apoly_scale(self.even, c), apoly_scale(self.odd, c))
+        return AElement(vscale(self.even, c), vscale(self.odd, c))
 
     def is_zero(self):
         return not self.even and not self.odd
@@ -150,7 +114,7 @@ def a_mul(u, v):
     """Graded product; omega is odd but all R coefficients are even, so
     the only sign-sensitive product omega*omega vanishes outright."""
     even = apoly_mul(u.even, v.even)
-    odd = apoly_add(apoly_mul(u.even, v.odd), apoly_mul(u.odd, v.even))
+    odd = vadd(apoly_mul(u.even, v.odd), apoly_mul(u.odd, v.even))
     return AElement(even, odd)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from math import factorial
 
-from .scalars import (Scalar, ZERO, ONE, Grading, binom,
+from .scalars import (Scalar, ZERO, ONE, Grading, binom, as_scalar,
                       vadd, vscale, vsub, veq)
 from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
@@ -42,10 +42,6 @@ def _ceil(x):
 def _floor(x):
     x = Fraction(x)
     return x.numerator // x.denominator
-
-
-def _frac(c):
-    return c if isinstance(c, Scalar) else Scalar.from_rational(c)
 
 
 # ------------------------------------------------------------ presentation
@@ -650,34 +646,6 @@ def _prod_fba(mod, a, b, v, T):
     return F
 
 
-def _nop_biv(mod, a, b, v, T):
-    """:A(z)B(w):v -- creation part of A times B, plus the signed
-    opposite order for the annihilation part of A."""
-    pa, pb = mod.state_parity(a), mod.state_parity(b)
-    sa, sb = mod.state_spin(a), mod.state_spin(b)
-    vspin = mod.state_spin(v)
-    F = {}
-    for l in range(-(T + 1), _mode_cap(sb, vspin) + 1):
-        bv = mod.field_mode(b, l, v)
-        if not bv:
-            continue
-        for m in range(-(T + 1), 0):
-            abv = mod.field_mode(a, m, bv)
-            if abv:
-                sign = -1 if (l >= 0 and pa) else 1
-                _sv_add(F, (m, l), abv, sign)
-    for m in range(0, _mode_cap(sa, vspin) + 1):
-        av = mod.field_mode(a, m, v)
-        if not av:
-            continue
-        for l in range(-(T + 1), _mode_cap(sb, mod.state_spin(av)) + 1):
-            bav = mod.field_mode(b, l, av)
-            if bav:
-                e = (pa + 1) * (pb + (1 if l >= 0 else 0))
-                _sv_add(F, (m, l), bav, (-1) ** e)
-    return F
-
-
 def _sv_sub(F1, F2, scale2=1):
     out = {}
     for k, st in F1.items():
@@ -762,7 +730,12 @@ def check_locality(mod, a, b, v, tay=2):
 
     fab = _prod_fab(mod, a, b, v, T)
     fba = _prod_fba(mod, a, b, v, T)
-    nop = _nop_biv(mod, a, b, v, T)
+    # :A(z)B(w):v takes the creation part of A (m < 0) from A(z)B(w)v and
+    # the annihilation part (m >= 0) from B(w)A(z)v, re-signed
+    nop = {k: st for k, st in fab.items() if k[0] < 0}
+    for (m, l), st in fba.items():
+        if m >= 0:
+            nop[(m, l)] = vscale(st, (-1) ** (pa * (pb + (l >= 0)) + (l >= 0)))
     kos = (-1) ** (pa * pb)
     comm = _sv_sub(fab, fba, kos)
 
@@ -1178,12 +1151,12 @@ def brst_charge(mod, current_names, structure=None, pairing=None, w=None):
     if pairing:
         for (a, b), c in pairing.items():
             term = mod.nop(cs[a], mod.translate(cs[b]))
-            vadd(total, term, _frac(c) * Fraction(1, 2))
+            vadd(total, term, as_scalar(c) * Fraction(1, 2))
     if structure:
         for (a, b), val in structure.items():
             for cnm, f in val.items():
                 term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))
-                vadd(total, term, _frac(f) * Fraction(1, 2))
+                vadd(total, term, as_scalar(f) * Fraction(1, 2))
     if w:
         vadd(total, w)
     return total

@@ -9,7 +9,8 @@ aliases converted to this convention.
 
 from math import factorial
 
-from .scalars import Scalar, ZERO, ONE, Grading, binom
+from .scalars import (Scalar, ONE, Grading, binom, as_vector, vadd, vscale,
+                      vsub)
 
 
 class GeneratorInfo:
@@ -45,13 +46,7 @@ class FieldExpr:
     derivative, a term is an ordered tuple of factors (empty = 1)."""
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(c, Scalar):
-                    c = Scalar.from_rational(c)
-                if not c.is_zero():
-                    self.terms[tuple(mono)] = c
+        self.terms = as_vector(terms)
 
     @staticmethod
     def zero():
@@ -66,41 +61,24 @@ class FieldExpr:
         return FieldExpr({((name, k),): ONE})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        r = FieldExpr()
-        r.terms = out
-        return r
+        return FieldExpr(vadd(dict(self.terms), other.terms))
 
     def __neg__(self):
-        r = FieldExpr()
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
+        return FieldExpr(vscale(self.terms, -1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return FieldExpr(vsub(self.terms, other.terms))
 
     def scale(self, c):
-        if not isinstance(c, Scalar):
-            c = Scalar.from_rational(c)
-        r = FieldExpr()
-        r.terms = {m: c * v for m, v in self.terms.items()
-                   if not (c * v).is_zero()}
-        return r
+        return FieldExpr(vscale(self.terms, c))
 
     def deriv(self):
         """Apply the translation derivation (Leibniz over NOP factors)."""
-        out = FieldExpr()
+        out = {}
         for mono, c in self.terms.items():
             for i, (name, k) in enumerate(mono):
-                nm = mono[:i] + ((name, k + 1),) + mono[i + 1:]
-                out = out + FieldExpr({nm: c})
-        return out
+                vadd(out, {mono[:i] + ((name, k + 1),) + mono[i + 1:]: c})
+        return FieldExpr(out)
 
     def is_zero(self):
         return not self.terms
@@ -146,7 +124,9 @@ class OpeTable:
         self.entries = {}
         if entries:
             for (a, b, n), e in entries.items():
-                assert n >= 0
+                if n < 0:
+                    raise ValueError("OPE index must be >= 0, got %r"
+                                     % ((a, b, n),))
                 if not e.is_zero():
                     self.entries[(a, b, n)] = e
 
@@ -223,12 +203,7 @@ def bracket_modes(A, B, table):
     out = {}
     for coeff, expr, t in bracket_from_ope(A, B, table):
         for c2, name, t2 in expr_modes(expr, t):
-            key = (name, t2)
-            s = out.get(key, ZERO) + coeff * c2
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            vadd(out, {(name, t2): coeff * c2})
     return out
 
 
@@ -251,11 +226,10 @@ class VertexLieData:
         self.products = {}                  # (a, b, n) -> {name: Scalar}
         self.central = set(central)
         for (a, b, n), val in products.items():
-            assert n >= 0
-            clean = {nm: (c if isinstance(c, Scalar)
-                          else Scalar.from_rational(c))
-                     for nm, c in val.items()}
-            clean = {nm: c for nm, c in clean.items() if not c.is_zero()}
+            if n < 0:
+                raise ValueError("product index must be >= 0, got %r"
+                                 % ((a, b, n),))
+            clean = as_vector(val)
             if clean:
                 self.products[(a, b, n)] = clean
 
@@ -276,7 +250,9 @@ def lie_rav_bracket(L, a, n, b, m, index_reading="k"):
 
     Returns {(name, t): Scalar}; central names appear only at t = -1.
     """
-    assert index_reading in ("k", "n")
+    if index_reading not in ("k", "n"):
+        raise ValueError("index_reading must be 'k' or 'n', got %r"
+                         % (index_reading,))
     if n < 0 and m < 0:
         return {}  # Omega * Omega = 0 in the label coefficients
     # Koszul sign from moving the label's Omega component out past a
@@ -297,15 +273,9 @@ def lie_rav_bracket(L, a, n, b, m, index_reading="k"):
         t = n + m - k
         if (n < 0 or m < 0) and t >= 0:
             continue  # z^p Omega^q = 0 for p > q
-        for name, c in prod.items():
-            if name in L.central and t != -1:
-                continue  # K (x) z^t and K (x) Omega^(t'>0) are d-exact
-            key = (name, t)
-            s = out.get(key, ZERO) + coeff * c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+        # K (x) z^t and K (x) Omega^(t'>0) are d-exact
+        vadd(out, {(name, t): c for name, c in prod.items()
+                   if name not in L.central or t == -1}, coeff)
     return out
 
 

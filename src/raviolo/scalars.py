@@ -134,7 +134,8 @@ class Scalar:
 
     @staticmethod
     def param(p):
-        assert isinstance(p, Param)
+        if not isinstance(p, Param):
+            raise ValueError("not a Param: %r" % (p,))
         return Scalar({(p,): 1})
 
     # -- predicates --------------------------------------------------
@@ -348,9 +349,22 @@ def koszul_sign(g1, g2):
     return -1 if (g1.tot and g2.tot) else 1
 
 
-# -- small vector helpers used throughout ---------------------------
+# -- the sparse-vector primitive -------------------------------------
 # A "vector" is a dict {hashable key: Scalar} with zero entries dropped.
 # Entries may be shared with other vectors: Scalars are immutable.
+# States, field expressions, series, distributions and dg-model
+# polynomials are all vectors; vadd/vscale/vsub are the only code that
+# adds, scales or subtracts them, so none of them keeps a zero entry.
+
+def as_scalar(c):
+    """c as a Scalar: a Scalar passes through, a rational is wrapped."""
+    return c if isinstance(c, Scalar) else Scalar.from_rational(c)
+
+
+def as_vector(terms):
+    """A vector from {key: Scalar | int | Fraction}, zeros dropped."""
+    return vadd({}, {k: as_scalar(c) for k, c in (terms or {}).items()})
+
 
 def _coeff(coeff):
     """A vector-helper coefficient in canonical form; None for 1."""

@@ -13,13 +13,8 @@ finite.  All coefficients are Scalar.
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar, ZERO, ONE, binom
-
-
-def _coeff(c):
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.from_rational(c)
+from .scalars import (Scalar, ZERO, ONE, binom, as_scalar, as_vector, vadd,
+                      vscale, vsub)
 
 
 def combine_indices(i, j):
@@ -38,12 +33,8 @@ class RavSeries:
     def __init__(self, terms=None, trunc=8, twist=0):
         self.trunc = trunc
         self.twist = Fraction(twist)
-        self.terms = {}
-        if terms:
-            for i, c in terms.items():
-                c = _coeff(c)
-                if not c.is_zero() and (i >= 0 or -i - 1 <= trunc):
-                    self.terms[i] = c
+        self.terms = as_vector({i: c for i, c in (terms or {}).items()
+                                if i >= 0 or -i - 1 <= trunc})
 
     @staticmethod
     def zero(trunc=8, twist=0):
@@ -61,34 +52,24 @@ class RavSeries:
     def omega(m, trunc=8, twist=0):
         return RavSeries({m: ONE}, trunc, twist)
 
-    def copy(self):
-        r = RavSeries({}, self.trunc, self.twist)
-        r.terms = dict(self.terms)
-        return r
+    def _sum(self, other, terms):
+        # the terms of self +- other, at the common truncation
+        if self.twist != other.twist:
+            raise ValueError("twist mismatch: %s and %s"
+                             % (self.twist, other.twist))
+        return RavSeries(terms, min(self.trunc, other.trunc), self.twist)
 
     def __add__(self, other):
-        assert self.twist == other.twist, "twist mismatch"
-        r = RavSeries({}, min(self.trunc, other.trunc), self.twist)
-        for src in (self.terms, other.terms):
-            for i, c in src.items():
-                s = r.terms.get(i, ZERO) + c
-                if s.is_zero():
-                    r.terms.pop(i, None)
-                else:
-                    r.terms[i] = s
-        return RavSeries(r.terms, r.trunc, r.twist)
-
-    def __neg__(self):
-        return RavSeries({i: -c for i, c in self.terms.items()},
-                         self.trunc, self.twist)
+        return self._sum(other, vadd(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, vsub(self.terms, other.terms))
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, c):
-        c = _coeff(c)
-        return RavSeries({i: c * v for i, v in self.terms.items()},
-                         self.trunc, self.twist)
+        return RavSeries(vscale(self.terms, c), self.trunc, self.twist)
 
     def mul(self, other):
         """Product; twists add.  For exact polar output the partner's
@@ -97,28 +78,17 @@ class RavSeries:
         for i, c1 in self.terms.items():
             for j, c2 in other.terms.items():
                 k = combine_indices(i, j)
-                if k is None:
-                    continue
-                s = r.get(k, ZERO) + c1 * c2
-                if s.is_zero():
-                    r.pop(k, None)
-                else:
-                    r[k] = s
+                if k is not None:
+                    vadd(r, {k: c1 * c2})
         return RavSeries(r, min(self.trunc, other.trunc),
                          self.twist + other.twist)
 
     __mul__ = mul
 
     def dz(self):
-        r = {}
-        for i, c in self.terms.items():
-            if i < 0:
-                n = -i - 1
-                if n > 0:
-                    r[i + 1] = r.get(i + 1, ZERO) + n * c
-            else:
-                r[i + 1] = r.get(i + 1, ZERO) - (i + 1) * c
-        return RavSeries(r, self.trunc - 1, self.twist)
+        # d/dz sends mon(i) to (-i-1) mon(i+1) in both towers
+        return RavSeries({i + 1: (-i - 1) * c for i, c in self.terms.items()
+                          if i != -1}, self.trunc - 1, self.twist)
 
     def residue(self):
         """Res dz: requires twist 1; the Omega^0 coefficient."""
@@ -197,111 +167,56 @@ class BiDist:
     def __init__(self, terms=None, ztr=8, wtr=8):
         self.ztr = ztr
         self.wtr = wtr
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = _coeff(c)
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    def copy(self):
-        b = BiDist({}, self.ztr, self.wtr)
-        b.terms = dict(self.terms)
-        return b
-
-    def _put(self, key, c):
-        s = self.terms.get(key, ZERO) + c
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
+        self.terms = as_vector(terms)
 
     def __add__(self, other):
-        b = BiDist({}, min(self.ztr, other.ztr), min(self.wtr, other.wtr))
-        for src in (self.terms, other.terms):
-            for k, c in src.items():
-                b._put(k, c)
-        return b
+        return BiDist(vadd(dict(self.terms), other.terms),
+                      min(self.ztr, other.ztr), min(self.wtr, other.wtr))
 
     def __neg__(self):
-        return BiDist({k: -c for k, c in self.terms.items()},
-                      self.ztr, self.wtr)
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return BiDist(vsub(self.terms, other.terms),
+                      min(self.ztr, other.ztr), min(self.wtr, other.wtr))
 
     def scale(self, c):
-        c = _coeff(c)
-        return BiDist({k: c * v for k, v in self.terms.items()},
-                      self.ztr, self.wtr)
+        return BiDist(vscale(self.terms, c), self.ztr, self.wtr)
+
+    # mul_z, mul_w, mul_omega_z/w and dw send distinct keys to distinct
+    # keys, so they build their image directly, with nothing to add
 
     def mul_z(self):
-        b = BiDist({}, self.ztr + 1, self.wtr)
-        for (i, j), c in self.terms.items():
-            if i == 0:
-                continue
-            b._put((i - 1, j), c)
-        return b
+        return BiDist({(i - 1, j): c for (i, j), c in self.terms.items()
+                       if i != 0}, self.ztr + 1, self.wtr)
 
     def mul_w(self):
-        b = BiDist({}, self.ztr, self.wtr + 1)
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                continue
-            b._put((i, j - 1), c)
-        return b
+        return BiDist({(i, j - 1): c for (i, j), c in self.terms.items()
+                       if j != 0}, self.ztr, self.wtr + 1)
 
     def mul_z_minus_w(self):
         return self.mul_z() - self.mul_w()
 
     def mul_omega_z(self, m):
         """Left multiplication by Omega^m_z (needs ztr >= m for exactness)."""
-        assert self.ztr >= m, "insufficient z truncation for Omega^%d_z" % m
-        b = BiDist({}, self.ztr, self.wtr)
-        for (i, j), c in self.terms.items():
-            if i >= 0:
-                continue
-            k = m + i + 1
-            if k < 0:
-                continue
-            b._put((k, j), c)
-        return b
+        if self.ztr < m:
+            raise ValueError("insufficient z truncation for Omega^%d_z" % m)
+        return BiDist({(m + i + 1, j): c for (i, j), c in self.terms.items()
+                       if i < 0 and m + i + 1 >= 0}, self.ztr, self.wtr)
 
     def mul_omega_w(self, m):
         """Left multiplication by Omega^m_w; passes the z monomial."""
-        assert self.wtr >= m, "insufficient w truncation for Omega^%d_w" % m
-        b = BiDist({}, self.ztr, self.wtr)
-        for (i, j), c in self.terms.items():
-            if j >= 0:
-                continue
-            k = m + j + 1
-            if k < 0:
-                continue
-            sign = -1 if i >= 0 else 1
-            b._put((i, k), sign * c)
-        return b
-
-    def dz(self):
-        b = BiDist({}, self.ztr - 1, self.wtr)
-        for (i, j), c in self.terms.items():
-            if i < 0:
-                n = -i - 1
-                if n > 0:
-                    b._put((i + 1, j), n * c)
-            else:
-                b._put((i + 1, j), -(i + 1) * c)
-        return b
+        if self.wtr < m:
+            raise ValueError("insufficient w truncation for Omega^%d_w" % m)
+        return BiDist({(i, m + j + 1): (-1 if i >= 0 else 1) * c
+                       for (i, j), c in self.terms.items()
+                       if j < 0 and m + j + 1 >= 0}, self.ztr, self.wtr)
 
     def dw(self):
-        b = BiDist({}, self.ztr, self.wtr - 1)
-        for (i, j), c in self.terms.items():
-            if j < 0:
-                n = -j - 1
-                if n > 0:
-                    b._put((i, j + 1), n * c)
-            else:
-                b._put((i, j + 1), -(j + 1) * c)
-        return b
+        # d/dw sends mon_w(j) to (-j-1) mon_w(j+1) in both towers
+        return BiDist({(i, j + 1): (-j - 1) * c
+                       for (i, j), c in self.terms.items() if j != -1},
+                      self.ztr, self.wtr - 1)
 
     def mul_series_z(self, f):
         """Right-multiply by a RavSeries in z; its monomials commute left
@@ -313,7 +228,7 @@ class BiDist:
                 if k is None:
                     continue
                 sign = -1 if (i2 >= 0 and j >= 0) else 1
-                b._put((k, j), sign * (c * c2))
+                vadd(b.terms, {(k, j): sign * (c * c2)})
         return b
 
     def mul_series_w(self, g):
@@ -322,27 +237,20 @@ class BiDist:
         for (i, j), c in self.terms.items():
             for j2, c2 in g.terms.items():
                 k = combine_indices(j, j2)
-                if k is None:
-                    continue
-                b._put((i, k), c * c2)
+                if k is not None:
+                    vadd(b.terms, {(i, k): c * c2})
         return b
 
     def residue_z(self):
         """Res_z dz: picks the Omega^0_z row, leaving a series in w."""
-        r = {}
-        for (i, j), c in self.terms.items():
-            if i == 0:
-                r[j] = r.get(j, ZERO) + c
-        return RavSeries(r, self.wtr)
+        return RavSeries({j: c for (i, j), c in self.terms.items() if i == 0},
+                         self.wtr)
 
     def is_zero_within(self, zt=None, wt=None):
         zt = self.ztr if zt is None else min(zt, self.ztr)
         wt = self.wtr if wt is None else min(wt, self.wtr)
-        for (i, j), c in self.terms.items():
-            if (i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt):
-                if not c.is_zero():
-                    return False
-        return True
+        return not any((i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt)
+                       for i, j in self.terms)
 
     def eq_within(self, other, zt=None, wt=None):
         return (self - other).is_zero_within(zt, wt)
@@ -359,8 +267,11 @@ class DeltaKernel:
     """Delta^(j) and its plus/minus halves; variant in {full, plus, minus}."""
 
     def __init__(self, variant="full", j=0):
-        assert variant in ("full", "plus", "minus")
-        assert j >= 0
+        if variant not in ("full", "plus", "minus"):
+            raise ValueError("delta variant must be full, plus or minus, "
+                             "got %r" % (variant,))
+        if j < 0:
+            raise ValueError("delta order must be >= 0, got %r" % (j,))
         self.variant = variant
         self.j = j
 
@@ -369,17 +280,16 @@ def delta_expand(kernel, trunc=8):
     """Explicit BiDist for Delta^(j) (= (1/j!) d_w^j Delta) truncated on
     the Taylor indices at `trunc`."""
     j = kernel.j
-    b = BiDist({}, trunc, trunc)
+    terms = {}
     if kernel.variant in ("minus", "full"):
         # sum_{a>=0} C(a+j, j) w^a Omega^(a+j)_z
         for a in range(trunc + 1):
-            b._put((a + j, -a - 1), Scalar.from_rational(binom(a + j, j)))
+            terms[(a + j, -a - 1)] = binom(a + j, j)
     if kernel.variant in ("plus", "full"):
         # sum_{a>=0} (-1)^(j+1) C(a+j, j) z^a Omega^(a+j)_w
         for a in range(trunc + 1):
-            b._put((-a - 1, a + j),
-                   Scalar.from_rational((-1) ** (j + 1) * binom(a + j, j)))
-    return b
+            terms[(-a - 1, a + j)] = (-1) ** (j + 1) * binom(a + j, j)
+    return BiDist(terms, trunc, trunc)
 
 
 def apply_delta(f, trunc=None):
@@ -402,7 +312,7 @@ def delta_decompose(f, N):
     for _ in range(N + 1):
         g = g.mul_z_minus_w()
     if not g.is_zero_within():
-        key = next(k for k, c in g.terms.items() if not c.is_zero())
+        key = next(iter(g.terms))
         return None, ("vanishing", key)
     # condition (2): (Omega^m_z - sum_j (w-z)^j C(m+j,j) Omega^(m+j)_w) f = 0
     for m in range(0, T + N + 1):
@@ -416,7 +326,7 @@ def delta_decompose(f, N):
             h = h.mul_omega_w(m + j).scale(binom(m + j, j))
             lhs = lhs - h
         if not lhs.is_zero_within():
-            key = next(k for k, c in lhs.terms.items() if not c.is_zero())
+            key = next(iter(lhs.terms))
             return None, ("omega-replacement", (m, key))
     # extraction: g^(n)(w) = (1/n!) Res_z dz (z-w)^n f
     glist = []
@@ -424,18 +334,10 @@ def delta_decompose(f, N):
         acc = {}
         for i in range(n + 1):
             c_i = binom(n, i) * Fraction((-1) ** (n - i))
-            shift = n - i  # multiply by w^(n-i)
-            for (zi, wj), c in f.terms.items():
-                if zi != i:
-                    continue
-                if wj >= 0 and wj - shift < 0:
-                    continue  # w^s Omega^m = 0 for s > m
-                wk = wj - shift
-                s = acc.get(wk, ZERO) + (c_i / factorial(n)) * c
-                if s.is_zero():
-                    acc.pop(wk, None)
-                else:
-                    acc[wk] = s
+            shift = n - i  # multiply by w^(n-i); w^s Omega^m = 0 for s > m
+            vadd(acc, {wj - shift: c for (zi, wj), c in f.terms.items()
+                       if zi == i and not 0 <= wj < shift},
+                 c_i / factorial(n))
         # every contribution to the w^p coefficient, p <= wtr, uses f
         # entries of taylor depth <= p, so the extraction is reliable to
         # the full window; truncating at wtr - n would drop coefficients
@@ -445,7 +347,7 @@ def delta_decompose(f, N):
     rebuilt = delta_build(glist, min(f.ztr, f.wtr))
     if not rebuilt.eq_within(f, f.ztr - N, f.wtr - N):
         diff = rebuilt - f
-        key = next(k for k, c in diff.terms.items() if not c.is_zero())
+        key = next(iter(diff.terms))
         return None, ("rebuild", key)
     return glist, None
 
@@ -473,32 +375,18 @@ class TriElement:
 
     def __init__(self, terms=None, trunc=8):
         self.trunc = trunc
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = _coeff(c)
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    def _put(self, key, c):
-        s = self.terms.get(key, ZERO) + c
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
+        self.terms = as_vector(terms)
 
     def __add__(self, other):
-        t = TriElement({}, min(self.trunc, other.trunc))
-        for src in (self.terms, other.terms):
-            for k, c in src.items():
-                t._put(k, c)
-        return t
+        return TriElement(vadd(dict(self.terms), other.terms),
+                          min(self.trunc, other.trunc))
 
     def __neg__(self):
-        return TriElement({k: -c for k, c in self.terms.items()}, self.trunc)
+        return TriElement(vscale(self.terms, -1), self.trunc)
 
     def __sub__(self, other):
-        return self + (-other)
+        return TriElement(vsub(self.terms, other.terms),
+                          min(self.trunc, other.trunc))
 
     def __eq__(self, other):
         if not isinstance(other, TriElement):
@@ -586,13 +474,8 @@ def _zw_relation(a, b):
             key = ("wd", m1, m2)
         else:
             raise AssertionError(pair)
-        s = out.get(key, ZERO) + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    scale = -Fraction((-1) ** (a + b), factorial(a) * factorial(b))
-    rel = {k: scale * c for k, c in out.items()}
+        vadd(out, {key: c})
+    rel = vscale(out, -Fraction((-1) ** (a + b), factorial(a) * factorial(b)))
     _REL_CACHE[(a, b)] = rel
     return rel
 
@@ -600,7 +483,7 @@ def _zw_relation(a, b):
 def tri_normalize(raw_terms, trunc=8):
     """Canonical TriElement from raw (coeff, a, b, omlist) terms."""
     t = TriElement({}, trunc)
-    work = [(_coeff(c), a, b, tuple(oms)) for c, a, b, oms in raw_terms]
+    work = [(as_scalar(c), a, b, tuple(oms)) for c, a, b, oms in raw_terms]
     while work:
         c, a, b, oms = work.pop()
         if c.is_zero():
@@ -610,31 +493,31 @@ def tri_normalize(raw_terms, trunc=8):
         if len(oms) == 2 and oms[0][0] == oms[1][0]:
             continue  # same tower squares to zero
         if len(oms) == 0:
-            t._put(("0", a, b), c)
+            vadd(t.terms, {("0", a, b): c})
             continue
         if len(oms) == 1:
             x, m = oms[0]
             if x == "z":
                 if a > 0:  # z Om^m_z = Om^(m-1)_z
                     if m - a >= 0:
-                        t._put(("z", b, m - a), c)
+                        vadd(t.terms, {("z", b, m - a): c})
                     continue
-                t._put(("z", b, m), c)
+                vadd(t.terms, {("z", b, m): c})
             elif x == "w":
                 if b > 0:
                     if m - b >= 0:
-                        t._put(("w", a, m - b), c)
+                        vadd(t.terms, {("w", a, m - b): c})
                     continue
-                t._put(("w", a, m), c)
+                vadd(t.terms, {("w", a, m): c})
             else:  # z-w tower: z^a = ((z-w)+w)^a, (z-w) reduces
                 if a > 0:
                     for i in range(a + 1):
                         if m - i < 0:
                             continue
-                        t._put(("d", a + b - i, m - i),
-                               Fraction(binom(a, i)) * c)
+                        vadd(t.terms, {("d", a + b - i, m - i):
+                                       Fraction(binom(a, i)) * c})
                     continue
-                t._put(("d", b, m), c)
+                vadd(t.terms, {("d", b, m): c})
             continue
         # degree 2: sort the pair into a fixed written order
         (x1, m1), (x2, m2) = oms
@@ -655,7 +538,7 @@ def tri_normalize(raw_terms, trunc=8):
                 if m1 - 1 >= 0:
                     work.append((-c, a, b - 1, (("d", m1 - 1), ("z", m2))))
                 continue
-            t._put(("dz", m1, m2), c)
+            vadd(t.terms, {("dz", m1, m2): c})
             continue
         if (x1, x2) == ("w", "d"):
             if b > 0:  # w reduces against Om_w
@@ -668,7 +551,7 @@ def tri_normalize(raw_terms, trunc=8):
                 if m2 - 1 >= 0:
                     work.append((c, a - 1, b, (("w", m1), ("d", m2 - 1))))
                 continue
-            t._put(("wd", m1, m2), c)
+            vadd(t.terms, {("wd", m1, m2): c})
             continue
         assert (x1, x2) == ("z", "w")
         if a > 0:
@@ -679,8 +562,8 @@ def tri_normalize(raw_terms, trunc=8):
             if m2 - 1 >= 0:
                 work.append((c, a, b - 1, (("z", m1), ("w", m2 - 1))))
             continue
-        for key, rc in _zw_relation(m1, m2).items():
-            t._put(key, _coeff(rc) * c)
+        vadd(t.terms,
+             {key: rc * c for key, rc in _zw_relation(m1, m2).items()})
     return t
 
 
@@ -690,11 +573,13 @@ def expand_region(e, region, trunc=8):
     w_near_0 / z_near_0 return a BiDist in (z, w); z_near_w returns a
     BiDist whose first slot is u = z-w and second slot is w.
     """
-    assert region in ("w_near_0", "z_near_0", "z_near_w")
+    if region not in ("w_near_0", "z_near_0", "z_near_w"):
+        raise ValueError("region must be w_near_0, z_near_0 or z_near_w, "
+                         "got %r" % (region,))
     out = BiDist({}, trunc, trunc)
 
     def put(i, j, c):
-        out._put((i, j), c)
+        vadd(out.terms, {(i, j): c})
 
     for key, c in e.terms.items():
         tag = key[0]

@@ -1,0 +1,185 @@
+"""Input validation that survives `python -O`, and the canonical form of
+the sparse containers.
+
+Every {key: Scalar} container (FieldExpr, RavSeries, BiDist, TriElement,
+the dg-model's AElement) sums through scalars.vadd/vsub/vscale, so none
+of them may keep a zero coefficient.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+from hypothesis import given, seed, settings, strategies as st
+
+from raviolo.dgmodel import AElement, a_mul
+from raviolo.modes import FieldExpr
+from raviolo.scalars import Scalar, K_PARAM, KAPPA_PARAM, XI_PARAM
+from raviolo.series import BiDist, RavSeries, TriElement
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+# ------------------------------------------------ validation without assert
+
+_VALIDATION = r"""
+from raviolo import catalog, engine
+from raviolo.modes import FieldExpr, OpeTable
+
+
+def kind(f):
+    try:
+        f()
+    except Exception as e:
+        return type(e).__name__
+    return "accepted"
+
+
+vir = engine.PBWModule(catalog.virasoro(), spin_cap=2)
+print(kind(lambda: catalog.character(vir, 6)))
+print(kind(lambda: OpeTable({("b", "nu", -1): FieldExpr.const(1)})))
+print(kind(lambda: catalog.pochhammer_expand([((), -1, 0)], 3)))
+"""
+
+
+def test_invalid_input_raises_value_error_with_and_without_asserts():
+    # a window too small for the character order, a negative OPE index
+    # and an unbounded q-Pochhammer inverse; python -O strips asserts
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for flags in ([], ["-O"]):
+        r = subprocess.run([sys.executable] + flags + ["-c", _VALIDATION],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+        assert r.returncode == 0, (flags, r.stderr)
+        assert r.stdout.split() == ["ValueError"] * 3, (flags, r.stdout)
+
+
+# internal invariants that may stay asserts: (module, function) -> reason
+ASSERT_ALLOWLIST = {
+    ("series", "_zw_relation"):
+        "raw_dz/raw_dw keep every term a bare degree-2 Omega pair",
+    ("series", "tri_normalize"):
+        "the pair was sorted above, so only (z, w) is left",
+}
+
+
+def _asserts(path):
+    """(function name, line) of each assert statement in one file."""
+    tree = ast.parse(open(path).read(), path)
+    out = []
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert):
+                out.append((fn, child.lineno))
+            name = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            walk(child, name)
+    walk(tree, None)
+    return out
+
+
+def test_no_validation_asserts_in_src():
+    pkg = os.path.join(SRC, "raviolo")
+    bad, seen = [], set()
+    for fn in sorted(os.listdir(pkg)):
+        if not fn.endswith(".py"):
+            continue
+        module = fn[:-3]
+        for func, line in _asserts(os.path.join(pkg, fn)):
+            if (module, func) in ASSERT_ALLOWLIST:
+                seen.add((module, func))
+            else:
+                bad.append("%s:%d (%s)" % (fn, line, func))
+    assert not bad, "validation must raise, not assert: %s" % bad
+    assert seen == set(ASSERT_ALLOWLIST), "stale allowlist entries"
+
+
+# ---------------------------------------------------- canonical form
+
+K = Scalar.param(K_PARAM)
+KAP = Scalar.param(KAPPA_PARAM)
+XI = Scalar.param(XI_PARAM)
+# coefficients chosen so that sums and products cancel often
+_COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2),
+                           K, -K, K + 1, KAP, -KAP, XI, KAP * XI])
+
+
+def _dict(keys):
+    return st.dictionaries(st.sampled_from(keys), _COEFFS, max_size=5)
+
+
+_FIELD_KEYS = [(), (("a", 0),), (("a", 1),), (("a", 0), ("b", 0))]
+_SERIES_KEYS = list(range(-4, 3))
+_BIV_KEYS = [(i, j) for i in range(-3, 2) for j in range(-3, 2)]
+_TRI_KEYS = [("0", 0, 0), ("0", 1, 0), ("z", 0, 1), ("w", 1, 0),
+             ("d", 0, 2), ("dz", 0, 1), ("wd", 1, 0)]
+_POLY_KEYS = [(a, b, e) for a in range(2) for b in range(2) for e in (0, 1)]
+
+
+def _terms(x):
+    return [x.even, x.odd] if isinstance(x, AElement) else [x.terms]
+
+
+def _canonical(x):
+    return all(c.terms for t in _terms(x) for c in t.values())
+
+
+def _empty(x):
+    return not any(_terms(x))
+
+
+def _check(x, y, c, products):
+    results = [x + y, x - y] + products
+    if hasattr(x, "scale"):
+        results.append(x.scale(c))
+        assert _empty(x.scale(0))
+    assert all(_canonical(r) for r in results)
+    neg = x.scale(-1) if isinstance(x, AElement) else -x
+    assert _canonical(neg)
+    assert _empty(x - x) and _empty(x + neg)
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(_dict(_FIELD_KEYS), _dict(_FIELD_KEYS), _COEFFS)
+def test_field_expr_keeps_no_zero(a, b, c):
+    x, y = FieldExpr(a), FieldExpr(b)
+    _check(x, y, c, [x.deriv()])
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(_dict(_SERIES_KEYS), _dict(_SERIES_KEYS), _COEFFS)
+def test_rav_series_keeps_no_zero(a, b, c):
+    x, y = RavSeries(a, 3), RavSeries(b, 3)
+    _check(x, y, c, [x.mul(y), x.dz()])
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(_dict(_BIV_KEYS), _dict(_BIV_KEYS), _dict(_SERIES_KEYS), _COEFFS)
+def test_bidist_keeps_no_zero(a, b, f, c):
+    x, y, g = BiDist(a, 3, 3), BiDist(b, 3, 3), RavSeries(f, 3)
+    _check(x, y, c, [x.mul_series_z(g), x.mul_series_w(g),
+                     x.mul_z_minus_w(), x.mul_omega_w(2), x.dw()])
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(_dict(_TRI_KEYS), _dict(_TRI_KEYS), _COEFFS)
+def test_tri_element_keeps_no_zero(a, b, c):
+    _check(TriElement(a), TriElement(b), c, [])
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(_dict(_POLY_KEYS), _dict(_POLY_KEYS), _dict(_POLY_KEYS),
+       _dict(_POLY_KEYS), _COEFFS)
+def test_dg_element_keeps_no_zero(e1, o1, e2, o2, c):
+    x, y = AElement(e1, o1), AElement(e2, o2)
+    _check(x, y, c, [a_mul(x, y)])
