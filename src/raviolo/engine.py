@@ -22,7 +22,7 @@ generator of (witness, lhs, rhs) instances, judged by identity_check.
 
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import factorial
+from math import ceil as _ceil, factorial, floor as _floor
 
 from .scalars import (Scalar, ZERO, ONE, Grading, binom, as_scalar,
                       vadd, vscale, vsub, veq)
@@ -34,14 +34,9 @@ from .linalg import (Echelon, column_kernel, rational_coords, dense_coords,
                      solve)
 
 
-def _ceil(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x):
-    x = Fraction(x)
-    return x.numerator // x.denominator
+def _is_one(c):
+    t = c.terms
+    return len(t) == 1 and t.get(()) == 1
 
 
 # ------------------------------------------------------------ presentation
@@ -121,6 +116,8 @@ class PBWModule:
         self._act_memo = {}
         self._mono_memo = {}
         self._kg_memo = {}
+        self._akey_memo = {}   # akey -> (mono, 1/den or None, parity)
+        self._mg_memo = {}     # mono -> (parity, spin)
 
     def _spec(self, c):
         if self.specialize:
@@ -261,9 +258,20 @@ class PBWModule:
                  self._spec(c).parity_twist(tw))
         return out
 
+    def _mono_grading(self, mono):
+        """(parity, spin) of a normal-ordered monomial of derivatives."""
+        g = self._mg_memo.get(mono)
+        if g is None:
+            p, s = 0, 0
+            for nm, k in mono:
+                gr = self.pres.grading(nm)
+                p += gr.tot
+                s += gr.spin + k
+            g = self._mg_memo[mono] = (p % 2, s)
+        return g
+
     def mono_mode(self, mono, t, state):
-        p = (sum(self.pres.grading(nm).tot for nm, _ in mono)
-             + (1 if t >= 0 else 0)) % 2
+        p = (self._mono_grading(mono)[0] + (1 if t >= 0 else 0)) % 2
         out = {}
         for key, c in state.items():
             vadd(out, self._mono_key(mono, t, key), c.parity_twist(p))
@@ -294,11 +302,8 @@ class PBWModule:
             out = self._deriv_mode(g1name, k1, t, vstate)
             memo[mk] = out
             return out
-        g1 = self.gens[self.index[g1name]]
-        pa = g1.grading.tot
-        pb = sum(self.pres.grading(nm).tot for nm, _ in rest) % 2
-        sa = g1.grading.spin + k1
-        sb = sum(self.pres.grading(nm).spin + k for nm, k in rest)
+        pa, sa = self._mono_grading(mono[:1])
+        pb, sb = self._mono_grading(rest)
         vspin = self.key_grading(vkey).spin - self.cyclic_grading.spin
         if t < 0:
             # both factors in creation modes; finitely many terms
@@ -326,19 +331,41 @@ class PBWModule:
         """Mode t of the field of an arbitrary state, applied to vstate.
         As in expr_mode, the state's scalar coefficients pass the odd
         singular-tower symbols with a Koszul sign, so their odd-parameter
-        part flips on the annihilation modes."""
+        part flips on the annihilation modes.  One pass over (akey, vkey)
+        pairs: each term is (ca * cv) * _mono_key, with ca the twisted
+        akey coefficient over Π k! and cv the twisted vstate one."""
         tw = 1 if t >= 0 else 0
         out = {}
+        if not vstate:
+            return out
         for akey, ca in astate.items():
+            mono, inv_den, p = self._akey_info(akey)
+            ca = ca.parity_twist(tw)
+            if inv_den is not None:
+                ca = ca * inv_den
+            p ^= tw
+            a_one = _is_one(ca)
+            for vkey, cv in vstate.items():
+                if p:
+                    cv = cv.parity_twist(1)
+                # ca stays on the left: odd parameters anticommute
+                c = cv if a_one else ca if _is_one(cv) else ca * cv
+                vadd(out, self._mono_key(mono, t, vkey), c)
+        return out
+
+    def _akey_info(self, akey):
+        """(mono, 1/den or None, parity) of a PBW key read as a field:
+        g_(-k-1) is the derivative d^k g / k!."""
+        info = self._akey_memo.get(akey)
+        if info is None:
             mono = tuple((self.gens[gi].name, -n - 1) for gi, n in akey)
             den = 1
             for _, k in mono:
                 den *= factorial(k)
-            coeff = ca.parity_twist(tw)
-            if den > 1:
-                coeff = coeff * Fraction(1, den)
-            vadd(out, self.mono_mode(mono, t, vstate), coeff)
-        return out
+            info = self._akey_memo[akey] = (
+                mono, Fraction(1, den) if den > 1 else None,
+                self._mono_grading(mono)[0])
+        return info
 
     # -- derived operations ------------------------------------------
 

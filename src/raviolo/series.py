@@ -246,11 +246,17 @@ class BiDist:
         return RavSeries({j: c for (i, j), c in self.terms.items() if i == 0},
                          self.wtr)
 
-    def is_zero_within(self, zt=None, wt=None):
+    def first_within(self, zt=None, wt=None):
+        """The first key, in insertion order, inside the Taylor window
+        (zt, wt); None when there is none."""
         zt = self.ztr if zt is None else min(zt, self.ztr)
         wt = self.wtr if wt is None else min(wt, self.wtr)
-        return not any((i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt)
-                       for i, j in self.terms)
+        return next(((i, j) for i, j in self.terms
+                     if (i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt)),
+                    None)
+
+    def is_zero_within(self, zt=None, wt=None):
+        return self.first_within(zt, wt) is None
 
     def eq_within(self, other, zt=None, wt=None):
         return (self - other).is_zero_within(zt, wt)
@@ -311,8 +317,8 @@ def delta_decompose(f, N):
     g = f
     for _ in range(N + 1):
         g = g.mul_z_minus_w()
-    if not g.is_zero_within():
-        key = next(iter(g.terms))
+    key = g.first_within()
+    if key is not None:
         return None, ("vanishing", key)
     # condition (2): (Omega^m_z - sum_j (w-z)^j C(m+j,j) Omega^(m+j)_w) f = 0
     for m in range(0, T + N + 1):
@@ -325,8 +331,8 @@ def delta_decompose(f, N):
                 h = h.mul_w() - h.mul_z()
             h = h.mul_omega_w(m + j).scale(binom(m + j, j))
             lhs = lhs - h
-        if not lhs.is_zero_within():
-            key = next(iter(lhs.terms))
+        key = lhs.first_within()
+        if key is not None:
             return None, ("omega-replacement", (m, key))
     # extraction: g^(n)(w) = (1/n!) Res_z dz (z-w)^n f
     glist = []
@@ -345,9 +351,8 @@ def delta_decompose(f, N):
         glist.append(RavSeries(acc, f.wtr))
     # verify the rebuild
     rebuilt = delta_build(glist, min(f.ztr, f.wtr))
-    if not rebuilt.eq_within(f, f.ztr - N, f.wtr - N):
-        diff = rebuilt - f
-        key = next(iter(diff.terms))
+    key = (rebuilt - f).first_within(f.ztr - N, f.wtr - N)
+    if key is not None:
         return None, ("rebuild", key)
     return glist, None
 

@@ -1,12 +1,14 @@
 """The benchmark's tracer (bench/tracing.py) wraps package functions by
 name.  A renamed function would make the harness fail only in a long
-benchmark run, so every name it lists is resolved here."""
+benchmark run, so every name it lists is resolved here, and so are the
+memo attributes the harness reads off each module."""
 
 import importlib
 import importlib.util
 import os
 
-from raviolo.engine import IDENTITIES
+from raviolo.catalog import heisenberg
+from raviolo.engine import IDENTITIES, PBWModule
 
 
 def _trace_targets():
@@ -32,3 +34,10 @@ def test_bench_trace_targets_resolve():
             identities.add(metric[len("engine.check."):])
     # one identity span per row of the suite
     assert identities == set(IDENTITIES)
+
+
+def test_bench_memo_attributes_exist():
+    # bench/run.py sums the sizes of these memos into engine.memo_entries
+    mod = PBWModule(heisenberg())
+    for attr in ("_act_memo", "_mono_memo", "_kg_memo"):
+        assert isinstance(getattr(mod, attr, None), dict), attr

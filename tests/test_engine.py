@@ -6,14 +6,16 @@ differentiation for the field-antifield pair), then the structure suite
 runs on all builtin presentations.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
-from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM
+from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM, vadd, veq
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
-from raviolo.catalog import sl2, virasoro, heisenberg
+from raviolo.catalog import fc, sl2, virasoro, heisenberg
 from raviolo.engine import (
     IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
     default_samples, check_locality,
@@ -188,6 +190,44 @@ def test_odd_parameter_mode_twist():
     # creation mode: coefficient passes through unchanged
     assert M.field_mode(c1, -1, h) == \
         {((0, -1), (1, -1)): KAP * (-4)}
+
+
+def _two_level_field_mode(mod, a, t, v):
+    """field_mode as the sum over akeys of mono_mode, each scaled by the
+    twisted akey coefficient over the product of k! (reference form)."""
+    out = {}
+    for akey, ca in a.items():
+        mono = tuple((mod.gens[gi].name, -n - 1) for gi, n in akey)
+        den = 1
+        for _, k in mono:
+            den *= factorial(k)
+        vadd(out, mod.mono_mode(mono, t, v),
+             ca.parity_twist(t >= 0) * Fraction(1, den))
+    return out
+
+
+def test_field_mode_matches_two_level_sum():
+    rng = random.Random(8)
+    coeffs = [Scalar.from_rational(1), Scalar.from_rational(Fraction(-3, 2)),
+              K + 2, KAP, XI * 3, K * XI - KAP, KAP + XI]
+    for pres in (fc(Fraction(1, 2), 0), heisenberg(), virasoro(), sl2()):
+        mod = PBWModule(pres, spin_cap=4, word_cap=3)
+        keys = [k for k, _ in mod.basis() if k]
+        deriv = [k for k in keys if any(n < -1 for _, n in k)]
+        assert deriv
+
+        def state(first):
+            rest = rng.sample([k for k in keys if k != first],
+                              rng.randint(1, 2))
+            return {k: rng.choice(coeffs) for k in [first] + rest}
+
+        for _ in range(6):
+            a = state(rng.choice(deriv))
+            v = state(rng.choice(keys))
+            for t in range(-4, 5):
+                assert veq(mod.field_mode(a, t, v),
+                           _two_level_field_mode(mod, a, t, v)), \
+                    (pres.name, a, t, v)
 
 
 def test_h_locality_resolves_to_delta():
