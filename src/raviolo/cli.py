@@ -464,16 +464,9 @@ class Report:
         return "\n".join(bits)
 
 
-def _build_module(doc, args, specialize=None):
-    try:
-        return PBWModule(doc.presentation(), spin_cap=args.spin,
-                         word_cap=args.word,
-                         flavor_window=args.flavor_window,
-                         specialize=specialize)
-    except InfiniteGradedPiece as e:
-        raise SpecError(
-            "graded pieces are infinite in %s; pass --flavor-window"
-            % e.gen_name)
+def _build_module(pres, args, specialize=None):
+    return PBWModule(pres, spin_cap=args.spin, word_cap=args.word,
+                     flavor_window=args.flavor_window, specialize=specialize)
 
 
 def _fug_names(doc):
@@ -491,7 +484,7 @@ def cmd_check(doc, args):
         selected_identities(wanted)
     except ValueError as e:
         raise SpecError(str(e))
-    mod = _build_module(doc, args)
+    mod = _build_module(doc.presentation(), args)
     rep = Report(doc.name, args.spin, args.word)
     for key in doc.derived:
         rep.lines.append("derived by skew-symmetry: (%s, %s, %d)" % key)
@@ -501,7 +494,7 @@ def cmd_check(doc, args):
 
 
 def cmd_ope(doc, args):
-    mod = _build_module(doc, args)
+    mod = _build_module(doc.presentation(), args)
     for nm in (args.a, args.b):
         if nm not in doc.gen_names:
             raise SpecError("unknown generator %r" % nm)
@@ -516,11 +509,11 @@ def cmd_ope(doc, args):
 
 
 def cmd_character(doc, args):
-    mod = _build_module(doc, args)
+    mod = _build_module(doc.presentation(), args)
     # --order N includes q^N, so the series truncation sits one above
     if args.spin < args.order:
         args = argparse.Namespace(**{**vars(args), "spin": args.order})
-        mod = _build_module(doc, args)
+        mod = _build_module(doc.presentation(), args)
     qs = catalog.character(mod, args.order + 1, _fug_names(doc),
                            fug_window=args.flavor_window)
     rep = Report(doc.name, args.spin, args.word)
@@ -558,15 +551,8 @@ def cmd_brst(doc, args):
                         "index-1 product (%s, %s) is not central" % (a, b))
                 # the invariant-form value, stripped of the level parameter
                 pairing[(a, b)] = sum(e1.terms[()].terms.values())
-    ext = ghost_extension(doc.presentation(), names)
-    try:
-        mod = PBWModule(ext, spin_cap=args.spin, word_cap=args.word,
-                        flavor_window=args.flavor_window,
+    mod = _build_module(ghost_extension(doc.presentation(), names), args,
                         specialize={"K": 1, "kappa": 0})
-    except InfiniteGradedPiece as e:
-        raise SpecError(
-            "graded pieces are infinite in %s; pass --flavor-window"
-            % e.gen_name)
     q = brst_charge(mod, names, structure=structure, pairing=pairing)
     rep = Report(doc.name, args.spin, args.word)
     g = mod.state_grading(q) if q else None
@@ -582,7 +568,7 @@ def cmd_brst(doc, args):
 def cmd_cohomology(doc, args):
     if doc.superpotential is None:
         raise SpecError("document has no superpotential")
-    mod = _build_module(doc, args, specialize={"K": 1})
+    mod = _build_module(doc.presentation(), args, specialize={"K": 1})
     w = mod.expr_to_state(doc.superpotential)
     rep = Report(doc.name, args.spin, args.word)
     try:
@@ -731,6 +717,11 @@ def main(argv=None):
             rep = cmd_lattice(args)
     except (SpecError, PresentationError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except InfiniteGradedPiece as e:
+        # raised when a command first enumerates the module's basis
+        print("error: graded pieces are infinite in %s; pass --flavor-window"
+              % e.gen_name, file=sys.stderr)
         return 2
     print(rep.render(args.format))
     return 0 if rep.ok else 1

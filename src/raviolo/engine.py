@@ -572,12 +572,10 @@ def check_descent_derivation(mod, states=None, nmax=None):
                     yield (n, a, b, c), lhs, rhs
 
 
-@identity_check
-def check_descent_jacobi(mod, states=None, nmax=3):
-    """{{a,{{b,c}}^(m)}}^(n) = (-1)^(|a|+1) sum_l C(n,l)
-    {{{{a,b}}^(l),c}}^(m+n-l) + (-1)^((|a|+1)(|b|+1)) {{b,{{a,c}}^(n)}}^(m),
-    all brackets being the annihilation-mode products."""
-    states = states or default_samples(mod)
+def _jacobi_instances(mod, states, nmax):
+    """[a_(n), b_(m)] c = (-1)^(|a|+1) sum_l C(n,l) (a_(l)b)_(m+n-l) c
+    for n, m in 0..nmax, as ((n, m, a, b, c), lhs, rhs) instances with the
+    graded commutator's second term moved to the right."""
     for a in states:
         pa = mod.state_parity(a)
         for b in states:
@@ -590,14 +588,18 @@ def check_descent_jacobi(mod, states=None, nmax=3):
                             mod.field_mode(b, m, mod.field_mode(a, n, c)),
                             (-1) ** ((pa + 1) * (pb + 1)))
                         for l in range(0, n + 1):
-                            cl = binom(n, l)
-                            if cl == 0:
-                                continue
                             term = mod.field_mode(
                                 mod.field_mode(a, l, b), m + n - l, c)
-                            vadd(rhs, term,
-                                 (-1) ** (pa + 1) * cl)
+                            vadd(rhs, term, (-1) ** (pa + 1) * binom(n, l))
                         yield (n, m, a, b, c), lhs, rhs
+
+
+@identity_check
+def check_descent_jacobi(mod, states=None, nmax=3):
+    """{{a,{{b,c}}^(m)}}^(n) = (-1)^(|a|+1) sum_l C(n,l)
+    {{{{a,b}}^(l),c}}^(m+n-l) + (-1)^((|a|+1)(|b|+1)) {{b,{{a,c}}^(n)}}^(m),
+    all brackets being the annihilation-mode products."""
+    yield from _jacobi_instances(mod, states or default_samples(mod), nmax)
 
 
 def check_zero_mode_derivation(mod, states=None):
@@ -606,106 +608,75 @@ def check_zero_mode_derivation(mod, states=None):
 
 # ------------------------------------------------- bivariate machinery
 #
-# State-valued bivariate distributions are dicts {(m, l): state} whose
-# (m, l) entry is the operator coefficient of mon_z(m) mon_w(l) in the
-# canonical z-then-w monomial order (indices as in series.py).  The
-# expansion rules they meet -- the Delta_+/- halves and the re-expansions
-# of the Omega_{z-w} tower near w = 0 and near z = 0 -- are read from
-# series, their one source; this file only applies them (_expansion).
+# A state-valued bivariate distribution is one flat vector
+# {(m, l, pbwkey): Scalar}: entry (m, l, key) is the coefficient of key in
+# the operator coefficient of mon_z(m) mon_w(l), in the canonical
+# z-then-w monomial order (indices as in series.py).  Sums, differences
+# and scalings are vadd/vsub/vscale, and _put places a state at (m, l).
+# The expansion rules the distributions meet -- the Delta_+/- halves and
+# the re-expansions of the Omega_{z-w} tower near w = 0 and near z = 0 --
+# are read from series, their one source; this file only applies them
+# (_expansion).
 
 
-def _sv_add(F, key, state, coeff):
-    if not state:
+def _put(F, m, l, state, coeff=None):
+    """F += coeff * state at (m, l)."""
+    vadd(F, {(m, l, k): c for k, c in state.items()}, coeff)
+
+
+def _modes(mod, x, v, lo):
+    """(l, x_(l) v) for l from lo up to the last mode that can act without
+    killing v, zero states skipped; nothing for x = 0."""
+    if not x:
         return
-    cur = F.get(key)
-    if cur is None:
-        cur = {}
-        F[key] = cur
-    vadd(cur, state, coeff)
-    if not cur:
-        del F[key]
+    for l in range(lo, _floor(mod.state_spin(x) + mod.state_spin(v))):
+        st = mod.field_mode(x, l, v)
+        if st:
+            yield l, st
 
 
-def _mode_cap(field_spin, vspin):
-    """Largest mode index that can act without killing a spin-vspin state."""
-    return _floor(vspin + field_spin - 1)
-
-
-def _prod_fab(mod, a, b, v, T):
-    """A(z)B(w)v: entry (m,l) carries (-1)^(p(A_m)[l>=0]) A_m B_l v."""
-    pa = mod.state_parity(a)
-    sa, sb = mod.state_spin(a), mod.state_spin(b)
-    vspin = mod.state_spin(v)
+def _operator_order(mod, a, b, v, T, ab):
+    """A(z)B(w)v if ab, else B(w)A(z)v, in the canonical order.  With X_i
+    acting first and Y_j second, entry (m, l) is Y_j X_i v times
+    (-1)^([i>=0] p): p is the mode parity |Y| + [j>=0] for A(z)B(w), and
+    |Y| for B(w)A(z), whose tower sign (-1)^([i>=0][j>=0]) cancels the
+    mode's shift."""
+    x, y = (b, a) if ab else (a, b)
+    py = mod.state_parity(y)
     F = {}
-    for l in range(-(T + 1), _mode_cap(sb, vspin) + 1):
-        bv = mod.field_mode(b, l, v)
-        if not bv:
-            continue
-        for m in range(-(T + 1), _mode_cap(sa, mod.state_spin(bv)) + 1):
-            abv = mod.field_mode(a, m, bv)
-            if not abv:
-                continue
-            sign = -1 if (l >= 0 and (pa + (1 if m >= 0 else 0)) % 2) else 1
-            _sv_add(F, (m, l), abv, sign)
+    for i, xv in _modes(mod, x, v, -(T + 1)):
+        for j, yxv in _modes(mod, y, xv, -(T + 1)):
+            m, l = (j, i) if ab else (i, j)
+            _put(F, m, l, yxv, (-1) ** ((i >= 0) * (py + (ab and j >= 0))))
     return F
 
 
-def _prod_fba(mod, a, b, v, T):
-    """B(w)A(z)v in the same canonical order: entry (m,l) carries
-    (-1)^(p(B_l)[m>=0] + [m>=0][l>=0]) B_l A_m v."""
-    pb = mod.state_parity(b)
+def _pair_window(mod, a, b, v, tay):
+    """(N, T, pol, kos) of a pair check: the top singular index, the
+    Taylor depth of the operator orders, the pole bound of the compared
+    window and the Koszul sign of a and b."""
     sa, sb = mod.state_spin(a), mod.state_spin(b)
-    vspin = mod.state_spin(v)
-    F = {}
-    for m in range(-(T + 1), _mode_cap(sa, vspin) + 1):
-        av = mod.field_mode(a, m, v)
-        if not av:
-            continue
-        for l in range(-(T + 1), _mode_cap(sb, mod.state_spin(av)) + 1):
-            bav = mod.field_mode(b, l, av)
-            if not bav:
-                continue
-            e = 0
-            if m >= 0:
-                e += (pb + (1 if l >= 0 else 0)) % 2
-                e += 1 if l >= 0 else 0
-            _sv_add(F, (m, l), bav, (-1) ** e)
-    return F
+    N = max(_floor(sa + sb - 1), 0)
+    pol = _floor(mod.state_spin(v) + sa + sb) + N + 2
+    kos = (-1) ** (mod.state_parity(a) * mod.state_parity(b))
+    return N, tay + N + 2, pol, kos
 
 
-def _sv_sub(F1, F2, scale2=1):
-    out = {}
-    for k, st in F1.items():
-        _sv_add(out, k, st, 1)
-    for k, st in F2.items():
-        _sv_add(out, k, st, -scale2)
-    return out
-
-
-@identity_check
-def _sv_eq_within(mod, F1, F2, tay, pol):
-    for k in set(F1) | set(F2):
-        m, l = k
-        if (m < 0 and -m - 1 > tay) or (l < 0 and -l - 1 > tay):
-            continue
-        if (m >= 0 and m > pol) or (l >= 0 and l > pol):
-            continue
-        yield k, F1.get(k, {}), F2.get(k, {})
-
-
-def _cmode_table(mod, cstates, v, T):
-    """For each singular product state c^n, the modes (c^n)_(l') v."""
-    out = []
-    for cs in cstates:
-        row = {}
-        if cs:
-            hi = _mode_cap(mod.state_spin(cs), mod.state_spin(v))
-            for lp in range(-(T + 1), hi + 1):
-                st = mod.field_mode(cs, lp, v)
-                if st:
-                    row[lp] = st
-        out.append(row)
-    return out
+def _eq_within(F1, F2, tay, pol):
+    """(True, None) when F1 and F2 agree at every (m, l) with Taylor depth
+    <= tay and pole order <= pol, else (False, (m, l)) for the first
+    differing (m, l) in the iteration order of the union of the two
+    supports (each set built from a dict of its (m, l), which fixes the
+    order)."""
+    lo = -(tay + 1)
+    W1, W2 = ({k: c for k, c in F.items()
+               if lo <= k[0] <= pol and lo <= k[1] <= pol} for F in (F1, F2))
+    bad = {(m, l) for m, l, _ in vsub(W1, W2)}
+    if not bad:
+        return True, None
+    support = set(dict.fromkeys((m, l) for m, l, _ in F1)) | \
+        set(dict.fromkeys((m, l) for m, l, _ in F2))
+    return False, next(ml for ml in support if ml in bad)
 
 
 @lru_cache(maxsize=None)
@@ -735,7 +706,27 @@ def _apply_expansion(F, expansion, l, st):
     for m, j, c in expansion:
         lw = combine_indices(j, l)
         if lw is not None:
-            _sv_add(F, (m, lw), st, c)
+            _put(F, m, lw, st, c)
+
+
+def _delta_failure(comm, cmodes, N, T, tay, pol):
+    """None when each pbw coefficient of the commutator comm decomposes as
+    sum_n d_w^n Delta(z-w) g^(n)(w) with n! g^(n) the modes cmodes of the
+    n-th singular product, else the first failure."""
+    by_key = {}
+    for (m, l, key), c in comm.items():
+        by_key.setdefault(key, {})[(m, l)] = c
+    for kappa in sorted(by_key):
+        glist, fail = delta_decompose(BiDist(by_key[kappa], T, T), N)
+        if fail is not None:
+            return ("decompose", kappa, fail)
+        for n in range(N + 1):
+            for lp in range(-(tay + 1), pol + 1):
+                want = cmodes.get((n, lp, kappa), ZERO)
+                if glist[n].terms.get(lp, ZERO) != \
+                        want * Fraction(1, factorial(n)):
+                    return ("coefficient", kappa, n, lp)
+    return None
 
 
 def check_locality(mod, a, b, v, tay=2):
@@ -746,75 +737,32 @@ def check_locality(mod, a, b, v, tay=2):
 
     Returns a list of (condition_name, ok, witness).
     """
-    sa, sb = mod.state_spin(a), mod.state_spin(b)
-    vspin = mod.state_spin(v)
-    pa, pb = mod.state_parity(a), mod.state_parity(b)
-    N = max(_floor(sa + sb - 1), 0)
-    T = tay + N + 2
-    pol = _floor(vspin + sa + sb) + N + 2
-    cstates = [mod.field_mode(a, n, b) for n in range(N + 1)]
-    cmodes = _cmode_table(mod, cstates, v, T)
-
-    fab = _prod_fab(mod, a, b, v, T)
-    fba = _prod_fba(mod, a, b, v, T)
-    # :A(z)B(w):v takes the creation part of A (m < 0) from A(z)B(w)v and
-    # the annihilation part (m >= 0) from B(w)A(z)v, re-signed
-    nop = {k: st for k, st in fab.items() if k[0] < 0}
-    for (m, l), st in fba.items():
-        if m >= 0:
-            nop[(m, l)] = vscale(st, (-1) ** (pa * (pb + (l >= 0)) + (l >= 0)))
-    kos = (-1) ** (pa * pb)
-    comm = _sv_sub(fab, fba, kos)
-
-    results = []
-
-    # operator orders against the normal-ordered product
-    dminus, dplus = {}, {}
-    for n, row in enumerate(cmodes):
-        for lp, st in row.items():
+    N, T, pol, kos = _pair_window(mod, a, b, v, tay)
+    # cmodes holds the modes (a_(n)b)_(l') v of the singular products
+    cmodes, dminus, dplus = {}, {}, {}
+    for n in range(N + 1):
+        for lp, st in _modes(mod, mod.field_mode(a, n, b), v, -(T + 1)):
+            _put(cmodes, n, lp, st)
             _apply_expansion(dminus, _expansion("minus", n, T + pol + 1),
                              lp, st)
             _apply_expansion(dplus, _expansion("plus", n, T), lp, st)
-    lhs = _sv_sub(fab, nop)
-    ok, wit = _sv_eq_within(mod, lhs, dminus, tay, pol)
-    results.append(("order-ab", ok, wit))
-    lhs = _sv_sub(vscale_biv(fba, kos), nop)
-    ok, wit = _sv_eq_within(mod, lhs, vscale_biv(dplus, -1), tay, pol)
-    results.append(("order-ba", ok, wit))
 
-    # the commutator as a pure delta distribution, key by key
-    keys = set()
-    for st in comm.values():
-        keys.update(st)
-    ok, wit = True, None
-    for kappa in sorted(keys):
-        terms = {}
-        for ml, st in comm.items():
-            c = st.get(kappa)
-            if c is not None:
-                terms[ml] = c
-        bd = BiDist(terms, T, T)
-        glist, fail = delta_decompose(bd, N)
-        if fail is not None:
-            ok, wit = False, ("decompose", kappa, fail)
-            break
-        for n in range(N + 1):
-            for lp in range(-(tay + 1), pol + 1):
-                want = cmodes[n].get(lp, {}).get(kappa, ZERO)
-                got = glist[n].terms.get(lp, ZERO)
-                if got != want * Fraction(1, factorial(n)):
-                    ok, wit = False, ("coefficient", kappa, n, lp)
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    results.append(("commutator-delta", ok, wit))
-    return results
+    fab = _operator_order(mod, a, b, v, T, True)
+    kfba = vscale(_operator_order(mod, a, b, v, T, False), kos)
+    # :A(z)B(w):v takes the creation part of A (m < 0) from A(z)B(w)v and
+    # the annihilation part (m >= 0) from B(w)A(z)v, re-signed by
+    # (-1)^(|a|+1) where l >= 0
+    nop = {k: c for k, c in fab.items() if k[0] < 0}
+    for wpos, sign in ((False, 1), (True, (-1) ** (mod.state_parity(a) + 1))):
+        vadd(nop, {k: c for k, c in kfba.items()
+                   if k[0] >= 0 and (k[1] >= 0) == wpos}, sign)
 
-
-def vscale_biv(F, c):
-    return {k: vscale(st, c) for k, st in F.items()}
+    wit = _delta_failure(vsub(fab, kfba), cmodes, N, T, tay, pol)
+    return [
+        ("order-ab",) + _eq_within(vsub(fab, nop), dminus, tay, pol),
+        ("order-ba",) + _eq_within(vsub(kfba, nop), vscale(dplus, -1),
+                                   tay, pol),
+        ("commutator-delta", wit is None, wit)]
 
 
 def check_associativity(mod, a, b, v, tay=2):
@@ -825,37 +773,21 @@ def check_associativity(mod, a, b, v, tay=2):
     Only meaningful for v the cyclic vector: against a general state the
     region re-expansion is not termwise finite, and only matrix elements
     converge.  check_composite_fields covers general states instead."""
-    sa, sb = mod.state_spin(a), mod.state_spin(b)
-    vspin = mod.state_spin(v)
-    pa, pb = mod.state_parity(a), mod.state_parity(b)
-    N = max(_floor(sa + sb - 1), 0)
-    pol = _floor(vspin + sa + sb) + N + 2
-    T = tay + N + 2
+    N, T, pol, kos = _pair_window(mod, a, b, v, tay)
     L = tay + pol + N + 4
-
-    # sum_t mon_u(t) (a_(t)b)(w) v, u = z-w, re-expanded in each region
     amax = pol + tay + 2
+    # sum_t mon_u(t) (a_(t)b)(w) v, u = z-w, re-expanded in each region
     H1, H2 = {}, {}
     for t in range(-(2 * tay + 3), N + 1):
-        ct = mod.field_mode(a, t, b)
-        if not ct:
-            continue
-        hi = _mode_cap(mod.state_spin(ct), vspin)
-        for l in range(-(L + 1), hi + 1):
-            st = mod.field_mode(ct, l, v)
-            if st:
-                _apply_expansion(H1, _expansion("w_near_0", t, amax), l, st)
-                _apply_expansion(H2, _expansion("z_near_0", t, amax), l, st)
+        for l, st in _modes(mod, mod.field_mode(a, t, b), v, -(L + 1)):
+            _apply_expansion(H1, _expansion("w_near_0", t, amax), l, st)
+            _apply_expansion(H2, _expansion("z_near_0", t, amax), l, st)
 
-    fab = _prod_fab(mod, a, b, v, T)
-    fba = _prod_fba(mod, a, b, v, T)
-    results = []
-    ok, wit = _sv_eq_within(mod, H1, fab, tay, pol)
-    results.append(("expand-w-near-0", ok, wit))
-    ok, wit = _sv_eq_within(
-        mod, H2, vscale_biv(fba, (-1) ** (pa * pb)), tay, pol)
-    results.append(("expand-z-near-0", ok, wit))
-    return results
+    fab = _operator_order(mod, a, b, v, T, True)
+    fba = _operator_order(mod, a, b, v, T, False)
+    return [("expand-w-near-0",) + _eq_within(H1, fab, tay, pol),
+            ("expand-z-near-0",) + _eq_within(H2, vscale(fba, kos),
+                                              tay, pol)]
 
 
 @identity_check
@@ -935,30 +867,8 @@ def check_lie_half(mod, states=None, nmax=3):
                 yield (("translation", m, a), mod.field_mode(da, m, v),
                        vscale(mod.field_mode(a, m - 1, v), -m))
     # commutator of annihilation modes against singular products
-    for a in states:
-        pa = mod.state_parity(a)
-        for b in states:
-            pb = mod.state_parity(b)
-            kos = (-1) ** ((pa + 1) * (pb + 1))
-            for v in states:
-                for m in range(0, nmax + 1):
-                    for l in range(0, nmax + 1):
-                        lhs = vsub(
-                            mod.field_mode(a, m, mod.field_mode(b, l, v)),
-                            vscale(mod.field_mode(
-                                b, l, mod.field_mode(a, m, v)), kos))
-                        rhs = {}
-                        hi = _floor(mod.state_spin(a)
-                                    + mod.state_spin(b) - 1)
-                        for n in range(0, max(hi, 0) + 1):
-                            cn = binom(m, n)
-                            if cn == 0:
-                                continue
-                            term = mod.field_mode(
-                                mod.field_mode(a, n, b), m + l - n, v)
-                            vadd(rhs, term,
-                                 (-1) ** (pa + 1) * cn)
-                        yield ("commutator", m, l, a, b), lhs, rhs
+    for (n, m, a, b, _), lhs, rhs in _jacobi_instances(mod, states, nmax):
+        yield ("commutator", n, m, a, b), lhs, rhs
 
 
 def check_poisson_split(mod, states=None, tay=3, nmax=3):

@@ -133,12 +133,6 @@ class OpeTable:
     def get(self, a, b, n):
         return self.entries.get((a, b, n), FieldExpr.zero())
 
-    def singular(self, a, b):
-        """Sorted list of (n, expr) for the pair, highest n first."""
-        out = [(n, e) for (x, y, n), e in self.entries.items()
-               if x == a and y == b]
-        return sorted(out, key=lambda t: -t[0])
-
     def max_index(self, a, b):
         ns = [n for (x, y, n) in self.entries if x == a and y == b]
         return max(ns) if ns else None

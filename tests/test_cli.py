@@ -313,3 +313,14 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["check", _doc_path("vir.rav"), "--checks",
                  "vacuum,bogus"]) == 2
     assert "unknown checks: bogus" in capsys.readouterr().err
+    # 2: a spin-0 even generator makes the graded pieces infinite; the
+    # commands that enumerate a basis say so instead of a traceback
+    flat = tmp_path / "flat.rav"
+    flat.write_text("algebra flat\n"
+                    "generator J : deg 1 spin 1 even\n"
+                    "generator phi : deg 0 spin 0 even\n")
+    for cmd in ("character", "brst"):
+        assert main([cmd, str(flat)]) == 2, cmd
+        assert capsys.readouterr().err == (
+            "error: graded pieces are infinite in phi; pass "
+            "--flavor-window\n"), cmd

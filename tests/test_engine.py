@@ -16,9 +16,10 @@ import pytest
 from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM, vadd, veq
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
+from raviolo import engine
 from raviolo.engine import (
     IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
-    default_samples, check_locality,
+    default_samples, check_locality, check_associativity,
     check_composite_fields, superpotential_check, differential_map,
     check_square_zero, dg_cohomology, cell_basis, state_coords,
     in_translation_image, simplicity_probe,
@@ -317,6 +318,35 @@ def test_verifier_detects_broken_vir_and_h_tables():
         ("locality/commutator-delta", (NU, B, fail)),
         ("associativity/expand-z-near-0", (B, NU, (-2, 2))),
         ("associativity/expand-z-near-0", (NU, B, (-2, 2)))]
+
+
+@pytest.mark.parametrize("kind, cond, witness", [
+    ("minus", "order-ab", (0, -1)),
+    ("w_near_0", "expand-w-near-0", (-2, -2))])
+def test_verifier_detects_broken_expansion_rules(monkeypatch, kind, cond,
+                                                 witness):
+    """A doubled Delta_- half fails order-ab alone, and a doubled
+    re-expansion near w = 0 fails expand-w-near-0 alone, each with an
+    (m, l) inside the compared window."""
+    M = PBWModule(sl2(), spin_cap=4, word_cap=3)
+    a, b, v = M.gen_state("mu_e"), M.gen_state("mu_f"), M.vacuum()
+
+    def rows():
+        return (check_locality(M, a, b, v, tay=1)
+                + check_associativity(M, a, b, v, tay=1))
+
+    assert all(ok for _, ok, _ in rows())
+    expansion = engine._expansion
+
+    def doubled(k, t, trunc):
+        e = expansion(k, t, trunc)
+        return tuple((m, j, 2 * c) for m, j, c in e) if k == kind else e
+
+    monkeypatch.setattr(engine, "_expansion", doubled)
+    failed = [(c, wit) for c, ok, wit in rows() if not ok]
+    assert failed == [(cond, witness)]
+    _, _, pol, _ = engine._pair_window(M, a, b, v, 1)
+    assert all(type(i) is int and -2 <= i <= pol for i in failed[0][1])
 
 
 def test_verify_axioms_runs_only_selected_identities():
