@@ -220,13 +220,8 @@ class LatticeModule:
     def __init__(self, window=3, spin_cap=4, word_cap=6):
         self.window = window
         self.spin_cap = spin_cap
-        pres = heisenberg()
-        self.sectors = {
-            m: PBWModule(pres, spin_cap=spin_cap, word_cap=word_cap,
-                         cyclic_rule=_fock_rule(m),
-                         cyclic_grading=Grading(0, 0, 0, (m,)),
-                         specialize={"K": 1})
-            for m in range(-window, window + 1)}
+        self.sectors = {m: fock(m, spin_cap, word_cap, sector_flavor=m)
+                        for m in range(-window, window + 1)}
 
     def vacuum(self, m=0):
         return (m, self.sectors[m].vacuum())
@@ -500,13 +495,17 @@ def character(mod, order, fug_names=(), fug_window=None):
     return qs
 
 
-def lattice_character(lat, order, fug="x"):
+# the fugacity that counts a lattice state's sector
+LATTICE_FUG = "x"
+
+
+def lattice_character(lat, order):
     qs = QSeries({}, order)
     for m, mod in lat.sectors.items():
         for key, g in mod.basis():
             if g.spin >= Fraction(order):
                 continue
-            f = ((fug, m),) if m else ()
+            f = ((LATTICE_FUG, m),) if m else ()
             qs.add_term(g.spin, f, -1 if g.tot else 1)
     return qs
 

@@ -82,6 +82,14 @@ class SpecDoc:
 
 # ------------------------------------------------------ expressions
 
+def _rational(text):
+    """A rational literal; a zero denominator is an input error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError("bad rational %r" % text) from None
+
+
 _TOKEN = re.compile(r"\s*(NO|D\^\d+|-?\d+(?:/\d+)?|[A-Za-z_]\w*|[\[\],+*])")
 
 
@@ -132,7 +140,7 @@ class _ExprParser:
     def term(self):
         t = self.peek()
         if t is not None and re.fullmatch(r"-?\d+(?:/\d+)?", t):
-            q = Fraction(t)
+            q = _rational(t)
             self.take()
             if self.peek() == "*":
                 self.take("*")
@@ -178,41 +186,33 @@ def _trim(fl):
     return fl
 
 
+def _grading_key(g):
+    """The (cohdeg, spin, totalized parity, trimmed flavor) tuple that
+    grading errors print."""
+    return (g.cohdeg, g.spin, g.tot, _trim(g.flavor))
+
+
 def _expr_grading(expr, doc):
     """Common grading of every term, or raise with the offending term."""
     grades = set()
     for mono, c in expr.terms.items():
-        sc, sp = c.degrees()
-        coh, spin, par = sc, Fraction(0), sp
-        fl = ()
+        coh, par = c.degrees()
+        g = Grading(coh, 0, par)
         for name, k in mono:
-            g = doc.grading(name)
-            coh += g.cohdeg
-            spin += g.spin + k
-            par += g.parity
-            n = max(len(fl), len(g.flavor))
-            fl = tuple(x + y for x, y in
-                       zip(fl + (0,) * (n - len(fl)),
-                           g.flavor + (0,) * (n - len(g.flavor))))
-        grades.add((coh, spin, (coh + par) % 2, _trim(fl)))
+            g = g + doc.grading(name) + Grading(spin=k)
+        grades.add(_grading_key(g))
     if len(grades) > 1:
         raise SpecError("mixed grading in %s" % expr)
     return grades.pop() if grades else None
 
 
 def _check_entry_grading(doc, a, b, n, expr):
-    g = _expr_grading(expr, doc)
-    if g is None:
+    got = _expr_grading(expr, doc)
+    if got is None:
         return
-    ga, gb = doc.grading(a), doc.grading(b)
-    na = max(len(ga.flavor), len(gb.flavor))
-    fl = tuple(x + y for x, y in
-               zip(ga.flavor + (0,) * (na - len(ga.flavor)),
-                   gb.flavor + (0,) * (na - len(gb.flavor))))
-    want = (ga.cohdeg + gb.cohdeg - 1, ga.spin + gb.spin - n - 1,
-            (ga.cohdeg + ga.parity + gb.cohdeg + gb.parity + 1) % 2,
-            _trim(fl))
-    got = g
+    # a_(n) b: the mode a_(n), n >= 0, shifts cohdeg by -1, spin by -n-1
+    want = _grading_key(doc.grading(a) + doc.grading(b)
+                        + Grading(-1, -n - 1))
     if got != want:
         raise SpecError("entry (%s, %s, %d) has grading %s, expected %s"
                         % (a, b, n, got, want))
@@ -249,7 +249,7 @@ def _parse_line(doc, line, lineno):
         fl = tuple(int(x) for x in m.group(5).split()[1:]) if m.group(5) \
             else ()
         doc.gens.append(GeneratorInfo(
-            nm, Grading(int(m.group(2)), Fraction(m.group(3)),
+            nm, Grading(int(m.group(2)), _rational(m.group(3)),
                         1 if m.group(4) == "odd" else 0, fl)))
     elif head == "ope":
         m = re.fullmatch(r"ope\s+(\w+)\s+(\w+)\s*:\s*(.*)", line)
@@ -285,7 +285,7 @@ def _parse_line(doc, line, lineno):
                     err("bad preset argument %r" % piece.strip())
                 v = km.group(2)
                 kwargs[km.group(1)] = int(v) if "/" not in v \
-                    else Fraction(v)
+                    else _rational(v)
         try:
             pres = PRESETS[m.group(1)](**kwargs)
         except TypeError as e:
@@ -594,7 +594,7 @@ def cmd_cohomology(doc, args):
 
 
 def cmd_fock(args):
-    lam = Fraction(args.lam)
+    lam = _rational(args.lam)
     mod = catalog.fock(lam, spin_cap=args.spin, word_cap=args.word)
     rep = Report("fock(%s)" % lam, args.spin, args.word)
     ker = catalog.highest_weight_kernel(mod, args.spin)
@@ -622,7 +622,7 @@ def cmd_lattice(args):
     qs = catalog.lattice_character(lat, 1)
     want = catalog.QSeries({}, 1)
     for m in range(-win, win + 1):
-        want.add_term(0, ((("x", m),) if m else ()), 1)
+        want.add_term(0, (((catalog.LATTICE_FUG, m),) if m else ()), 1)
     rep.add("spin-zero-character", qs == want)
     rep.series = str(catalog.lattice_character(lat, args.order + 1))
     return rep
@@ -642,79 +642,70 @@ def _window(text):
     return n
 
 
-def _add_common(p, order_default=5):
-    p.add_argument("--spin", type=_window, default=3)
-    p.add_argument("--word", type=_window, default=4)
-    p.add_argument("--order", type=_window, default=order_default)
-    p.add_argument("--flavor-window", type=_window, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--checks", default=None)
+# argument name -> argparse keywords
+_ARGUMENTS = {
+    "kind": dict(choices=("fock",)),
+    "--spin": dict(type=_window, default=3),
+    "--word": dict(type=_window, default=4),
+    "--order": dict(type=_window, default=5),
+    "--flavor-window": dict(type=_window),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--checks": {},
+    "--lambda": dict(dest="lam", default="0"),
+}
+
+_SHARED = ("--spin", "--word", "--format")
+
+# subcommand -> (handler, help, positional arguments, options it reads
+# besides _SHARED); a handler with a "file" argument is passed the parsed
+# document before the arguments
+COMMANDS = {
+    "check": (cmd_check, "run the full verification suite", ("file",),
+              ("--flavor-window", "--checks")),
+    "ope": (cmd_ope, "singular products of two generators",
+            ("file", "a", "b"), ("--flavor-window",)),
+    "character": (cmd_character, "graded character to q^order", ("file",),
+                  ("--flavor-window", "--order")),
+    "brst": (cmd_brst, "gauge the current generators", ("file",),
+             ("--flavor-window",)),
+    "cohomology": (cmd_cohomology, "superpotential differential cohomology",
+                   ("file",), ("--flavor-window",)),
+    "module": (cmd_fock, "builtin modules", ("kind",), ("--lambda",)),
+    "lattice": (cmd_lattice, "lattice module relations", (),
+                ("--flavor-window", "--order")),
+}
 
 
 def _load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_spec(fh.read())
     except OSError as e:
         raise SpecError(str(e))
+    except UnicodeDecodeError as e:
+        raise SpecError("%s is not UTF-8 text: %s" % (path, e))
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="rav", description="raviolo vertex algebra workbench")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run the full verification suite")
-    p.add_argument("file")
-    _add_common(p)
-
-    p = sub.add_parser("ope", help="singular products of two generators")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-
-    p = sub.add_parser("character", help="graded character to q^order")
-    p.add_argument("file")
-    _add_common(p)
-
-    p = sub.add_parser("brst", help="gauge the current generators")
-    p.add_argument("file")
-    _add_common(p)
-
-    p = sub.add_parser("cohomology",
-                       help="superpotential differential cohomology")
-    p.add_argument("file")
-    _add_common(p)
-
-    p = sub.add_parser("module", help="builtin modules")
-    p.add_argument("kind", choices=("fock",))
-    p.add_argument("--lambda", dest="lam", default="0")
-    _add_common(p)
-
-    p = sub.add_parser("lattice", help="lattice module relations")
-    _add_common(p)
+    for name, (_, text, positional, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in positional + _SHARED + options:
+            p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
 
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
 
+    handler, _, positional, _ = COMMANDS[args.command]
     try:
-        if args.command == "check":
-            rep = cmd_check(_load(args.file), args)
-        elif args.command == "ope":
-            rep = cmd_ope(_load(args.file), args)
-        elif args.command == "character":
-            rep = cmd_character(_load(args.file), args)
-        elif args.command == "brst":
-            rep = cmd_brst(_load(args.file), args)
-        elif args.command == "cohomology":
-            rep = cmd_cohomology(_load(args.file), args)
-        elif args.command == "module":
-            rep = cmd_fock(args)
+        if "file" in positional:
+            rep = handler(_load(args.file), args)
         else:
-            rep = cmd_lattice(args)
+            rep = handler(args)
     except (SpecError, PresentationError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -235,18 +235,15 @@ class VertexLieData:
         return (g.tot + (1 if n >= 0 else 0)) % 2
 
 
-def lie_rav_bracket(L, a, n, b, m, index_reading="k"):
-    """[a_[n], b_[m]] = Koszul sign * sum_k C(n,k) (a_(?) b)_[n+m-k] with
-    ? = k or n depending on index_reading; central labels collapse to
-    K_[-1].  The Koszul sign (-1)^((|a|+1)[n<0]) comes from commuting the
-    Omega component of the label past the product; without it the bracket
-    fails graded antisymmetry.
+def lie_rav_bracket(L, a, n, b, m):
+    """[a_[n], b_[m]] = Koszul sign * sum_k C(n,k) (a_(k) b)_[n+m-k];
+    central labels collapse to K_[-1].  The Koszul sign
+    (-1)^((|a|+1)[n<0]) comes from commuting the Omega component of the
+    label past the product; without it the bracket fails graded
+    antisymmetry.
 
     Returns {(name, t): Scalar}; central names appear only at t = -1.
     """
-    if index_reading not in ("k", "n"):
-        raise ValueError("index_reading must be 'k' or 'n', got %r"
-                         % (index_reading,))
     if n < 0 and m < 0:
         return {}  # Omega * Omega = 0 in the label coefficients
     # Koszul sign from moving the label's Omega component out past a
@@ -255,12 +252,7 @@ def lie_rav_bracket(L, a, n, b, m, index_reading="k"):
     N = max([k for (x, y, k) in L.products if x == a and y == b],
             default=-1)
     for k in range(N + 1):
-        if index_reading == "k":
-            prod = L.products.get((a, b, k), {})
-        else:
-            # the alternative reading fixes the product index at the
-            # outer label n while still summing binomials over k
-            prod = L.products.get((a, b, n), {}) if n >= 0 else {}
+        prod = L.products.get((a, b, k), {})
         coeff = sign * binom(n, k)
         if coeff == 0:
             continue

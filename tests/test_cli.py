@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -225,14 +226,18 @@ def test_invalid_presentation_exits_2_with_and_without_asserts(tmp_path):
     dup = tmp_path / "dup.rav"
     dup.write_text("algebra dup\ngenerator J : deg 1 spin 1 even\n"
                    "generator c_J : deg 1 spin 1/2 odd\n")
+    zero = tmp_path / "zero.rav"
+    zero.write_bytes(BAD_INPUT_DOCS["ope.rav"])
     for flags in ([], ["-O"]):
-        for cmd, path, msg in (("check", neg, "negative spin"),
-                               ("brst", dup, "duplicate generator names")):
+        for argv, msg in ((["check", str(neg)], "negative spin"),
+                          (["brst", str(dup)], "duplicate generator names"),
+                          (["check", str(zero)], "bad rational '1/0'"),
+                          (["module", "fock", "--lambda", "1/0"],
+                           "bad rational '1/0'")):
             r = subprocess.run(
-                [sys.executable] + flags + ["-m", "raviolo.cli", cmd,
-                                            str(path)],
+                [sys.executable] + flags + ["-m", "raviolo.cli"] + argv,
                 capture_output=True, text=True, env=env, timeout=120)
-            assert r.returncode == 2, (flags, cmd, r.stdout, r.stderr)
+            assert r.returncode == 2, (flags, argv, r.stdout, r.stderr)
             assert msg in r.stderr and "Traceback" not in r.stderr
 
 
@@ -268,6 +273,37 @@ def test_module_and_lattice_commands(capsys):
     assert "kernel-is-cyclic" in capsys.readouterr().out
     assert main(["lattice", "--order", "1"]) == 0
     assert "defining-relations" in capsys.readouterr().out
+
+
+# each subcommand takes only the options it reads
+COMMAND_OPTIONS = {
+    "check": {"--spin", "--word", "--format", "--flavor-window", "--checks"},
+    "ope": {"--spin", "--word", "--format", "--flavor-window"},
+    "character": {"--spin", "--word", "--format", "--flavor-window",
+                  "--order"},
+    "brst": {"--spin", "--word", "--format", "--flavor-window"},
+    "cohomology": {"--spin", "--word", "--format", "--flavor-window"},
+    "module": {"--spin", "--word", "--format", "--lambda"},
+    "lattice": {"--spin", "--word", "--format", "--flavor-window",
+                "--order"},
+}
+
+
+def test_subcommand_options(capsys):
+    for cmd, want in COMMAND_OPTIONS.items():
+        assert main([cmd, "--help"]) == 0, cmd
+        got = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert got - {"--help"} == want, cmd
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 31
+    # a flag the subcommand would ignore is an input error
+    for argv in (["ope", _doc_path("fc.rav"), "psi", "X", "--checks",
+                  "vacuum"],
+                 ["character", _doc_path("vir.rav"), "--checks", "bogus"],
+                 ["check", _doc_path("vir.rav"), "--spin", "1", "--word",
+                  "1", "--order", "5"],
+                 ["module", "fock", "--flavor-window", "2"]):
+        assert main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -324,3 +360,25 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: graded pieces are infinite in phi; pass "
             "--flavor-window\n"), cmd
+    # 2: a zero-denominator rational, a non-UTF-8 document or a bad
+    # --lambda is one error line, not a traceback
+    for name, text in BAD_INPUT_DOCS.items():
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert main(["check", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+    for lam in ("1/0", "abc"):
+        assert main(["module", "fock", "--lambda", lam]) == 2, lam
+        assert capsys.readouterr().err == (
+            "error: bad rational %r\n" % lam), lam
+
+
+BAD_INPUT_DOCS = {
+    "spin.rav": b"algebra z\ngenerator X : deg 1 spin 1/0 even\n",
+    "ope.rav": b"algebra z\ngenerator X : deg 1 spin 1 even\n"
+               b"generator Y : deg 0 spin 1 even\n"
+               b"ope X Y : 1 -> 1/0 * K\n",
+    "use.rav": b"algebra z\nuse fc(s=1/0)\n",
+    "latin1.rav": b"algebra caf\xe9\ngenerator X : deg 1 spin 1 even\n",
+}

@@ -369,7 +369,7 @@ def test_lie_rav_heisenberg_values():
     L = h_vld()
     for n in range(-4, 5):
         for m in range(-4, 5):
-            out = lie_rav_bracket(L, "nu", n, "b", m, "k")
+            out = lie_rav_bracket(L, "nu", n, "b", m)
             want = {("K", -1): -n * K} if (m == -n and n != 0) else {}
             assert out == want, (n, m, out)
 
@@ -381,23 +381,14 @@ def test_lie_rav_k_reading_antisymmetric():
             for b in names:
                 for n in range(-3, 4):
                     for m in range(-3, 4):
-                        ab = lie_rav_bracket(L, a, n, b, m, "k")
-                        ba = lie_rav_bracket(L, b, m, a, n, "k")
+                        ab = lie_rav_bracket(L, a, n, b, m)
+                        ba = lie_rav_bracket(L, b, m, a, n)
                         sgn = -1 if (L.label_parity(a, n)
                                      and L.label_parity(b, m)) else 1
                         for key in set(ab) | set(ba):
                             assert ab.get(key, Scalar.zero()) == \
                                 -(sgn * ba.get(key, Scalar.zero())), \
                                 (a, n, b, m, key)
-
-
-def test_lie_rav_n_reading_fails():
-    # the alternative index reading breaks antisymmetry: witness
-    # [nu_[1], b_[-2]] = -K while [b_[-2], nu_[1]] = 0
-    L = h_vld()
-    ab = lie_rav_bracket(L, "nu", 1, "b", -2, "n")
-    ba = lie_rav_bracket(L, "b", -2, "nu", 1, "n")
-    assert ab == {("K", -1): -K} and ba == {}
 
 
 def test_lie_rav_matches_mode_algebra():
@@ -410,7 +401,7 @@ def test_lie_rav_matches_mode_algebra():
         for c in ("b", "nu"):
             for n in range(-4, 5):
                 for m in range(-4, 5):
-                    lie = lie_rav_bracket(L, a, n, c, m, "k")
+                    lie = lie_rav_bracket(L, a, n, c, m)
                     lie = {(None if nm == "K" else nm, t): v
                            for (nm, t), v in lie.items()}
                     mode = bracket_modes(Mode(by_name[a], n),
@@ -423,7 +414,7 @@ def test_lie_rav_matches_mode_algebra():
         for c in SL2:
             for n in range(-3, 4):
                 for m in range(-3, 4):
-                    lie = lie_rav_bracket(L, "mu_" + a, n, "mu_" + c, m, "k")
+                    lie = lie_rav_bracket(L, "mu_" + a, n, "mu_" + c, m)
                     lie = {(None if nm == "kappa" else nm, tt): v
                            for (nm, tt), v in lie.items()}
                     mode = bracket_modes(Mode(gens["mu_" + a], n),
@@ -443,8 +434,7 @@ def test_lie_rav_jacobi_sl2():
             for (nb, tb), cb in y.items():
                 if nb in L.central:
                     continue
-                for key, c in lie_rav_bracket(L, na, ta, nb, tb,
-                                              "k").items():
+                for key, c in lie_rav_bracket(L, na, ta, nb, tb).items():
                     s = out.get(key, Scalar.zero()) + ca * cb * c
                     if s.is_zero():
                         out.pop(key, None)
@@ -478,14 +468,14 @@ def test_lie_rav_positive_part_closed():
             for b in names:
                 for n in range(0, 4):
                     for m in range(0, 4):
-                        out = lie_rav_bracket(L, a, n, b, m, "k")
+                        out = lie_rav_bracket(L, a, n, b, m)
                         for (name, t) in out:
                             assert t >= 0, (a, n, b, m, name, t)
 
 
 def test_lie_rav_abelian():
     L = VertexLieData({"a": Grading(0, 1, 0)}, {})
-    assert lie_rav_bracket(L, "a", 2, "a", -3, "k") == {}
+    assert lie_rav_bracket(L, "a", 2, "a", -3) == {}
 
 
 # ------------------------------------------------------------ PBW

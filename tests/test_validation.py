@@ -1,5 +1,5 @@
-"""Input validation that survives `python -O`, and the canonical form of
-the sparse containers.
+"""Input validation that survives `python -O`, no unreferenced code in
+`src/`, and the canonical form of the sparse containers.
 
 Every {key: Scalar} container (FieldExpr, RavSeries, BiDist, TriElement,
 the dg-model's AElement) sums through scalars.vadd/vsub/vscale, so none
@@ -10,6 +10,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
@@ -97,6 +98,50 @@ def test_no_validation_asserts_in_src():
                 bad.append("%s:%d (%s)" % (fn, line, func))
     assert not bad, "validation must raise, not assert: %s" % bad
     assert seen == set(ASSERT_ALLOWLIST), "stale allowlist entries"
+
+
+# ------------------------------------------------------- dead code
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _py_files(*dirs):
+    for d in dirs:
+        for base, _, files in os.walk(os.path.join(ROOT, d)):
+            for fn in sorted(files):
+                if fn.endswith(".py"):
+                    yield os.path.join(base, fn)
+
+
+def _references(tree):
+    """Every name a tree loads, reads as an attribute, imports, or spells
+    as a string (getattr, monkeypatch and tracing tables do)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_unreferenced_definitions_in_src():
+    # a module-level def/class must be used outside its own body
+    used, defined = Counter(), []
+    for path in _py_files("src", "tests", "bench"):
+        tree = ast.parse(open(path).read(), path)
+        used.update(_references(tree))
+        if os.path.dirname(path) == os.path.join(ROOT, "src", "raviolo"):
+            defined.extend(
+                (os.path.basename(path), node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)))
+    assert len(defined) > 100
+    dead = ["%s:%s" % (fn, node.name) for fn, node in defined
+            if used[node.name] <= Counter(_references(node))[node.name]]
+    assert not dead, "defined but never referenced: %s" % dead
 
 
 # ---------------------------------------------------- canonical form
