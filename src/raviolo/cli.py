@@ -659,7 +659,7 @@ _SHARED = ("--spin", "--word", "--format")
 # subcommand -> (handler, help, positional arguments, options it reads
 # besides _SHARED); a handler with a "file" argument is passed the parsed
 # document before the arguments
-COMMANDS = {
+_COMMANDS = {
     "check": (cmd_check, "run the full verification suite", ("file",),
               ("--flavor-window", "--checks")),
     "ope": (cmd_ope, "singular products of two generators",
@@ -690,7 +690,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="rav", description="raviolo vertex algebra workbench")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, text, positional, options) in COMMANDS.items():
+    for name, (_, text, positional, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for arg in positional + _SHARED + options:
             p.add_argument(arg, **_ARGUMENTS.get(arg, {}))
@@ -700,7 +700,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code else 0
 
-    handler, _, positional, _ = COMMANDS[args.command]
+    handler, _, positional, _ = _COMMANDS[args.command]
     try:
         if "file" in positional:
             rep = handler(_load(args.file), args)

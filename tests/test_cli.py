@@ -306,6 +306,18 @@ def test_subcommand_options(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
+# documents rav must reject with exit 2: a zero-denominator rational in
+# a spin, an OPE coefficient and a preset argument; non-UTF-8 bytes
+BAD_INPUT_DOCS = {
+    "spin.rav": b"algebra z\ngenerator X : deg 1 spin 1/0 even\n",
+    "ope.rav": b"algebra z\ngenerator X : deg 1 spin 1 even\n"
+               b"generator Y : deg 0 spin 1 even\n"
+               b"ope X Y : 1 -> 1/0 * K\n",
+    "use.rav": b"algebra z\nuse fc(s=1/0)\n",
+    "latin1.rav": b"algebra caf\xe9\ngenerator X : deg 1 spin 1 even\n",
+}
+
+
 def test_exit_codes(tmp_path, capsys):
     # 2: input errors
     assert main(["check", str(tmp_path / "absent.rav")]) == 2
@@ -372,13 +384,3 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["module", "fock", "--lambda", lam]) == 2, lam
         assert capsys.readouterr().err == (
             "error: bad rational %r\n" % lam), lam
-
-
-BAD_INPUT_DOCS = {
-    "spin.rav": b"algebra z\ngenerator X : deg 1 spin 1/0 even\n",
-    "ope.rav": b"algebra z\ngenerator X : deg 1 spin 1 even\n"
-               b"generator Y : deg 0 spin 1 even\n"
-               b"ope X Y : 1 -> 1/0 * K\n",
-    "use.rav": b"algebra z\nuse fc(s=1/0)\n",
-    "latin1.rav": b"algebra caf\xe9\ngenerator X : deg 1 spin 1 even\n",
-}
