@@ -22,7 +22,7 @@ generator of (witness, lhs, rhs) instances, judged by identity_check.
 
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import ceil as _ceil, factorial, floor as _floor
+from math import ceil as _ceil, factorial, floor as _floor, lcm
 
 from .scalars import (Scalar, ZERO, ONE, Grading, binom, as_scalar,
                       vadd, vscale, vsub, veq)
@@ -117,7 +117,14 @@ class PBWModule:
         self._mono_memo = {}
         self._kg_memo = {}
         self._akey_memo = {}   # akey -> (mono, 1/den or None, parity)
-        self._mg_memo = {}     # mono -> (parity, spin)
+        # spins scaled by their common denominator are ints: the mode
+        # windows below take integer floors, not Fraction arithmetic
+        self._spin_den = lcm(*(g.grading.spin.denominator
+                               for g in self.gens))
+        self._gen_spin = [int(g.grading.spin * self._spin_den)
+                          for g in self.gens]
+        self._mg_memo = {}     # mono -> (parity, scaled spin)
+        self._ks_memo = {}     # key -> scaled spin above the cyclic vector
 
     def _spec(self, c):
         if self.specialize:
@@ -140,6 +147,16 @@ class PBWModule:
                 g = g + self.gens[gi].mode_grading(n)
             self._kg_memo[key] = g
         return g
+
+    def _key_spin(self, key):
+        """The spin of a PBW key above the cyclic vector, times
+        _spin_den (an int)."""
+        s = self._ks_memo.get(key)
+        if s is None:
+            s = self._ks_memo[key] = int(
+                (self.key_grading(key).spin - self.cyclic_grading.spin)
+                * self._spin_den)
+        return s
 
     def state_grading(self, state):
         """Grading of a homogeneous state, scalar coefficients included
@@ -213,9 +230,8 @@ class PBWModule:
                 out[nk] = Scalar.from_rational(sign)
         else:
             # no states below the cyclic spin
-            if self.key_grading(key).spin + \
-                    self.gens[gi].grading.spin - n - 1 < \
-                    self.cyclic_grading.spin:
+            if self._key_spin(key) + self._gen_spin[gi] < \
+                    (n + 1) * self._spin_den:
                 memo[mk] = {}
                 return {}
             if not key:
@@ -259,7 +275,8 @@ class PBWModule:
         return out
 
     def _mono_grading(self, mono):
-        """(parity, spin) of a normal-ordered monomial of derivatives."""
+        """(parity, spin times _spin_den) of a normal-ordered monomial of
+        derivatives."""
         g = self._mg_memo.get(mono)
         if g is None:
             p, s = 0, 0
@@ -267,7 +284,7 @@ class PBWModule:
                 gr = self.pres.grading(nm)
                 p += gr.tot
                 s += gr.spin + k
-            g = self._mg_memo[mono] = (p % 2, s)
+            g = self._mg_memo[mono] = (p % 2, int(s * self._spin_den))
         return g
 
     def mono_mode(self, mono, t, state):
@@ -304,7 +321,10 @@ class PBWModule:
             return out
         pa, sa = self._mono_grading(mono[:1])
         pb, sb = self._mono_grading(rest)
-        vspin = self.key_grading(vkey).spin - self.cyclic_grading.spin
+        # with spins scaled by D to ints, ceil(t - vspin - s) is
+        # -((D vspin - D t + D s) // D)
+        D = self._spin_den
+        vs = self._key_spin(vkey) - D * t
         if t < 0:
             # both factors in creation modes; finitely many terms
             for n in range(t, 0):
@@ -314,13 +334,13 @@ class PBWModule:
         else:
             # sum_{n<0} A_n B_{t-n-1}: B annihilates deep enough
             s1 = (-1) ** pa
-            for n in range(_ceil(t - vspin - sb), 0):
+            for n in range(-((vs + sb) // D), 0):
                 inner = self._mono_key(rest, t - n - 1, vkey)
                 if inner:
                     vadd(out, self._deriv_mode(g1name, k1, n, inner), s1)
             # sum_{n<0} B_n A_{t-n-1}: A annihilates deep enough
             s2 = (-1) ** ((pa + 1) * pb)
-            for n in range(_ceil(t - vspin - sa), 0):
+            for n in range(-((vs + sa) // D), 0):
                 av = self._deriv_mode(g1name, k1, t - n - 1, vstate)
                 if av:
                     vadd(out, self.mono_mode(rest, n, av), s2)
@@ -441,7 +461,9 @@ class PBWModule:
 # ================================================================ checks
 #
 # A check is a generator of (witness, lhs, rhs) instances; identity_check
-# turns it into a function returning (ok, witness).
+# turns it into a function returning (ok, witness).  The checks that reuse
+# products of their sample states read them from an index-keyed table
+# (_mode_table), each product computed once per check call.
 
 
 def identity_check(instances):
@@ -457,6 +479,19 @@ def identity_check(instances):
                                     else x for x in wit)
         return True, None
     return check
+
+
+def _mode_table(mod, xs, ys=None):
+    """mode(i, n, j) = xs[i]_(n) ys[j] (ys defaults to xs), computed on
+    first use and read back after, so callers must not mutate it.  The
+    key holds indices, not states: hashing whole states costs more than
+    the products it saves."""
+    ys = xs if ys is None else ys
+
+    @lru_cache(maxsize=None)
+    def mode(i, n, j):
+        return mod.field_mode(xs[i], n, ys[j])
+    return mode
 
 
 def default_samples(mod, max_word=2):
@@ -556,19 +591,19 @@ def check_descent_derivation(mod, states=None, nmax=None):
     """a_(n), n >= 0, is an (appropriately signed) derivation of the
     normal-ordered product."""
     states = states or default_samples(mod)
-    for a in states:
-        pa = mod.state_parity(a)
-        for b in states:
-            pb = mod.state_parity(b)
-            for c in states:
+    par = [mod.state_parity(x) for x in states]
+    spin = [mod.state_spin(x) for x in states]
+    mode = _mode_table(mod, states)
+    for ia, a in enumerate(states):
+        for ib, b in enumerate(states):
+            sign = (-1) ** ((par[ia] + 1) * par[ib])
+            for ic, c in enumerate(states):
                 hi = nmax if nmax is not None else \
-                    _floor(mod.state_spin(a) + mod.state_spin(b)
-                           + mod.state_spin(c))
+                    _floor(spin[ia] + spin[ib] + spin[ic])
                 for n in range(0, hi + 1):
-                    lhs = mod.field_mode(a, n, mod.nop(b, c))
-                    rhs = mod.nop(mod.field_mode(a, n, b), c)
-                    vadd(rhs, mod.nop(b, mod.field_mode(a, n, c)),
-                         (-1) ** ((pa + 1) * pb))
+                    lhs = mod.field_mode(a, n, mode(ib, -1, ic))
+                    rhs = mod.nop(mode(ia, n, ib), c)
+                    vadd(rhs, mod.nop(b, mode(ia, n, ic)), sign)
                     yield (n, a, b, c), lhs, rhs
 
 
@@ -576,21 +611,25 @@ def _jacobi_instances(mod, states, nmax):
     """[a_(n), b_(m)] c = (-1)^(|a|+1) sum_l C(n,l) (a_(l)b)_(m+n-l) c
     for n, m in 0..nmax, as ((n, m, a, b, c), lhs, rhs) instances with the
     graded commutator's second term moved to the right."""
-    for a in states:
-        pa = mod.state_parity(a)
-        for b in states:
-            pb = mod.state_parity(b)
-            for c in states:
+    par = [mod.state_parity(x) for x in states]
+    mode = _mode_table(mod, states)
+    for ia, a in enumerate(states):
+        pa = par[ia]
+        for ib, b in enumerate(states):
+            sign = (-1) ** ((pa + 1) * (par[ib] + 1))
+            for ic, c in enumerate(states):
+                # (l, k) -> (a_(l)b)_(k) c, shared by the (n, m) with
+                # m + n - l = k
+                tower = lru_cache(maxsize=None)(
+                    lambda l, k: mod.field_mode(mode(ia, l, ib), k, c))
                 for n in range(0, nmax + 1):
                     for m in range(0, nmax + 1):
-                        lhs = mod.field_mode(a, n, mod.field_mode(b, m, c))
-                        rhs = vscale(
-                            mod.field_mode(b, m, mod.field_mode(a, n, c)),
-                            (-1) ** ((pa + 1) * (pb + 1)))
+                        lhs = mod.field_mode(a, n, mode(ib, m, ic))
+                        rhs = vscale(mod.field_mode(b, m, mode(ia, n, ic)),
+                                     sign)
                         for l in range(0, n + 1):
-                            term = mod.field_mode(
-                                mod.field_mode(a, l, b), m + n - l, c)
-                            vadd(rhs, term, (-1) ** (pa + 1) * binom(n, l))
+                            vadd(rhs, tower(l, m + n - l),
+                                 (-1) ** (pa + 1) * binom(n, l))
                         yield (n, m, a, b, c), lhs, rhs
 
 
@@ -801,19 +840,27 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
     associativity: the coefficientwise three-expansion comparison (see
     check_associativity) only converges against the cyclic vector."""
     states = states or default_samples(mod)
+    par = [mod.state_parity(x) for x in states]
+    spin = [mod.state_spin(x) for x in states]
+    # ders[i * (kmax + 1) + k] = d^k states[i]
+    ders = []
     for a in states:
-        pa = mod.state_parity(a)
-        for b in states:
-            pb = mod.state_parity(b)
-            da = a
+        ders.append(a)
+        for _ in range(kmax):
+            ders.append(mod.translate(ders[-1]))
+    dspin = [mod.state_spin(x) if x else Fraction(0) for x in ders]
+    mode = _mode_table(mod, states)
+    dmode = _mode_table(mod, ders, states)
+    for ia, a in enumerate(states):
+        pa = par[ia]
+        for ib, b in enumerate(states):
+            pb, sb = par[ib], spin[ib]
             for k in range(kmax + 1):
-                if k:
-                    da = mod.translate(da)
+                di = ia * (kmax + 1) + k
+                da, sa = ders[di], dspin[di]
                 comp = mod.field_mode(a, -k - 1, b)
-                sa = mod.state_spin(da) if da else Fraction(0)
-                sb = mod.state_spin(b)
-                for v in states:
-                    vspin = mod.state_spin(v)
+                for iv, v in enumerate(states):
+                    vspin = spin[iv]
                     for t in range(-(tay + 1), nmax + 1):
                         lhs = vscale(mod.field_mode(comp, t, v),
                                      factorial(k))
@@ -821,19 +868,19 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
                         if t < 0:
                             # both factors in creation modes
                             for n in range(t, 0):
-                                inner = mod.field_mode(b, t - n - 1, v)
+                                inner = mode(ib, t - n - 1, iv)
                                 if inner:
                                     vadd(rhs, mod.field_mode(da, n, inner))
                         else:
                             s1 = (-1) ** pa
                             for n in range(_ceil(t - vspin - sb), 0):
-                                inner = mod.field_mode(b, t - n - 1, v)
+                                inner = mode(ib, t - n - 1, iv)
                                 if inner:
                                     vadd(rhs, mod.field_mode(da, n, inner),
                                          s1)
                             s2 = (-1) ** ((pa + 1) * pb)
                             for n in range(_ceil(t - vspin - sa), 0):
-                                av = mod.field_mode(da, t - n - 1, v)
+                                av = dmode(di, t - n - 1, iv)
                                 if av:
                                     vadd(rhs, mod.field_mode(b, n, av), s2)
                         yield (k, t, a, b, v), lhs, rhs
@@ -843,14 +890,16 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
 def check_commutative_half(mod, states=None, tay=3):
     """The creation halves of all fields graded-commute."""
     states = states or default_samples(mod)
-    for a in states:
-        for b in states:
-            kos = (-1) ** (mod.state_parity(a) * mod.state_parity(b))
-            for v in states:
+    par = [mod.state_parity(x) for x in states]
+    mode = _mode_table(mod, states)
+    for ia, a in enumerate(states):
+        for ib, b in enumerate(states):
+            kos = (-1) ** (par[ia] * par[ib])
+            for iv in range(len(states)):
                 for m in range(-(tay + 1), 0):
                     for l in range(-(tay + 1), 0):
-                        lhs = mod.field_mode(a, m, mod.field_mode(b, l, v))
-                        rhs = mod.field_mode(b, l, mod.field_mode(a, m, v))
+                        lhs = mod.field_mode(a, m, mode(ib, l, iv))
+                        rhs = mod.field_mode(b, l, mode(ia, m, iv))
                         yield (m, l, a, b), lhs, vscale(rhs, kos)
 
 

@@ -9,7 +9,7 @@ runs on all builtin presentations.
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import ceil, factorial, floor
 
 import pytest
 
@@ -383,6 +383,185 @@ def test_composite_fields_on_tensor():
     M = PBWModule(pres, spin_cap=3, word_cap=3)
     ok, wit = check_composite_fields(M)
     assert ok, wit
+
+
+# ------------------------------------------- tabled sample-state products
+#
+# The derivation, Jacobi, composite-field and commutative-half checks
+# read the products of their sample states from index-keyed tables.  The
+# naive forms below recompute every product inline, as the formulas read.
+
+def _naive_derivation(mod, states, nmax):
+    for a in states:
+        pa = mod.state_parity(a)
+        for b in states:
+            pb = mod.state_parity(b)
+            for c in states:
+                hi = nmax if nmax is not None else floor(
+                    mod.state_spin(a) + mod.state_spin(b)
+                    + mod.state_spin(c))
+                for n in range(0, hi + 1):
+                    lhs = mod.field_mode(a, n, mod.nop(b, c))
+                    rhs = mod.nop(mod.field_mode(a, n, b), c)
+                    vadd(rhs, mod.nop(b, mod.field_mode(a, n, c)),
+                         (-1) ** ((pa + 1) * pb))
+                    yield (n, a, b, c), lhs, rhs
+
+
+def _naive_jacobi(mod, states, nmax):
+    for a, b, c in product(states, repeat=3):
+        pa, pb = mod.state_parity(a), mod.state_parity(b)
+        for n, m in product(range(nmax + 1), repeat=2):
+            lhs = mod.field_mode(a, n, mod.field_mode(b, m, c))
+            rhs = {}
+            vadd(rhs, mod.field_mode(b, m, mod.field_mode(a, n, c)),
+                 (-1) ** ((pa + 1) * (pb + 1)))
+            for l in range(n + 1):
+                vadd(rhs, mod.field_mode(mod.field_mode(a, l, b),
+                                         m + n - l, c),
+                     (-1) ** (pa + 1) * engine.binom(n, l))
+            yield (n, m, a, b, c), lhs, rhs
+
+
+def _naive_composite(mod, states, kmax, nmax, tay):
+    # k! (a_(-k-1)b)_(t) v = sum over the two blocks of (d^k a)(z) b(z)
+    for a, b in product(states, repeat=2):
+        pa, pb = mod.state_parity(a), mod.state_parity(b)
+        da = a
+        for k in range(kmax + 1):
+            if k:
+                da = mod.translate(da)
+            sa = mod.state_spin(da) if da else 0
+            for v in states:
+                sv, sb = mod.state_spin(v), mod.state_spin(b)
+                for t in range(-(tay + 1), nmax + 1):
+                    lhs = {}
+                    vadd(lhs, mod.field_mode(mod.field_mode(a, -k - 1, b),
+                                             t, v), factorial(k))
+                    rhs = {}
+                    if t < 0:
+                        for n in range(t, 0):
+                            vadd(rhs, mod.field_mode(
+                                da, n, mod.field_mode(b, t - n - 1, v)))
+                    else:
+                        for n in range(ceil(t - sv - sb), 0):
+                            vadd(rhs, mod.field_mode(
+                                da, n, mod.field_mode(b, t - n - 1, v)),
+                                (-1) ** pa)
+                        for n in range(ceil(t - sv - sa), 0):
+                            vadd(rhs, mod.field_mode(
+                                b, n, mod.field_mode(da, t - n - 1, v)),
+                                (-1) ** ((pa + 1) * pb))
+                    yield (k, t, a, b, v), lhs, rhs
+
+
+def _naive_commutative(mod, states, tay):
+    for a, b, v in product(states, repeat=3):
+        kos = (-1) ** (mod.state_parity(a) * mod.state_parity(b))
+        for m, l in product(range(-(tay + 1), 0), repeat=2):
+            rhs = {}
+            vadd(rhs, mod.field_mode(b, l, mod.field_mode(a, m, v)), kos)
+            yield (m, l, a, b), \
+                mod.field_mode(a, m, mod.field_mode(b, l, v)), rhs
+
+
+_TABLED = (
+    ("descent-derivation", engine.check_descent_derivation,
+     _naive_derivation, (None,)),
+    ("descent-jacobi", engine.check_descent_jacobi, _naive_jacobi, (2,)),
+    ("composite-fields", engine.check_composite_fields, _naive_composite,
+     (2, 2, 1)),
+    ("commutative-half", engine.check_commutative_half, _naive_commutative,
+     (2,)),
+)
+
+
+def _table_samples(mod):
+    """The vacuum, the generators, a product and a derivative."""
+    states = default_samples(mod, max_word=1)
+    a, b = states[1], states[-1]
+    return states + [mod.nop(a, b), mod.translate(a)]
+
+
+@pytest.mark.parametrize("pres", [
+    _edited(sl2(), {("mu_e", "mu_f", 0): 2}),
+    _edited(virasoro(), {("Gamma", "Gamma", 1): None})],
+    ids=["sl2-doubled", "vir-dropped"])
+def test_tabled_checks_match_naive_instances(pres):
+    """Every instance of each tabled check, failing ones and the ones
+    after them included, equals its naive recomputation."""
+    M = PBWModule(pres, spin_cap=3, word_cap=2)
+    states = _table_samples(M)
+    for name, check, naive, args in _TABLED:
+        got = list(check.__wrapped__(M, states, *args))
+        want = list(naive(M, states, *args))
+        assert len(got) == len(want), name
+        for (w1, l1, r1), (w2, l2, r2) in zip(got, want):
+            assert w1 == w2 and veq(l1, l2) and veq(r1, r2), (name, w2)
+        if name == "descent-jacobi":
+            bad = [i for i, (_, l, r) in enumerate(want) if not veq(l, r)]
+            assert bad and bad[0] < len(want) - 1
+
+
+class _DerivativeSkewedModule(PBWModule):
+    """A broken module: field_mode doubles every term it computes on a
+    vkey holding a derivative mode (some n < -1)."""
+
+    def field_mode(self, astate, t, vstate):
+        out = {}
+        for vkey, c in vstate.items():
+            vadd(out, super().field_mode(astate, t, {vkey: c}),
+                 2 if any(n < -1 for _, n in vkey) else 1)
+        return out
+
+
+def test_verifier_detects_broken_field_mode():
+    """The checks no OPE fault breaks fail, with a witness, on a
+    field_mode that mis-scales derivative keys."""
+    E, H, F, V = "mu_e_(-1)|0>", "mu_h_(-1)|0>", "mu_f_(-1)|0>", "|0>"
+    M = _DerivativeSkewedModule(sl2(), spin_cap=3, word_cap=2)
+    assert verify_axioms(M, checks=[
+        "zero-mode-derivation", "descent-derivation", "composite-fields",
+        "poisson-split"]) == [
+        ("zero-mode-derivation", False, (0, E, H, "mu_e_(-2)|0>")),
+        ("descent-derivation", False, (1, E, V, "mu_h_(-2)|0>")),
+        ("composite-fields", False, (0, -1, V, V, "mu_e_(-2)|0>")),
+        ("poisson-split", False, ("commutative-half", -1, -3, V, E))]
+    # without the vacuum the first failures come later
+    states = default_samples(M)[1:]
+    assert check_composite_fields(M, states) == (False, (0, -3, E, E, H))
+    assert engine.check_descent_derivation(M, states) == \
+        (False, (1, E, E, "mu_f_(-2)|0>"))
+    assert engine.check_commutative_half(M, states) == \
+        (False, (-4, -1, E, E))
+
+
+# field_mode calls of each tabled check on sl2 at spin 3, word 2, with
+# the _table_samples states: (before the tables, with them)
+_FIELD_MODE_CALLS = {
+    "descent-derivation": (5832, 3144),
+    "descent-jacobi": (15552, 6588),
+    "composite-fields": (16140, 7602),
+    "commutative-half": (7776, 3996),
+}
+
+
+def test_tabled_checks_field_mode_calls():
+    """A call-count guard, no timing: each tabled check makes at most the
+    field_mode calls it made when the tables went in."""
+    for name, check, _, args in _TABLED:
+        M = PBWModule(sl2(), spin_cap=3, word_cap=2)
+        states = _table_samples(M)
+        calls = []
+        field_mode = M.field_mode
+
+        def counted(a, t, v):
+            calls.append(t)
+            return field_mode(a, t, v)
+
+        M.field_mode = counted
+        assert check(M, states, *args) == (True, None), name
+        assert len(calls) <= _FIELD_MODE_CALLS[name][1], (name, len(calls))
 
 
 def test_vacuum_module_simplicity_probe():
