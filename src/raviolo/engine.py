@@ -20,9 +20,10 @@ systems, graded cohomology, conformal and primary checks).  A check is a
 generator of (witness, lhs, rhs) instances, judged by identity_check.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import ceil as _ceil, factorial, floor as _floor, lcm
+from math import factorial, floor as _floor, lcm
 
 from .scalars import (Scalar, ZERO, ONE, Grading, binom, as_scalar,
                       vadd, vscale, vsub, veq)
@@ -674,48 +675,53 @@ def _modes(mod, x, v, lo):
             yield l, st
 
 
-def _operator_order(mod, a, b, v, T, ab):
-    """A(z)B(w)v if ab, else B(w)A(z)v, in the canonical order.  With X_i
-    acting first and Y_j second, entry (m, l) is Y_j X_i v times
-    (-1)^([i>=0] p): p is the mode parity |Y| + [j>=0] for A(z)B(w), and
-    |Y| for B(w)A(z), whose tower sign (-1)^([i>=0][j>=0]) cancels the
-    mode's shift."""
+def _operator_order(mod, a, b, v, lo, ab):
+    """A(z)B(w)v if ab, else (-1)^(|a||b|) B(w)A(z)v, in the canonical
+    order, for mode indices from lo up.  With X_i acting first and Y_j
+    second, entry (m, l) is Y_j X_i v times (-1)^([i>=0] p): p is the mode
+    parity |Y| + [j>=0] for A(z)B(w), and |Y| for B(w)A(z), whose tower
+    sign (-1)^([i>=0][j>=0]) cancels the mode's shift."""
     x, y = (b, a) if ab else (a, b)
     py = mod.state_parity(y)
+    kos = 1 if ab else (-1) ** (mod.state_parity(x) * py)
     F = {}
-    for i, xv in _modes(mod, x, v, -(T + 1)):
-        for j, yxv in _modes(mod, y, xv, -(T + 1)):
+    for i, xv in _modes(mod, x, v, lo):
+        for j, yxv in _modes(mod, y, xv, lo):
             m, l = (j, i) if ab else (i, j)
-            _put(F, m, l, yxv, (-1) ** ((i >= 0) * (py + (ab and j >= 0))))
+            _put(F, m, l, yxv,
+                 kos * (-1) ** ((i >= 0) * (py + (ab and j >= 0))))
     return F
 
 
+class PairWindow(namedtuple("PairWindow", "lo pol N T dminus L amax tdepth")):
+    """The truncations of a pair check; (m, l) in w tests the window."""
+    def __contains__(self, ml):
+        return self.lo <= min(ml) and max(ml) <= self.pol
+
+
 def _pair_window(mod, a, b, v, tay):
-    """(N, T, pol, kos) of a pair check: the top singular index, the
-    Taylor depth of the operator orders, the pole bound of the compared
-    window and the Koszul sign of a and b."""
+    """Every truncation of a pair check of a and b on v.  Rows compare
+    (m, l) in lo <= m, l <= pol; N is the top singular index.  Locality
+    takes modes from -(T + 1), decomposes in the Taylor window T and
+    expands Delta_+ to depth T, Delta_- to dminus (enough for any v).
+    Associativity sums t >= -tdepth over modes from -(L + 1), re-expanded
+    to depth amax: on the cyclic vector every mode is < 0, so an entry
+    reaches the window only through Taylor powers <= tay, of mon_u(t),
+    u = z-w (so -t - 1 <= 2 tay), of the re-expansion, and of mon_w(l)
+    against Omega^(t+a)_w, a <= tay (so l >= -(N + tay + 1))."""
     sa, sb = mod.state_spin(a), mod.state_spin(b)
     N = max(_floor(sa + sb - 1), 0)
     pol = _floor(mod.state_spin(v) + sa + sb) + N + 2
-    kos = (-1) ** (mod.state_parity(a) * mod.state_parity(b))
-    return N, tay + N + 2, pol, kos
+    T = tay + N + 2
+    return PairWindow(lo=-(tay + 1), pol=pol, N=N, T=T, dminus=T + pol + 1,
+                      L=N + tay, amax=tay, tdepth=2 * tay + 1)
 
 
-def _eq_within(F1, F2, tay, pol):
-    """(True, None) when F1 and F2 agree at every (m, l) with Taylor depth
-    <= tay and pole order <= pol, else (False, (m, l)) for the first
-    differing (m, l) in the iteration order of the union of the two
-    supports (each set built from a dict of its (m, l), which fixes the
-    order)."""
-    lo = -(tay + 1)
-    W1, W2 = ({k: c for k, c in F.items()
-               if lo <= k[0] <= pol and lo <= k[1] <= pol} for F in (F1, F2))
-    bad = {(m, l) for m, l, _ in vsub(W1, W2)}
-    if not bad:
-        return True, None
-    support = set(dict.fromkeys((m, l) for m, l, _ in F1)) | \
-        set(dict.fromkeys((m, l) for m, l, _ in F2))
-    return False, next(ml for ml in support if ml in bad)
+def _eq_within(F1, F2, w):
+    """(True, None) when F1 and F2 agree at every (m, l) of the window w,
+    else (False, (m, l)) for the least differing (m, l)."""
+    bad = [(m, l) for m, l, _ in vsub(F1, F2) if (m, l) in w]
+    return (False, min(bad)) if bad else (True, None)
 
 
 @lru_cache(maxsize=None)
@@ -740,15 +746,15 @@ def _expansion(kind, t, trunc):
     return tuple((m, j, c.rational_value()) for (m, j), c in b.terms.items())
 
 
-def _apply_expansion(F, expansion, l, st):
-    """F += expansion * mon_w(l) * st, entry by entry."""
+def _apply_expansion(F, expansion, l, st, w):
+    """F += expansion * mon_w(l) * st at the entries inside the window w."""
     for m, j, c in expansion:
         lw = combine_indices(j, l)
-        if lw is not None:
+        if lw is not None and (m, lw) in w:
             _put(F, m, lw, st, c)
 
 
-def _delta_failure(comm, cmodes, N, T, tay, pol):
+def _delta_failure(comm, cmodes, w):
     """None when each pbw coefficient of the commutator comm decomposes as
     sum_n d_w^n Delta(z-w) g^(n)(w) with n! g^(n) the modes cmodes of the
     n-th singular product, else the first failure."""
@@ -756,14 +762,13 @@ def _delta_failure(comm, cmodes, N, T, tay, pol):
     for (m, l, key), c in comm.items():
         by_key.setdefault(key, {})[(m, l)] = c
     for kappa in sorted(by_key):
-        glist, fail = delta_decompose(BiDist(by_key[kappa], T, T), N)
+        glist, fail = delta_decompose(BiDist(by_key[kappa], w.T, w.T), w.N)
         if fail is not None:
             return ("decompose", kappa, fail)
-        for n in range(N + 1):
-            for lp in range(-(tay + 1), pol + 1):
+        for n in range(w.N + 1):
+            for lp in range(w.lo, w.pol + 1):
                 want = cmodes.get((n, lp, kappa), ZERO)
-                if glist[n].terms.get(lp, ZERO) != \
-                        want * Fraction(1, factorial(n)):
+                if glist[n].terms.get(lp, ZERO) * factorial(n) != want:
                     return ("coefficient", kappa, n, lp)
     return None
 
@@ -776,18 +781,18 @@ def check_locality(mod, a, b, v, tay=2):
 
     Returns a list of (condition_name, ok, witness).
     """
-    N, T, pol, kos = _pair_window(mod, a, b, v, tay)
+    w = _pair_window(mod, a, b, v, tay)
     # cmodes holds the modes (a_(n)b)_(l') v of the singular products
     cmodes, dminus, dplus = {}, {}, {}
-    for n in range(N + 1):
-        for lp, st in _modes(mod, mod.field_mode(a, n, b), v, -(T + 1)):
+    for n in range(w.N + 1):
+        for lp, st in _modes(mod, mod.field_mode(a, n, b), v, -(w.T + 1)):
             _put(cmodes, n, lp, st)
-            _apply_expansion(dminus, _expansion("minus", n, T + pol + 1),
-                             lp, st)
-            _apply_expansion(dplus, _expansion("plus", n, T), lp, st)
+            _apply_expansion(dminus, _expansion("minus", n, w.dminus), lp,
+                             st, w)
+            _apply_expansion(dplus, _expansion("plus", n, w.T), lp, st, w)
 
-    fab = _operator_order(mod, a, b, v, T, True)
-    kfba = vscale(_operator_order(mod, a, b, v, T, False), kos)
+    fab = _operator_order(mod, a, b, v, -(w.T + 1), True)
+    kfba = _operator_order(mod, a, b, v, -(w.T + 1), False)
     # :A(z)B(w):v takes the creation part of A (m < 0) from A(z)B(w)v and
     # the annihilation part (m >= 0) from B(w)A(z)v, re-signed by
     # (-1)^(|a|+1) where l >= 0
@@ -796,11 +801,10 @@ def check_locality(mod, a, b, v, tay=2):
         vadd(nop, {k: c for k, c in kfba.items()
                    if k[0] >= 0 and (k[1] >= 0) == wpos}, sign)
 
-    wit = _delta_failure(vsub(fab, kfba), cmodes, N, T, tay, pol)
+    wit = _delta_failure(vsub(fab, kfba), cmodes, w)
     return [
-        ("order-ab",) + _eq_within(vsub(fab, nop), dminus, tay, pol),
-        ("order-ba",) + _eq_within(vsub(kfba, nop), vscale(dplus, -1),
-                                   tay, pol),
+        ("order-ab",) + _eq_within(vsub(fab, nop), dminus, w),
+        ("order-ba",) + _eq_within(vsub(kfba, nop), vscale(dplus, -1), w),
         ("commutator-delta", wit is None, wit)]
 
 
@@ -812,21 +816,18 @@ def check_associativity(mod, a, b, v, tay=2):
     Only meaningful for v the cyclic vector: against a general state the
     region re-expansion is not termwise finite, and only matrix elements
     converge.  check_composite_fields covers general states instead."""
-    N, T, pol, kos = _pair_window(mod, a, b, v, tay)
-    L = tay + pol + N + 4
-    amax = pol + tay + 2
+    w = _pair_window(mod, a, b, v, tay)
     # sum_t mon_u(t) (a_(t)b)(w) v, u = z-w, re-expanded in each region
     H1, H2 = {}, {}
-    for t in range(-(2 * tay + 3), N + 1):
-        for l, st in _modes(mod, mod.field_mode(a, t, b), v, -(L + 1)):
-            _apply_expansion(H1, _expansion("w_near_0", t, amax), l, st)
-            _apply_expansion(H2, _expansion("z_near_0", t, amax), l, st)
+    for t in range(-w.tdepth, w.N + 1):
+        for l, st in _modes(mod, mod.field_mode(a, t, b), v, -(w.L + 1)):
+            _apply_expansion(H1, _expansion("w_near_0", t, w.amax), l, st, w)
+            _apply_expansion(H2, _expansion("z_near_0", t, w.amax), l, st, w)
 
-    fab = _operator_order(mod, a, b, v, T, True)
-    fba = _operator_order(mod, a, b, v, T, False)
-    return [("expand-w-near-0",) + _eq_within(H1, fab, tay, pol),
-            ("expand-z-near-0",) + _eq_within(H2, vscale(fba, kos),
-                                              tay, pol)]
+    fab = _operator_order(mod, a, b, v, w.lo, True)
+    fba = _operator_order(mod, a, b, v, w.lo, False)
+    return [("expand-w-near-0",) + _eq_within(H1, fab, w),
+            ("expand-z-near-0",) + _eq_within(H2, fba, w)]
 
 
 @identity_check
@@ -841,26 +842,25 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
     check_associativity) only converges against the cyclic vector."""
     states = states or default_samples(mod)
     par = [mod.state_parity(x) for x in states]
-    spin = [mod.state_spin(x) for x in states]
-    # ders[i * (kmax + 1) + k] = d^k states[i]
+    # ders[i * (kmax + 1) + k] = d^k states[i], with spin times D in dspin
+    D = mod._spin_den
     ders = []
     for a in states:
         ders.append(a)
         for _ in range(kmax):
             ders.append(mod.translate(ders[-1]))
-    dspin = [mod.state_spin(x) if x else Fraction(0) for x in ders]
+    dspin = [int(mod.state_spin(x) * D) for x in ders]
     mode = _mode_table(mod, states)
     dmode = _mode_table(mod, ders, states)
     for ia, a in enumerate(states):
         pa = par[ia]
         for ib, b in enumerate(states):
-            pb, sb = par[ib], spin[ib]
+            pb, sb = par[ib], dspin[ib * (kmax + 1)]
             for k in range(kmax + 1):
                 di = ia * (kmax + 1) + k
                 da, sa = ders[di], dspin[di]
                 comp = mod.field_mode(a, -k - 1, b)
                 for iv, v in enumerate(states):
-                    vspin = spin[iv]
                     for t in range(-(tay + 1), nmax + 1):
                         lhs = vscale(mod.field_mode(comp, t, v),
                                      factorial(k))
@@ -872,14 +872,16 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
                                 if inner:
                                     vadd(rhs, mod.field_mode(da, n, inner))
                         else:
+                            # ceil(t - vspin - s), spins scaled by D to ints
+                            vs = dspin[iv * (kmax + 1)] - D * t
                             s1 = (-1) ** pa
-                            for n in range(_ceil(t - vspin - sb), 0):
+                            for n in range(-((vs + sb) // D), 0):
                                 inner = mode(ib, t - n - 1, iv)
                                 if inner:
                                     vadd(rhs, mod.field_mode(da, n, inner),
                                          s1)
                             s2 = (-1) ** ((pa + 1) * pb)
-                            for n in range(_ceil(t - vspin - sa), 0):
+                            for n in range(-((vs + sa) // D), 0):
                                 av = dmode(di, t - n - 1, iv)
                                 if av:
                                     vadd(rhs, mod.field_mode(b, n, av), s2)

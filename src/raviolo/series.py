@@ -247,13 +247,13 @@ class BiDist:
                          self.wtr)
 
     def first_within(self, zt=None, wt=None):
-        """The first key, in insertion order, inside the Taylor window
-        (zt, wt); None when there is none."""
+        """The least key inside the Taylor window (zt, wt); None when
+        there is none."""
         zt = self.ztr if zt is None else min(zt, self.ztr)
         wt = self.wtr if wt is None else min(wt, self.wtr)
-        return next(((i, j) for i, j in self.terms
-                     if (i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt)),
-                    None)
+        return min(((i, j) for i, j in self.terms
+                    if (i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt)),
+                   default=None)
 
     def is_zero_within(self, zt=None, wt=None):
         return self.first_within(zt, wt) is None
@@ -321,9 +321,7 @@ def delta_decompose(f, N):
     if key is not None:
         return None, ("vanishing", key)
     # condition (2): (Omega^m_z - sum_j (w-z)^j C(m+j,j) Omega^(m+j)_w) f = 0
-    for m in range(0, T + N + 1):
-        if m > min(f.ztr, f.wtr) - N:
-            break
+    for m in range(0, T - N + 1):
         lhs = f.mul_omega_z(m)
         for j in range(N + 1):
             h = f

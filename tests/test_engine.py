@@ -16,6 +16,7 @@ import pytest
 from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM, vadd, veq
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
+from raviolo.series import BiDist
 from raviolo import engine
 from raviolo.engine import (
     IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
@@ -287,9 +288,9 @@ def test_verifier_detects_broken_sl2_tables():
         ("mu_e", "mu_f", 0): 2})) == [
         ("skew-symmetry", (0, E, F)),
         ("descent-jacobi", (0, 1, E, H, F)),
-        ("locality/order-ba", (E, F, (-2, 1))),
+        ("locality/order-ba", (E, F, (-2, 0))),
         ("locality/commutator-delta", (E, F, fail)),
-        ("locality/order-ba", (F, E, (-2, 1))),
+        ("locality/order-ba", (F, E, (-2, 0))),
         ("locality/commutator-delta", (F, E, fail)),
         ("associativity/expand-z-near-0", (E, F, (-2, 0))),
         ("associativity/expand-z-near-0", (F, E, (-2, 0))),
@@ -302,7 +303,7 @@ def test_verifier_detects_broken_vir_and_h_tables():
         ("Gamma", "Gamma", 1): None})) == [
         ("skew-symmetry", (0, G, G)),
         ("descent-jacobi", (1, 0, G, G, G)),
-        ("locality/order-ba", (G, G, (-2, 1))),
+        ("locality/order-ba", (G, G, (-2, 0))),
         ("locality/commutator-delta", (G, G, (
             "decompose", ((0, -5),), ("omega-replacement", (3, (0, 0)))))),
         ("associativity/expand-z-near-0", (G, G, (-2, 0))),
@@ -312,21 +313,23 @@ def test_verifier_detects_broken_vir_and_h_tables():
     assert _failed_identities(_edited(heisenberg(), {
         ("b", "nu", 1): -1})) == [
         ("skew-symmetry", (1, B, NU)),
-        ("locality/order-ba", (B, NU, (-1, 1))),
+        ("locality/order-ba", (B, NU, (-2, 2))),
         ("locality/commutator-delta", (B, NU, fail)),
-        ("locality/order-ba", (NU, B, (-1, 1))),
+        ("locality/order-ba", (NU, B, (-2, 2))),
         ("locality/commutator-delta", (NU, B, fail)),
         ("associativity/expand-z-near-0", (B, NU, (-2, 2))),
         ("associativity/expand-z-near-0", (NU, B, (-2, 2)))]
 
 
 @pytest.mark.parametrize("kind, cond, witness", [
-    ("minus", "order-ab", (0, -1)),
-    ("w_near_0", "expand-w-near-0", (-2, -2))])
+    ("minus", "order-ab", (0, -2)),
+    ("w_near_0", "expand-w-near-0", (-2, -2)),
+    ("plus", "order-ba", (-2, 0)),
+    ("z_near_0", "expand-z-near-0", (-2, -2))])
 def test_verifier_detects_broken_expansion_rules(monkeypatch, kind, cond,
                                                  witness):
-    """A doubled Delta_- half fails order-ab alone, and a doubled
-    re-expansion near w = 0 fails expand-w-near-0 alone, each with an
+    """Each doubled expansion rule (a Delta half, or a re-expansion near
+    w = 0 or z = 0) fails the one condition that applies it, with an
     (m, l) inside the compared window."""
     M = PBWModule(sl2(), spin_cap=4, word_cap=3)
     a, b, v = M.gen_state("mu_e"), M.gen_state("mu_f"), M.vacuum()
@@ -345,8 +348,70 @@ def test_verifier_detects_broken_expansion_rules(monkeypatch, kind, cond,
     monkeypatch.setattr(engine, "_expansion", doubled)
     failed = [(c, wit) for c, ok, wit in rows() if not ok]
     assert failed == [(cond, witness)]
-    _, _, pol, _ = engine._pair_window(M, a, b, v, 1)
-    assert all(type(i) is int and -2 <= i <= pol for i in failed[0][1])
+    w = engine._pair_window(M, a, b, v, 1)
+    assert all(type(i) is int and w.lo <= i <= w.pol for i in failed[0][1])
+
+
+def test_pair_witness_is_least_differing_index():
+    """_eq_within and BiDist.first_within report the least differing
+    index inside their window, whatever order the entries were added."""
+    M = PBWModule(sl2(), spin_cap=4, word_cap=3)
+    e = M.gen_state("mu_e")
+    w = engine._pair_window(M, e, e, M.vacuum(), 1)
+    one = Scalar.from_rational(1)
+    # (-3, 0) and (0, pol + 1) lie outside the window; (1, 1) agrees
+    diff = [(1, -2), (0, 1), (-3, 0), (-2, 3), (0, w.pol + 1), (-2, 1),
+            (1, 1)]
+    for order in (diff, diff[::-1]):
+        F1 = {(m, l, ()): one for m, l in order}
+        F2 = {(1, 1, ()): one}
+        assert engine._eq_within(F1, F2, w) == (False, (-2, 1))
+        assert engine._eq_within(F2, F1, w) == (False, (-2, 1))
+    # (-5, -1) has z-Taylor depth 4, beyond ztr = 3
+    keys = [(0, -1), (-5, -1), (-2, 2), (-3, 0), (1, -4)]
+    for order in (keys, keys[::-1]):
+        assert BiDist({k: 1 for k in order}, 3, 3).first_within() == (-3, 0)
+
+
+@pytest.mark.parametrize("tay", [1, 2])
+def test_pair_truncations_are_enough(monkeypatch, tay):
+    """Raising any field of the pair window but lo by one moves no
+    locality or associativity row, on the presets and the fault tables
+    pinned above, except that a larger N or T widens the window of the
+    delta decomposition: the commutator-delta witness, a key and an index
+    inside that window, may move, but not its verdict.  lo is the lower
+    edge of the compared window, from which the depths are derived."""
+    tables = [fc(), heisenberg(), virasoro(), sl2(),
+              _edited(sl2(), {("mu_e", "mu_f", 0): 2,
+                              ("mu_f", "mu_e", 0): 2}),
+              _edited(sl2(), {("mu_e", "mu_f", 0): 2}),
+              _edited(virasoro(), {("Gamma", "Gamma", 1): None}),
+              _edited(heisenberg(), {("b", "nu", 1): -1})]
+    mods = [PBWModule(p, spin_cap=4, word_cap=3) for p in tables]
+
+    def rows():
+        out = []
+        for M in mods:
+            gens = [M.gen_state(g.name) for g in M.gens]
+            for a in gens:
+                for b in gens:
+                    v = M.vacuum()
+                    out += check_locality(M, a, b, v, tay) + \
+                        check_associativity(M, a, b, v, tay)
+        return out
+
+    base = rows()
+    assert not all(ok for _, ok, _ in base)
+    window = engine._pair_window
+    for field in [f for f in engine.PairWindow._fields if f != "lo"]:
+        monkeypatch.setattr(
+            engine, "_pair_window", lambda *args: window(*args)._replace(
+                **{field: getattr(window(*args), field) + 1}))
+        for (cond, ok, wit), got in zip(base, rows()):
+            if field in ("N", "T") and cond == "commutator-delta":
+                assert got[1] == ok, field
+            else:
+                assert got == (cond, ok, wit), field
 
 
 def test_verify_axioms_runs_only_selected_identities():

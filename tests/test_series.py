@@ -149,10 +149,10 @@ def test_decompose_failure_witnesses():
     f = delta_expand(DeltaKernel("minus", 0), T)
     out, fail = delta_decompose(f, 0)
     assert out is None and fail[0] == "omega-replacement"
-    # the witness is a key the condition compared: the first key of
-    # (z-w) f is z^4 (key (-5, -1)), which lies beyond ztr = 3
+    # the witness is the least key the condition compared: the least key
+    # of (z-w) f is z^4 (key (-5, -1)), which lies beyond ztr = 3
     f = BiDist({(-4, -1): 1, (-1, -2): 1}, 3, 3)
-    assert delta_decompose(f, 0) == (None, ("vanishing", (-2, -2)))
+    assert delta_decompose(f, 0) == (None, ("vanishing", (-4, -2)))
 
 
 # ---------------------------------------------------------- trivariate
