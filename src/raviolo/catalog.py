@@ -483,7 +483,7 @@ def character(mod, order, fug_names=(), fug_window=None):
     """Signed graded dimensions from the PBW basis: totalized-even
     states count +1, totalized-odd states -1; flavor axes map to the
     given fugacity names."""
-    if mod.spin_cap < Fraction(order) - 1:
+    if mod.spin_cap < Fraction(order) - Fraction(1, mod._spin_den):
         raise ValueError("module window too small for the requested order")
     qs = QSeries({}, order, fug_window)
     for key, g in mod.basis():

@@ -509,11 +509,12 @@ def cmd_ope(doc, args):
 
 
 def cmd_character(doc, args):
+    # --order N includes q^N, so the series truncation sits one above and
+    # the window must hold every spin below N + 1
+    integral = all(g.grading.spin.denominator == 1 for g in doc.gens)
+    args = argparse.Namespace(
+        spin=args.order if integral else args.order + 1, **vars(args))
     mod = _build_module(doc.presentation(), args)
-    # --order N includes q^N, so the series truncation sits one above
-    if args.spin < args.order:
-        args = argparse.Namespace(**{**vars(args), "spin": args.order})
-        mod = _build_module(doc.presentation(), args)
     qs = catalog.character(mod, args.order + 1, _fug_names(doc),
                            fug_window=args.flavor_window)
     rep = Report(doc.name, args.spin, args.word)
@@ -654,25 +655,26 @@ _ARGUMENTS = {
     "--lambda": dict(dest="lam", default="0"),
 }
 
-_SHARED = ("--spin", "--word", "--format")
+_SHARED = ("--word", "--format")
 
 # subcommand -> (handler, help, positional arguments, options it reads
 # besides _SHARED); a handler with a "file" argument is passed the parsed
-# document before the arguments
+# document before the arguments.  character takes its spin window from
+# --order.
 _COMMANDS = {
     "check": (cmd_check, "run the full verification suite", ("file",),
-              ("--flavor-window", "--checks")),
+              ("--spin", "--flavor-window", "--checks")),
     "ope": (cmd_ope, "singular products of two generators",
-            ("file", "a", "b"), ("--flavor-window",)),
+            ("file", "a", "b"), ("--spin", "--flavor-window")),
     "character": (cmd_character, "graded character to q^order", ("file",),
                   ("--flavor-window", "--order")),
     "brst": (cmd_brst, "gauge the current generators", ("file",),
-             ("--flavor-window",)),
+             ("--spin", "--flavor-window")),
     "cohomology": (cmd_cohomology, "superpotential differential cohomology",
-                   ("file",), ("--flavor-window",)),
-    "module": (cmd_fock, "builtin modules", ("kind",), ("--lambda",)),
+                   ("file",), ("--spin", "--flavor-window")),
+    "module": (cmd_fock, "builtin modules", ("kind",), ("--spin", "--lambda")),
     "lattice": (cmd_lattice, "lattice module relations", (),
-                ("--flavor-window", "--order")),
+                ("--spin", "--flavor-window", "--order")),
 }
 
 

@@ -363,7 +363,8 @@ def as_scalar(c):
 
 def as_vector(terms):
     """A vector from {key: Scalar | int | Fraction}, zeros dropped."""
-    return vadd({}, {k: as_scalar(c) for k, c in (terms or {}).items()})
+    return {k: s for k, c in (terms or {}).items()
+            if (s := as_scalar(c)).terms}
 
 
 def _coeff(coeff):

@@ -194,9 +194,6 @@ class BiDist:
         return BiDist({(i, j - 1): c for (i, j), c in self.terms.items()
                        if j != 0}, self.ztr, self.wtr + 1)
 
-    def mul_z_minus_w(self):
-        return self.mul_z() - self.mul_w()
-
     def mul_omega_z(self, m):
         """Left multiplication by Omega^m_z (needs ztr >= m for exactness)."""
         if self.ztr < m:
@@ -311,44 +308,33 @@ def delta_decompose(f, N):
 
     Returns (glist, None) on success or (None, failure) where failure is
     a (condition_name, witness) pair naming the violated hypothesis.
+    Both conditions and the extraction read one table
+    powers[j] = (w-z)^j f, j = 0..N+1.
     """
     T = min(f.ztr, f.wtr)
-    # condition (1): (z-w)^(N+1) f = 0
-    g = f
+    powers = [f]
     for _ in range(N + 1):
-        g = g.mul_z_minus_w()
-    key = g.first_within()
+        powers.append(powers[-1].mul_w() - powers[-1].mul_z())
+    # condition (1): (w-z)^(N+1) f = 0
+    key = powers[N + 1].first_within()
     if key is not None:
         return None, ("vanishing", key)
     # condition (2): (Omega^m_z - sum_j (w-z)^j C(m+j,j) Omega^(m+j)_w) f = 0
     for m in range(0, T - N + 1):
         lhs = f.mul_omega_z(m)
         for j in range(N + 1):
-            h = f
-            for _ in range(j):
-                h = h.mul_w() - h.mul_z()
-            h = h.mul_omega_w(m + j).scale(binom(m + j, j))
-            lhs = lhs - h
+            vadd(lhs.terms, powers[j].mul_omega_w(m + j).terms,
+                 -binom(m + j, j))
         key = lhs.first_within()
         if key is not None:
             return None, ("omega-replacement", (m, key))
-    # extraction: g^(n)(w) = (1/n!) Res_z dz (z-w)^n f
-    glist = []
-    for n in range(N + 1):
-        acc = {}
-        for i in range(n + 1):
-            c_i = binom(n, i) * Fraction((-1) ** (n - i))
-            shift = n - i  # multiply by w^(n-i); w^s Omega^m = 0 for s > m
-            vadd(acc, {wj - shift: c for (zi, wj), c in f.terms.items()
-                       if zi == i and not 0 <= wj < shift},
-                 c_i / factorial(n))
-        # every contribution to the w^p coefficient, p <= wtr, uses f
-        # entries of taylor depth <= p, so the extraction is reliable to
-        # the full window; truncating at wtr - n would drop coefficients
-        # whose Delta_+ image still lands inside the comparison window
-        glist.append(RavSeries(acc, f.wtr))
+    # extraction: g^(n)(w) = (1/n!) Res_z dz (z-w)^n f, reliable to the
+    # full w window: the w^p coefficient, p <= wtr, reads only f entries
+    # of Taylor depth <= p
+    glist = [powers[n].residue_z().scale(Fraction((-1) ** n, factorial(n)))
+             for n in range(N + 1)]
     # verify the rebuild
-    rebuilt = delta_build(glist, min(f.ztr, f.wtr))
+    rebuilt = delta_build(glist, T)
     key = (rebuilt - f).first_within(f.ztr - N, f.wtr - N)
     if key is not None:
         return None, ("rebuild", key)

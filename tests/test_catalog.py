@@ -193,6 +193,15 @@ def test_fc_character_is_pochhammer_ratio():
     assert ch == oracle
 
 
+def test_character_rejects_window_missing_a_fractional_spin():
+    # spins step by 1/2: order 5 counts spin 9/2, beyond spin_cap 4
+    M = PBWModule(fc(Fraction(1, 2)), spin_cap=4)
+    with pytest.raises(ValueError):
+        character(M, order=5)
+    character(PBWModule(fc(Fraction(1, 2)), spin_cap=5, word_cap=2),
+              order=5)
+
+
 def test_sl2_character_is_triple_product():
     M = PBWModule(sl2(), spin_cap=3, word_cap=6)
     ch = character(M, order=4, fug_names=("s",), fug_window=8)

@@ -9,6 +9,7 @@ import pytest
 from raviolo.cli import (
     parse_spec, print_doc, expr_str, parse_expr, SpecError, main,
 )
+from raviolo.catalog import pochhammer_expand
 from raviolo.scalars import Grading
 from fractions import Fraction
 
@@ -254,6 +255,18 @@ def test_character_command(capsys):
     assert "1 - q^2 - q^3 - q^4 + O(q^6)" in capsys.readouterr().out
 
 
+def test_character_window_follows_order(capsys):
+    """--order 3 prints up to O(q^4), so the window holds the spin-7/2
+    states of the spin-1/2 pair too: the series is the q-Pochhammer
+    ratio through q^(7/2)."""
+    assert main(["character", _doc_path("fc.rav"), "--order", "3",
+                 "--word", "8"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "algebra fc (spin <= 4, word <= 8)"
+    assert out[-1] == str(pochhammer_expand(
+        [((("y", 1),), -1, "1/2"), ((("y", -1),), 1, "1/2")], order=4))
+
+
 def test_cohomology_command(capsys):
     assert main(["cohomology", _doc_path("chiral.rav"),
                  "--spin", "2", "--word", "6"]) == 0
@@ -279,8 +292,8 @@ def test_module_and_lattice_commands(capsys):
 COMMAND_OPTIONS = {
     "check": {"--spin", "--word", "--format", "--flavor-window", "--checks"},
     "ope": {"--spin", "--word", "--format", "--flavor-window"},
-    "character": {"--spin", "--word", "--format", "--flavor-window",
-                  "--order"},
+    # the spin window of character follows --order
+    "character": {"--word", "--format", "--flavor-window", "--order"},
     "brst": {"--spin", "--word", "--format", "--flavor-window"},
     "cohomology": {"--spin", "--word", "--format", "--flavor-window"},
     "module": {"--spin", "--word", "--format", "--lambda"},
@@ -294,7 +307,7 @@ def test_subcommand_options(capsys):
         assert main([cmd, "--help"]) == 0, cmd
         got = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
         assert got - {"--help"} == want, cmd
-    assert sum(map(len, COMMAND_OPTIONS.values())) == 31
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 30
     # a flag the subcommand would ignore is an input error
     for argv in (["ope", _doc_path("fc.rav"), "psi", "X", "--checks",
                   "vacuum"],

@@ -1,0 +1,73 @@
+"""Golden failing rows of the pair checks.
+
+The locality and associativity checks run on fc, h, vir and sl2 as
+shipped and with each OPE entry dropped, sign-flipped or doubled (52
+tables), for every generator pair on the vacuum, at two windows.  Their
+failing rows, with the witness repr, must equal tests/data/pair_rows.json.
+
+A change that moves a witness on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_pair_rows.py
+
+and lists every old -> new row it moves.
+"""
+
+import json
+import os
+
+from raviolo.catalog import fc, sl2, virasoro, heisenberg
+from raviolo.engine import PBWModule, check_locality, check_associativity
+
+from test_engine import _edited
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "pair_rows.json")
+# (spin_cap, word_cap, tay)
+WINDOWS = [(4, 3, 1), (3, 2, 2)]
+EDITS = {"drop": None, "flip": -1, "double": 2}
+
+
+def _tables():
+    """(name, edit, presentation); edit is None or [entry, how]."""
+    for pres in (fc(), heisenberg(), virasoro(), sl2()):
+        yield pres.name, None, pres
+        for entry in pres.table.entries:
+            for how, factor in EDITS.items():
+                yield (pres.name, [list(entry), how],
+                       _edited(pres, {entry: factor}))
+
+
+def pair_rows():
+    """Every failing pair-check row, as [table, edit, window, condition,
+    a, b, witness repr]."""
+    out = []
+    for spin, word, tay in WINDOWS:
+        for name, edit, pres in _tables():
+            M = PBWModule(pres, spin_cap=spin, word_cap=word)
+            gens = [M.gen_state(g.name) for g in M.gens]
+            for a in gens:
+                for b in gens:
+                    for check in (check_locality, check_associativity):
+                        for cond, ok, wit in check(M, a, b, M.vacuum(), tay):
+                            if not ok:
+                                out.append([
+                                    name, edit, [spin, word, tay],
+                                    "%s/%s" % (check.__name__[6:], cond),
+                                    M.state_str(a), M.state_str(b),
+                                    repr(wit)])
+    return out
+
+
+def test_pair_rows_match_golden_file():
+    with open(DATA) as fh:
+        want = json.load(fh)
+    got = pair_rows()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+if __name__ == "__main__":
+    rows = pair_rows()
+    with open(DATA, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+    print("%d failing rows written to %s" % (len(rows), DATA))

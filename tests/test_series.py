@@ -89,11 +89,11 @@ def test_z_minus_w_lowers_kernel():
     # Delta^(j-1)
     T = 12
     for j in range(1, 4):
-        lhs = delta_expand(DeltaKernel("full", j), T).mul_z_minus_w()
+        d = delta_expand(DeltaKernel("full", j), T)
         rhs = delta_expand(DeltaKernel("full", j - 1), T)
-        assert lhs.eq_within(rhs, T - 1, T - 1)
-    killed = delta_expand(DeltaKernel("full", 0), T).mul_z_minus_w()
-    assert killed.is_zero_within(T - 1, T - 1)
+        assert (d.mul_z() - d.mul_w()).eq_within(rhs, T - 1, T - 1)
+    d = delta_expand(DeltaKernel("full", 0), T)
+    assert (d.mul_z() - d.mul_w()).is_zero_within(T - 1, T - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,6 +153,28 @@ def test_decompose_failure_witnesses():
     # of (z-w) f is z^4 (key (-5, -1)), which lies beyond ztr = 3
     f = BiDist({(-4, -1): 1, (-1, -2): 1}, 3, 3)
     assert delta_decompose(f, 0) == (None, ("vanishing", (-4, -2)))
+
+
+def test_decompose_builds_each_power_once(monkeypatch):
+    """Both conditions and the extraction read one table of (w-z)^j f,
+    j = 0..N+1: one mul_w and one mul_z per power."""
+    import random
+    rng = random.Random(7)
+    N, T = 2, 8
+    glist = [RavSeries({rng.randint(-3, 3): rng.randint(-3, 3)
+                        for _ in range(3)}, T) for _ in range(N + 1)]
+    f = delta_build(glist, T)
+    calls = {"mul_w": 0, "mul_z": 0}
+    for name in calls:
+        method = getattr(BiDist, name)
+
+        def counted(self, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(BiDist, name, counted)
+    out, fail = delta_decompose(f, N)
+    assert fail is None
+    assert calls == {"mul_w": N + 1, "mul_z": N + 1}
 
 
 # ---------------------------------------------------------- trivariate
