@@ -9,8 +9,8 @@ q-Pochhammer products that serve as the independent oracle.
 
 from fractions import Fraction
 
-from .scalars import (Scalar, Grading, ONE, K_PARAM, KAPPA_PARAM,
-                      XI_PARAM, vadd, vscale, vsub)
+from .scalars import (Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM,
+                      as_vector, vadd, vscale, vsub)
 from .modes import GeneratorInfo, FieldExpr, OpeTable
 from .engine import (Presentation, PBWModule, default_samples,
                      identity_check)
@@ -143,8 +143,7 @@ def stress_tensor(mod, which, s=None):
     - "fc": (1-s):psi dX: - s:X dpsi:
     - "virasoro": the generator itself."""
     if which == "heisenberg":
-        return vscale(mod.nop(mod.gen_state("b"), mod.gen_state("nu")),
-                      Fraction(-1))
+        return vscale(mod.nop(mod.gen_state("b"), mod.gen_state("nu")), -1)
     if which == "fc":
         s = Fraction(s)
         X, psi = mod.gen_state("X"), mod.gen_state("psi")
@@ -159,11 +158,11 @@ def stress_tensor(mod, which, s=None):
 # ------------------------------------------------------ Fock modules
 
 def _fock_rule(lam):
-    lam = Fraction(lam)
+    eigen = as_vector({(): Fraction(lam)})
 
     def rule(mod, gi, n):
-        if mod.gens[gi].name == "nu" and n == 0 and lam:
-            return {(): Scalar.from_rational(lam)}
+        if mod.gens[gi].name == "nu" and n == 0:
+            return dict(eigen)
         return {}
     return rule
 
@@ -187,9 +186,9 @@ def highest_weight_kernel(mod, spin_cap):
     for k in keys:
         images = []
         for n in range(1, nmax + 1):
-            images.append(mod.act("nu", n, {k: ONE}))
+            images.append(mod.act("nu", n, {k: 1}))
         for n in range(0, nmax + 1):
-            images.append(mod.act("b", n, {k: ONE}))
+            images.append(mod.act("b", n, {k: 1}))
         rows.append(images)
     # one linear condition per (image slot, target key)
     slots = len(rows[0]) if rows else 0
@@ -204,8 +203,7 @@ def highest_weight_kernel(mod, spin_cap):
         mat = [[Fraction(0)] * len(keys)]
     out = []
     for vec in kernel_basis(mat):
-        out.append({keys[i]: Scalar.from_rational(q)
-                    for i, q in enumerate(vec) if q})
+        out.append(as_vector(dict(zip(keys, vec))))
     return out
 
 
@@ -237,7 +235,7 @@ class LatticeModule:
         mod = self.sectors[m]
         out = mod.translate(st)
         if m:
-            vadd(out, mod.act("b", -1, st), Fraction(-m))
+            vadd(out, mod.act("b", -1, st), -m)
         return (m, out)
 
     def _exp_parts(self, strength, st, mod, pmax):
@@ -247,8 +245,7 @@ class LatticeModule:
         for p in range(1, pmax + 1):
             acc = {}
             for j in range(1, p + 1):
-                vadd(acc, mod.act("b", -j, parts[p - j]),
-                     Fraction(-strength))
+                vadd(acc, mod.act("b", -j, parts[p - j]), -strength)
             parts.append(vscale(acc, Fraction(1, p)))
         return parts
 
@@ -290,7 +287,7 @@ class LatticeModule:
         if t == 0:
             return (m1 + mst[0], {})
         s, out = self.vertex_mode(m1, t - 1, mst)
-        return (s, vscale(out, Fraction(-t)))
+        return (s, vscale(out, -t))
 
     def state_spin(self, mst):
         m, st = mst
@@ -298,7 +295,7 @@ class LatticeModule:
 
     def samples(self, m, max_spin=3):
         mod = self.sectors[m]
-        return [(m, {k: ONE}) for k, g in mod.basis()
+        return [(m, {k: 1}) for k, g in mod.basis()
                 if g.spin <= max_spin]
 
 
@@ -324,8 +321,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                         ks = -1 if (l >= 0 and pv) else 1
                         lhs = vsub(lat.act("b", l, base)[1],
                                    vscale(lat.vertex_mode(
-                                       m, t, lat.act("b", l, mst))[1],
-                                       Fraction(ks)))
+                                       m, t, lat.act("b", l, mst))[1], ks))
                         yield ("b-commute", m, l, t, mst[0]), lhs, {}
                         # 2) the nu bracket gives the weight times the
                         # delta kernel: in mode components, with the
@@ -341,16 +337,14 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                         ks = -1 if (l < 0 and pv) else 1
                         lhs = vsub(lat.act("nu", l, base)[1],
                                    vscale(lat.vertex_mode(
-                                       m, t, lat.act("nu", l, mst))[1],
-                                       Fraction(ks)))
+                                       m, t, lat.act("nu", l, mst))[1], ks))
                         comb = l + t + 1
                         if l < 0 and t < 0:
                             expect = {}
                         elif comb <= 0 or (l >= 0 and t >= 0):
                             sgn = -m if (l < 0 and t >= 0) else m
                             expect = vscale(
-                                lat.vertex_mode(m, l + t, mst)[1],
-                                Fraction(sgn))
+                                lat.vertex_mode(m, l + t, mst)[1], sgn)
                         else:
                             expect = {}
                         yield ("nu-delta", m, l, t, mst[0]), lhs, expect
@@ -372,12 +366,11 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                     # normal-ordered mode recursion
                     for n in range(t - spin - 1, 0):
                         inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
-                        vadd(rhs, lat.vertex_mode(1, n, inner)[1],
-                             Fraction(-1))
+                        vadd(rhs, lat.vertex_mode(1, n, inner)[1], -1)
                     for n in range(t - spin, 0):
                         inner = lat.vertex_mode(1, t - n - 1, mst)
                         vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1],
-                             Fraction(-1))
+                             -1)
                 yield ("nop-b", t, m2), lat.act("b", t, mst)[1], rhs
 
 

@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
-                      XI_PARAM, vadd, vscale, veq)
+                      XI_PARAM, as_scalar, degrees_of, rational_of, vadd,
+                      vscale, veq)
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
 from .linalg import CoordinateError
 from .engine import (
@@ -145,7 +146,7 @@ class _ExprParser:
             if self.peek() == "*":
                 self.take("*")
                 return self.term().scale(q)
-            return FieldExpr.const(Scalar.from_rational(q))
+            return FieldExpr.const(q)
         return self.atom()
 
     def atom(self):
@@ -196,7 +197,7 @@ def _expr_grading(expr, doc):
     """Common grading of every term, or raise with the offending term."""
     grades = set()
     for mono, c in expr.terms.items():
-        coh, par = c.degrees()
+        coh, par = degrees_of(c)
         g = Grading(coh, 0, par)
         for name, k in mono:
             g = g + doc.grading(name) + Grading(spin=k)
@@ -270,7 +271,7 @@ def _parse_line(doc, line, lineno):
             if key in doc.declared:
                 err("duplicate entry (%s, %s, %d)" % key)
             doc.declared.add(key)
-            if not expr.is_zero():
+            if expr.terms:
                 doc.entries[key] = expr
     elif head == "use":
         m = re.fullmatch(r"use\s+(\w+)\s*(?:\(\s*(.*?)\s*\))?", line)
@@ -334,11 +335,11 @@ def skew_complete(doc):
             key = (b, a, n)
             if rev_declared or (a == b):
                 have = doc.entries.get(key, FieldExpr.zero())
-                if not (have - want).is_zero():
+                if (have - want).terms:
                     raise SpecError(
                         "entries (%s, %s, %d) and (%s, %s, %d) violate "
                         "skew-symmetry" % (a, b, n, b, a, n))
-            elif not want.is_zero():
+            elif want.terms:
                 doc.entries[key] = want
                 doc.derived.append(key)
 
@@ -360,7 +361,11 @@ def parse_spec(text):
 # ------------------------------------------------------ printing
 
 def _scalar_atoms(c):
-    """Scalar as a list of grammar atoms (one per parameter monomial)."""
+    """A coefficient as a list of grammar atoms (one per parameter
+    monomial)."""
+    q = rational_of(c)
+    if q is not None:
+        return [str(q)]
     out = []
     for mono in sorted(c.terms, key=lambda m: [p.name for p in m]):
         q = c.terms[mono]
@@ -380,7 +385,7 @@ def _factor_str(name, k):
 
 
 def expr_str(expr):
-    if expr.is_zero():
+    if not expr.terms:
         return "0"
     bits = []
     for mono in sorted(expr.terms):
@@ -388,7 +393,7 @@ def expr_str(expr):
         if not mono:
             bits.extend(_scalar_atoms(c))
             continue
-        q = c.rational_value()
+        q = rational_of(c)
         if q is None:
             raise SpecError("cannot print coefficient %s of %s"
                             % (c, mono))
@@ -539,7 +544,7 @@ def cmd_brst(doc, args):
                     if len(mono) != 1 or mono[0][1] != 0:
                         raise SpecError(
                             "index-0 product (%s, %s) is not linear" % (a, b))
-                    q = c.rational_value()
+                    q = rational_of(c)
                     if q is None:
                         raise SpecError(
                             "index-0 product (%s, %s) has parameters" % (a, b))
@@ -551,7 +556,8 @@ def cmd_brst(doc, args):
                     raise SpecError(
                         "index-1 product (%s, %s) is not central" % (a, b))
                 # the invariant-form value, stripped of the level parameter
-                pairing[(a, b)] = sum(e1.terms[()].terms.values())
+                form = as_scalar(e1.terms[()])
+                pairing[(a, b)] = sum(form.terms.values())
     mod = _build_module(ghost_extension(doc.presentation(), names), args,
                         specialize={"K": 1, "kappa": 0})
     q = brst_charge(mod, names, structure=structure, pairing=pairing)

@@ -15,13 +15,14 @@ up to exact terms.
 
 from fractions import Fraction
 
-from .scalars import ONE, as_vector, vadd, vscale, vsub
+from .scalars import as_vector, vadd, vscale, vsub
 from .linalg import (column_kernel, rational_coords, dense_coords, solve,
                      in_span)
 
 
-# APoly: {(a, b, e): Scalar} with e in {0,1}; keys are z^a lam^b x^e.  An
-# APoly is a vector of the scalars layer, so its sums are vadd/vsub/vscale.
+# APoly: {(a, b, e): coefficient} with e in {0,1}; keys are z^a lam^b
+# x^e.  An APoly is a vector of the scalars layer, so its sums are
+# vadd/vsub/vscale.
 
 apoly = as_vector
 apoly_sub = vsub
@@ -154,7 +155,7 @@ def _d_echelon(cap):
     basis = monomial_basis(cap)
     index = {k: i for i, k in enumerate(basis)}
     return (basis, index) + column_kernel(
-        [rational_coords(d_poly({k: ONE}), index) for k in basis])
+        [rational_coords(d_poly({k: 1}), index) for k in basis])
 
 
 def cohomology_basis(degree, cap):
@@ -174,7 +175,7 @@ def is_exact(poly, cap):
     Returns a primitive APoly or None."""
     basis = monomial_basis(cap)
     index = {k: i for i, k in enumerate(basis)}
-    cols = [dense_coords(d_poly({k: ONE}), index) for k in basis]
+    cols = [dense_coords(d_poly({k: 1}), index) for k in basis]
     x = solve(list(zip(*cols)), dense_coords(poly, index))
     if x is None:
         return None
@@ -203,7 +204,7 @@ def check_cohomology_window(cap):
             return False, ("H0", rep)
     vecs = [dense_coords(rep, index) for rep in reps]
     for n in range(cap):
-        if not in_span(vecs, dense_coords({(n, 0, 0): ONE}, index)):
+        if not in_span(vecs, dense_coords({(n, 0, 0): 1}, index)):
             return False, ("H0-missing", n)
     # degree 1: each lam^n omega is non-exact, and every monomial inside
     # the window is congruent to C[lam]omega modulo the image

@@ -1,8 +1,10 @@
 """Realization of generator/OPE presentations on PBW-type graded modules.
 
-A state is a Scalar-linear combination of ordered monomials in creation
-modes applied to a cyclic vector (the vacuum by default), written as a
-dict {pbwkey: Scalar} with pbwkey a sorted tuple of (gen_index, n < 0).
+A state is a linear combination of ordered monomials in creation modes
+applied to a cyclic vector (the vacuum by default), written as a vector
+{pbwkey: coefficient} of the scalars layer (a plain int or Fraction, or
+a Scalar while a parameter is left in) with pbwkey a sorted tuple of
+(gen_index, n < 0).
 Annihilation modes are commuted to the right with the four-case mode
 bracket; modes of composite states are expanded with the recursive
 normal-ordered-product mode formula.  Everything is exact: annihilation
@@ -25,8 +27,9 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from math import factorial, floor as _floor, lcm
 
-from .scalars import (Scalar, ZERO, ONE, Grading, binom, as_scalar,
-                      vadd, vscale, vsub, veq)
+from .scalars import (Scalar, Grading, binom, as_vector, canonical,
+                      degrees_of, rational_of, twist, vadd, vscale, vsub,
+                      veq)
 from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
 from .series import (BiDist, DeltaKernel, combine_indices, delta_decompose,
@@ -36,8 +39,8 @@ from .linalg import (Echelon, column_kernel, rational_coords, dense_coords,
 
 
 def _is_one(c):
-    t = c.terms
-    return len(t) == 1 and t.get(()) == 1
+    # a parameter-free coefficient is a plain rational
+    return type(c) is int and c == 1
 
 
 # ------------------------------------------------------------ presentation
@@ -128,17 +131,17 @@ class PBWModule:
         self._ks_memo = {}     # key -> scaled spin above the cyclic vector
 
     def _spec(self, c):
-        if self.specialize:
+        if self.specialize and type(c) is Scalar:
             return c.subs(self.specialize)
         return c
 
     # -- states ------------------------------------------------------
 
     def vacuum(self):
-        return {(): ONE}
+        return {(): 1}
 
     def gen_state(self, name):
-        return {((self.index[name], -1),): ONE}
+        return {((self.index[name], -1),): 1}
 
     def key_grading(self, key):
         g = self._kg_memo.get(key)
@@ -166,7 +169,7 @@ class PBWModule:
         gs = set()
         for k, c in state.items():
             kg = self.key_grading(k)
-            cd, cp = c.degrees()
+            cd, cp = degrees_of(c)
             gs.add(Grading(kg.cohdeg + cd, kg.spin,
                            (kg.parity + cp) % 2, kg.flavor))
         if not gs:
@@ -215,7 +218,7 @@ class PBWModule:
         p = self.gens[gi].mode_parity(n)
         out = {}
         for key, c in state.items():
-            vadd(out, self._act_key(gi, n, key), c.parity_twist(p))
+            vadd(out, self._act_key(gi, n, key), twist(c, p))
         return out
 
     def _act_key(self, gi, n, key):
@@ -228,7 +231,7 @@ class PBWModule:
             ins = self.insert_mode(gi, n, key)
             if ins is not None:
                 sign, nk = ins
-                out[nk] = Scalar.from_rational(sign)
+                out[nk] = sign
         else:
             # no states below the cyclic spin
             if self._key_spin(key) + self._gen_spin[gi] < \
@@ -241,7 +244,7 @@ class PBWModule:
             else:
                 hgi, hn = key[0]
                 rest = key[1:]
-                rest_state = {rest: ONE}
+                rest_state = {rest: 1}
                 # commutator against the head mode
                 for coeff, expr, t in bracket_from_ope(
                         Mode(self.gens[gi], n), Mode(self.gens[hgi], hn),
@@ -257,7 +260,7 @@ class PBWModule:
                     ins = self.insert_mode(hgi, hn, k2)
                     if ins is not None:
                         sign, nk = ins
-                        vadd(out, {nk: c2.parity_twist(ph)}, ks * sign)
+                        vadd(out, {nk: twist(c2, ph)}, ks * sign)
         memo[mk] = out
         return out
 
@@ -272,7 +275,7 @@ class PBWModule:
         out = {}
         for mono, c in expr.terms.items():
             vadd(out, self.mono_mode(mono, t, state),
-                 self._spec(c).parity_twist(tw))
+                 twist(self._spec(c), tw))
         return out
 
     def _mono_grading(self, mono):
@@ -292,7 +295,7 @@ class PBWModule:
         p = (self._mono_grading(mono)[0] + (1 if t >= 0 else 0)) % 2
         out = {}
         for key, c in state.items():
-            vadd(out, self._mono_key(mono, t, key), c.parity_twist(p))
+            vadd(out, self._mono_key(mono, t, key), twist(c, p))
         return out
 
     def _deriv_mode(self, gname, k, n, state):
@@ -310,12 +313,12 @@ class PBWModule:
         out = {}
         if not mono:
             if t == -1:
-                out = {vkey: ONE}
+                out = {vkey: 1}
             memo[mk] = out
             return out
         g1name, k1 = mono[0]
         rest = mono[1:]
-        vstate = {vkey: ONE}
+        vstate = {vkey: 1}
         if not rest:
             out = self._deriv_mode(g1name, k1, t, vstate)
             memo[mk] = out
@@ -361,14 +364,14 @@ class PBWModule:
             return out
         for akey, ca in astate.items():
             mono, inv_den, p = self._akey_info(akey)
-            ca = ca.parity_twist(tw)
+            ca = twist(ca, tw)
             if inv_den is not None:
-                ca = ca * inv_den
+                ca = canonical(ca * inv_den)
             p ^= tw
             a_one = _is_one(ca)
             for vkey, cv in vstate.items():
                 if p:
-                    cv = cv.parity_twist(1)
+                    cv = twist(cv, 1)
                 # ca stays on the left: odd parameters anticommute
                 c = cv if a_one else ca if _is_one(cv) else ca * cv
                 vadd(out, self._mono_key(mono, t, vkey), c)
@@ -649,8 +652,8 @@ def check_zero_mode_derivation(mod, states=None):
 # ------------------------------------------------- bivariate machinery
 #
 # A state-valued bivariate distribution is one flat vector
-# {(m, l, pbwkey): Scalar}: entry (m, l, key) is the coefficient of key in
-# the operator coefficient of mon_z(m) mon_w(l), in the canonical
+# {(m, l, pbwkey): coefficient}: entry (m, l, key) is the coefficient of
+# key in the operator coefficient of mon_z(m) mon_w(l), in the canonical
 # z-then-w monomial order (indices as in series.py).  Sums, differences
 # and scalings are vadd/vsub/vscale, and _put places a state at (m, l).
 # The expansion rules the distributions meet -- the Delta_+/- halves and
@@ -743,7 +746,7 @@ def _expansion(kind, t, trunc):
         else:
             raw = [(1, 0, 0, (("d", t),))]
         b = expand_region(tri_normalize(raw, trunc), kind, trunc)
-    return tuple((m, j, c.rational_value()) for (m, j), c in b.terms.items())
+    return tuple((m, j, rational_of(c)) for (m, j), c in b.terms.items())
 
 
 def _apply_expansion(F, expansion, l, st, w):
@@ -767,8 +770,8 @@ def _delta_failure(comm, cmodes, w):
             return ("decompose", kappa, fail)
         for n in range(w.N + 1):
             for lp in range(w.lo, w.pol + 1):
-                want = cmodes.get((n, lp, kappa), ZERO)
-                if glist[n].terms.get(lp, ZERO) * factorial(n) != want:
+                want = cmodes.get((n, lp, kappa), 0)
+                if glist[n].terms.get(lp, 0) * factorial(n) != want:
                     return ("coefficient", kappa, n, lp)
     return None
 
@@ -1023,11 +1026,11 @@ def in_translation_image(mod, state):
     if not skeys:
         return False, None
     index = {k: i for i, k in enumerate(cell_basis(mod, g))}
-    cols = [dense_coords(mod.translate({k: ONE}), index) for k in skeys]
+    cols = [dense_coords(mod.translate({k: 1}), index) for k in skeys]
     x = solve(list(zip(*cols)), dense_coords(state, index))
     if x is None:
         return False, None
-    return True, {k: Scalar.from_rational(q) for k, q in zip(skeys, x) if q}
+    return True, as_vector(dict(zip(skeys, x)))
 
 
 # ------------------------------------------------------ deformations
@@ -1059,7 +1062,7 @@ def check_square_zero(mod, d, keys=None):
     """d(d(k)) = 0 on every basis key; the witness is the failing key."""
     keys = keys if keys is not None else [k for k, _ in mod.basis()]
     for k in keys:
-        yield k, d(d({k: ONE})), {}
+        yield k, d(d({k: 1})), {}
 
 
 def dg_cohomology(mod, d, spin_cap=None):
@@ -1078,7 +1081,7 @@ def dg_cohomology(mod, d, spin_cap=None):
 
     def images(src_keys, dst_keys):
         index = {k: i for i, k in enumerate(dst_keys)}
-        return [rational_coords(d({k: ONE}), index) for k in src_keys]
+        return [rational_coords(d({k: 1}), index) for k in src_keys]
 
     out = {}
     for (spin, deg, fl), keys in sorted(cells.items()):
@@ -1094,8 +1097,8 @@ def dg_cohomology(mod, d, spin_cap=None):
         reps = []
         for j, vec in enumerate(kern):
             if img.add(vec, j) is None and len(reps) < dim:
-                reps.append({keys[i]: Scalar.from_rational(q)
-                             for i, q in vec.items()})
+                reps.append(as_vector({keys[i]: q
+                                       for i, q in vec.items()}))
         out[(spin, deg, fl)] = (dim, reps)
     return out
 
@@ -1113,8 +1116,8 @@ def ghost_extension(pres, current_names, name=None):
         extra.append(GeneratorInfo(
             c, Grading(1, 0, 0, tuple(-x for x in fl))))
         extra.append(GeneratorInfo(bg, Grading(0, 1, 0, fl)))
-        entries[(bg, c, 0)] = FieldExpr.const(ONE)
-        entries[(c, bg, 0)] = FieldExpr.const(ONE)
+        entries[(bg, c, 0)] = FieldExpr.const(1)
+        entries[(c, bg, 0)] = FieldExpr.const(1)
     return pres.extend(extra, entries,
                        name=name or pres.name + "+ghosts")
 
@@ -1139,12 +1142,12 @@ def brst_charge(mod, current_names, structure=None, pairing=None, w=None):
     if pairing:
         for (a, b), c in pairing.items():
             term = mod.nop(cs[a], mod.translate(cs[b]))
-            vadd(total, term, as_scalar(c) * Fraction(1, 2))
+            vadd(total, term, Fraction(1, 2) * c)
     if structure:
         for (a, b), val in structure.items():
             for cnm, f in val.items():
                 term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))
-                vadd(total, term, as_scalar(f) * Fraction(1, 2))
+                vadd(total, term, Fraction(1, 2) * f)
     if w:
         vadd(total, w)
     return total
@@ -1194,12 +1197,12 @@ def simplicity_probe(mod, spin_cap=None):
             continue
         if spin_cap is not None and g.spin > spin_cap:
             continue
-        frontier = [{key: ONE}]
+        frontier = [{key: 1}]
         seen = False
         for _ in range(len(key) * (nmax + 1) + 2):
             nxt = []
             for st in frontier:
-                if st.get((), ZERO) != ZERO and not st[()].is_zero():
+                if () in st:
                     seen = True
                     break
                 for gi in range(len(mod.gens)):

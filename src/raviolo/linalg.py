@@ -16,6 +16,8 @@ Sizes are desk scale, exactness is the point.
 
 from fractions import Fraction
 
+from .scalars import rational_of
+
 
 def _axpy(out, c, vec):
     """out += c * vec in place, dropping the entries that cancel."""
@@ -91,12 +93,12 @@ class CoordinateError(ValueError):
 
 
 def rational_coords(state, index):
-    """Sparse coordinates of a {key: Scalar} state over the keys of index;
+    """Sparse coordinates of a state over the keys of index;
     CoordinateError if a coefficient is not rational or a key is not
     indexed."""
     out = {}
     for k, c in state.items():
-        q = c.rational_value()
+        q = rational_of(c)
         if q is None:
             raise CoordinateError("non-rational coefficient %s" % c)
         if k not in index:
@@ -108,7 +110,7 @@ def rational_coords(state, index):
 
 
 def dense_coords(state, index):
-    """rational_coords as a list of len(index) Fractions."""
+    """rational_coords as a dense list of len(index) rationals."""
     v = [Fraction(0)] * len(index)
     for i, q in rational_coords(state, index).items():
         v[i] = q

@@ -7,10 +7,10 @@ spin by s-n-1.  Per-example labels (X_n, c_n, J_{a,n}, G_m, ...) are
 aliases converted to this convention.
 """
 
-from math import factorial
+from fractions import Fraction
+from math import ceil, factorial
 
-from .scalars import (Scalar, ONE, Grading, binom, as_vector, vadd, vscale,
-                      vsub)
+from .scalars import Grading, binom, as_vector, vadd, vscale, vsub
 
 
 class GeneratorInfo:
@@ -41,9 +41,10 @@ class Mode:
 
 
 class FieldExpr:
-    """Scalar-linear combination of normal-ordered monomials in
-    derivatives of generators; a factor is (name, k) meaning the k-th
-    derivative, a term is an ordered tuple of factors (empty = 1)."""
+    """Linear combination (coefficients of the scalars layer) of
+    normal-ordered monomials in derivatives of generators; a factor is
+    (name, k) meaning the k-th derivative, a term is an ordered tuple of
+    factors (empty = 1)."""
 
     def __init__(self, terms=None):
         self.terms = as_vector(terms)
@@ -58,7 +59,7 @@ class FieldExpr:
 
     @staticmethod
     def gen(name, k=0):
-        return FieldExpr({((name, k),): ONE})
+        return FieldExpr({((name, k),): 1})
 
     def __add__(self, other):
         return FieldExpr(vadd(dict(self.terms), other.terms))
@@ -127,7 +128,7 @@ class OpeTable:
                 if n < 0:
                     raise ValueError("OPE index must be >= 0, got %r"
                                      % ((a, b, n),))
-                if not e.is_zero():
+                if e.terms:
                     self.entries[(a, b, n)] = e
 
     def get(self, a, b, n):
@@ -141,7 +142,7 @@ class OpeTable:
 def expr_modes(expr, t):
     """Mode t of a FieldExpr whose terms all have at most one factor:
     (d^k g)_(t) = (-1)^k k! C(t,k) g_(t-k); constants contribute only at
-    t = -1.  Returns list of (Scalar, name_or_None, index)."""
+    t = -1.  Returns list of (coefficient, name_or_None, index)."""
     out = []
     for mono, c in expr.terms.items():
         if len(mono) == 0:
@@ -150,7 +151,7 @@ def expr_modes(expr, t):
         elif len(mono) == 1:
             name, k = mono[0]
             coeff = (-1) ** k * factorial(k) * binom(t, k) * c
-            if not coeff.is_zero():
+            if coeff:
                 out.append((coeff, name, t - k))
         else:
             raise ValueError("composite field has no closed mode formula: %s"
@@ -159,7 +160,7 @@ def expr_modes(expr, t):
 
 
 def bracket_from_ope(A, B, table):
-    """Graded commutator [A_m, B_l] as a list of (Scalar, FieldExpr, t),
+    """Graded commutator [A_m, B_l] as a list of (int, FieldExpr, t),
     each meaning coeff * (expr field)_(t).
 
     Four cases by mode signs; C^n = a_(n) b from the table, N its largest
@@ -181,19 +182,20 @@ def bracket_from_ope(A, B, table):
         lo, sign = max(0, m + l + 1), sign_a
     for n in range(lo, N + 1):
         cn = table.get(A.gen.name, B.gen.name, n)
-        if cn.is_zero():
+        if not cn.terms:
             continue
         coeff = sign * binom(m, n)
         if coeff == 0:
             continue
-        out.append((Scalar.from_rational(coeff), cn, m + l - n))
+        out.append((coeff, cn, m + l - n))
     return out
 
 
 def bracket_modes(A, B, table):
     """bracket_from_ope resolved to elementary modes, for tables whose
     entries have at most one NOP factor.  Returns {(name_or_None, t):
-    Scalar} with None denoting the identity field (nonzero only at -1)."""
+    coefficient} with None denoting the identity field (nonzero only at
+    -1)."""
     out = {}
     for coeff, expr, t in bracket_from_ope(A, B, table):
         for c2, name, t2 in expr_modes(expr, t):
@@ -205,7 +207,7 @@ def translate_mode(A):
     """(d a)_(n) = -n a_(n-1): the translation derivation on modes."""
     if A.n == 0:
         return []
-    return [(Scalar.from_rational(-A.n), Mode(A.gen, A.n - 1))]
+    return [(-A.n, Mode(A.gen, A.n - 1))]
 
 
 # ------------------------------------------------------------ vertex Lie
@@ -213,11 +215,11 @@ def translate_mode(A):
 class VertexLieData:
     """Finitely supported vertex-Lie presentation: named basis elements
     with gradings, a flag marking central elements, and n-th products
-    valued in Scalar combinations of basis names."""
+    valued in linear combinations of basis names."""
 
     def __init__(self, gradings, products, central=()):
         self.gradings = dict(gradings)      # name -> Grading
-        self.products = {}                  # (a, b, n) -> {name: Scalar}
+        self.products = {}                  # (a, b, n) -> {name: coeff}
         self.central = set(central)
         for (a, b, n), val in products.items():
             if n < 0:
@@ -242,7 +244,7 @@ def lie_rav_bracket(L, a, n, b, m):
     label past the product; without it the bracket fails graded
     antisymmetry.
 
-    Returns {(name, t): Scalar}; central names appear only at t = -1.
+    Returns {(name, t): coefficient}; central names appear only at t = -1.
     """
     if n < 0 and m < 0:
         return {}  # Omega * Omega = 0 in the label coefficients
@@ -278,11 +280,16 @@ class InfiniteGradedPiece(Exception):
 def vac_induce(gens, spin_cap, word_cap, flavor_window=None):
     """Ordered-monomial basis in negative modes: sorted tuples of
     (gen_index, n<0) by (gen_index, n), no odd repeats, total spin <=
-    spin_cap, word length <= word_cap, each flavor weight within
-    +-flavor_window when given.
+    spin_cap (an int or a Fraction, compared exactly), word length <=
+    word_cap, each flavor weight within +-flavor_window when given.
 
     Returns a list of (pbwkey, Grading) including the vacuum ().
     """
+    if not isinstance(spin_cap, (int, Fraction)):
+        raise ValueError("spin cap must be an int or a Fraction, got %r"
+                         % (spin_cap,))
+    # the mode range is an integer bound; spins compare with the exact cap
+    depth = ceil(spin_cap) * 4 + word_cap + 4
     for gi, g in enumerate(gens):
         # a_(n), n<0 adds spin s-n-1 >= s; finiteness needs s > 0, an odd
         # parity at s = 0 (no repeats), or a flavor constraint
@@ -303,7 +310,7 @@ def vac_induce(gens, spin_cap, word_cap, flavor_window=None):
             for gi, g in enumerate(gens):
                 if last is not None and gi < last[0]:
                     continue
-                for n in range(-1, -spin_cap * 4 - word_cap - 4, -1):
+                for n in range(-1, -depth, -1):
                     if last is not None and gi == last[0] and n < last[1]:
                         continue  # keep (gi asc, n asc) sorted keys
                     mg = g.mode_grading(n)

@@ -143,6 +143,9 @@ class Scalar:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def rational_value(self):
         """The constant value (a Fraction) if this scalar has no
         parameters, else None."""
@@ -269,8 +272,14 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
-        # hash(2) == hash(Fraction(2)), so equal scalars hash equal
-        return hash(frozenset(self.terms.items()))
+        # a parameter-free scalar equals its rational, so it hashes as
+        # one; hash(2) == hash(Fraction(2)), so equal scalars hash equal
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and () in t:
+            return hash(t[()])
+        return hash(frozenset(t.items()))
 
     def subs(self, assignment):
         """Substitute parameters by name: {name: Scalar|int|Fraction}."""
@@ -349,12 +358,57 @@ def koszul_sign(g1, g2):
     return -1 if (g1.tot and g2.tot) else 1
 
 
-# -- the sparse-vector primitive -------------------------------------
-# A "vector" is a dict {hashable key: Scalar} with zero entries dropped.
-# Entries may be shared with other vectors: Scalars are immutable.
-# States, field expressions, series, distributions and dg-model
-# polynomials are all vectors; vadd/vscale/vsub are the only code that
-# adds, scales or subtracts them, so none of them keeps a zero entry.
+# -- coefficients and the sparse-vector primitive --------------------
+# A coefficient is a Scalar only while it carries a parameter monomial;
+# otherwise it is a canonical rational: an int, or a Fraction with
+# denominator > 1.  The readers twist, rational_of and degrees_of accept
+# both kinds, so no caller needs to know which one it holds.
+#
+# A "vector" is a dict {hashable key: coefficient} with zero entries
+# dropped and every entry canonical.  Entries may be shared with other
+# vectors: Scalars are immutable.  States, field expressions, series,
+# distributions and dg-model polynomials are all vectors; vadd/vscale/
+# vsub are the only code that adds, scales or subtracts them, so none
+# of them keeps a zero or a parameter-free Scalar.
+
+def canonical(c):
+    """c as a canonical coefficient: a parameter-free Scalar becomes its
+    rational, an integral Fraction an int."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if t is Scalar:
+        terms = c.terms
+        if len(terms) > 1:
+            return c
+        if not terms:
+            return 0
+        q = terms.get(())
+        return c if q is None else q
+    return _as_fraction(c)
+
+
+def twist(c, p):
+    """The sign an operator of parity p puts on c when it passes it: the
+    odd-parameter monomials of c negate when p is odd; a rational is
+    even."""
+    return c.parity_twist(p) if p % 2 and type(c) is Scalar else c
+
+
+def rational_of(c):
+    """The value of a parameter-free coefficient (int or Fraction);
+    None when c carries a parameter."""
+    c = canonical(c)
+    return None if type(c) is Scalar else c
+
+
+def degrees_of(c):
+    """(cohdeg, parity) of a homogeneous coefficient; (0, 0) for a
+    rational."""
+    return c.degrees() if type(c) is Scalar else (0, 0)
+
 
 def as_scalar(c):
     """c as a Scalar: a Scalar passes through, a rational is wrapped."""
@@ -362,34 +416,38 @@ def as_scalar(c):
 
 
 def as_vector(terms):
-    """A vector from {key: Scalar | int | Fraction}, zeros dropped."""
-    return {k: s for k, c in (terms or {}).items()
-            if (s := as_scalar(c)).terms}
+    """A vector from {key: Scalar | int | Fraction}, canonical entries,
+    zeros dropped."""
+    return {k: s for k, c in (terms or {}).items() if (s := canonical(c))}
 
 
 def _coeff(coeff):
     """A vector-helper coefficient in canonical form; None for 1."""
-    if isinstance(coeff, Scalar):
-        t = coeff.terms
-        return None if len(t) == 1 and t.get(()) == 1 else coeff
-    coeff = _as_fraction(coeff)
-    return None if coeff == 1 else coeff
+    if type(coeff) is not int:
+        coeff = canonical(coeff)
+    return None if coeff == 1 and type(coeff) is int else coeff
 
 
 def vadd(dst, src, coeff=None):
     """dst += coeff*src in place (coeff multiplies from the left)."""
     if coeff is not None:
         coeff = _coeff(coeff)
+        if coeff is not None and not coeff:
+            return dst
     for k, v in src.items():
         if coeff is not None:
             v = coeff * v
         cur = dst.get(k)
         if cur is None:
-            if v.terms:
+            if type(v) is not int:
+                v = canonical(v)
+            if v:
                 dst[k] = v
             continue
         s = cur + v
-        if s.terms:
+        if type(s) is not int:
+            s = canonical(s)
+        if s:
             dst[k] = s
         else:
             del dst[k]
@@ -400,10 +458,14 @@ def vscale(v, coeff):
     coeff = _coeff(coeff)
     if coeff is None:
         return dict(v)
+    if not coeff:
+        return {}
     out = {}
     for k, c in v.items():
         s = coeff * c
-        if s.terms:
+        if type(s) is not int:
+            s = canonical(s)
+        if s:
             out[k] = s
     return out
 
@@ -413,11 +475,15 @@ def vsub(a, b):
     for k, v in b.items():
         cur = out.get(k)
         if cur is None:
-            if v.terms:
+            if type(v) is not int:
+                v = canonical(v)
+            if v:
                 out[k] = -v
             continue
         s = cur - v
-        if s.terms:
+        if type(s) is not int:
+            s = canonical(s)
+        if s:
             out[k] = s
         else:
             del out[k]

@@ -7,14 +7,14 @@ i*j -> i+j+1, dropped when the result is an invalid polar monomial, and
 Omega*Omega = 0.
 
 Taylor directions are truncated at an explicit order; polar supports are
-finite.  All coefficients are Scalar.
+finite.  Coefficients follow the scalars layer: a plain int or Fraction,
+or a Scalar while a parameter is left in.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from .scalars import (Scalar, ZERO, ONE, binom, as_scalar, as_vector, vadd,
-                      vscale, vsub)
+from .scalars import binom, as_vector, canonical, vadd, vscale, vsub
 
 
 def combine_indices(i, j):
@@ -42,15 +42,15 @@ class RavSeries:
 
     @staticmethod
     def one(trunc=8, twist=0):
-        return RavSeries({-1: ONE}, trunc, twist)
+        return RavSeries({-1: 1}, trunc, twist)
 
     @staticmethod
     def z_pow(n, trunc=8, twist=0):
-        return RavSeries({-n - 1: ONE}, trunc, twist)
+        return RavSeries({-n - 1: 1}, trunc, twist)
 
     @staticmethod
     def omega(m, trunc=8, twist=0):
-        return RavSeries({m: ONE}, trunc, twist)
+        return RavSeries({m: 1}, trunc, twist)
 
     def _sum(self, other, terms):
         # the terms of self +- other, at the common truncation
@@ -94,7 +94,7 @@ class RavSeries:
         """Res dz: requires twist 1; the Omega^0 coefficient."""
         if self.twist != 1:
             raise ValueError("residue needs twist 1, got %s" % self.twist)
-        return self.terms.get(0, ZERO)
+        return self.terms.get(0, 0)
 
     def __eq__(self, other):
         if not isinstance(other, RavSeries):
@@ -141,9 +141,9 @@ def format_series(f):
             cs = str(c)
             piece = "(%s)" % cs if (" + " in cs or " - " in cs) else cs
         else:
-            if c == Scalar.one():
+            if c == 1:
                 piece = mono
-            elif c == -Scalar.one():
+            elif c == -1:
                 piece = "-" + mono
             else:
                 cs = str(c)
@@ -160,9 +160,9 @@ def format_series(f):
 # ---------------------------------------------------------------- BiDist
 
 class BiDist:
-    """Bivariate distribution: {(i, j): Scalar} with the index convention
-    above in each slot; canonical monomial order is z-part then w-part
-    (Omega_z and Omega_w anticommute)."""
+    """Bivariate distribution: {(i, j): coefficient} with the index
+    convention above in each slot; canonical monomial order is z-part
+    then w-part (Omega_z and Omega_w anticommute)."""
 
     def __init__(self, terms=None, ztr=8, wtr=8):
         self.ztr = ztr
@@ -346,7 +346,7 @@ def delta_build(glist, trunc=8):
     total = BiDist({}, trunc, trunc)
     for i, g in enumerate(glist):
         k = delta_expand(DeltaKernel("full", i), trunc).scale(
-            Fraction(factorial(i)))
+            factorial(i))
         total = total + k.mul_series_w(g)
     return total
 
@@ -394,7 +394,7 @@ class TriElement:
         return window(self) == window(other)
 
 
-# raw term: (Scalar coeff, a, b, omlist) with omlist a tuple of (x, m),
+# raw term: (coeff, a, b, omlist) with omlist a tuple of (x, m),
 # x in {'z','w','d'}, kept in written order.
 
 def raw_dz(terms):
@@ -439,9 +439,9 @@ def _zw_relation(a, b):
     if (a, b) in _REL_CACHE:
         return _REL_CACHE[(a, b)]
     base = [
-        (ONE, 0, 0, (("d", 0), ("z", 0))),
-        (ONE, 0, 0, (("w", 0), ("d", 0))),
-        (ONE, 0, 0, (("z", 0), ("w", 0))),
+        (1, 0, 0, (("d", 0), ("z", 0))),
+        (1, 0, 0, (("w", 0), ("d", 0))),
+        (1, 0, 0, (("z", 0), ("w", 0))),
     ]
     terms = base
     for _ in range(a):
@@ -472,10 +472,10 @@ def _zw_relation(a, b):
 def tri_normalize(raw_terms, trunc=8):
     """Canonical TriElement from raw (coeff, a, b, omlist) terms."""
     t = TriElement({}, trunc)
-    work = [(as_scalar(c), a, b, tuple(oms)) for c, a, b, oms in raw_terms]
+    work = [(canonical(c), a, b, tuple(oms)) for c, a, b, oms in raw_terms]
     while work:
         c, a, b, oms = work.pop()
-        if c.is_zero():
+        if not c:
             continue
         if len(oms) >= 3:
             continue  # degree >= 3 vanishes
@@ -504,7 +504,7 @@ def tri_normalize(raw_terms, trunc=8):
                         if m - i < 0:
                             continue
                         vadd(t.terms, {("d", a + b - i, m - i):
-                                       Fraction(binom(a, i)) * c})
+                                       binom(a, i) * c})
                     continue
                 vadd(t.terms, {("d", b, m): c})
             continue
@@ -589,7 +589,7 @@ def expand_region(e, region, trunc=8):
             if region == "w_near_0":
                 # Om^m_{z-w} -> sum_a C(m+a,a) w^a Om^(m+a)_z
                 for a in range(trunc + 1):
-                    put(m + a, -(a + b) - 1, Fraction(binom(m + a, a)) * c)
+                    put(m + a, -(a + b) - 1, binom(m + a, a) * c)
             else:
                 # Om^m_{z-w} -> (-1)^m sum_a C(m+a,a) z^a Om^(m+a)_w
                 for a in range(trunc + 1):
@@ -597,7 +597,7 @@ def expand_region(e, region, trunc=8):
                     if j is None:
                         continue
                     put(-a - 1, j,
-                        Fraction((-1) ** m * binom(m + a, a)) * c)
+                        (-1) ** m * binom(m + a, a) * c)
         elif tag == "dz":
             i, j = key[1], key[2]
             if region == "w_near_0":
@@ -605,13 +605,13 @@ def expand_region(e, region, trunc=8):
             # Om^i_{z-w} -> z-expansion, then pair with Om^j_z
             for a in range(j + 1):
                 put(j - a, i + a,
-                    -Fraction((-1) ** i * binom(i + a, a)) * c)
+                    -(-1) ** i * binom(i + a, a) * c)
         elif tag == "wd":
             i, j = key[1], key[2]
             if region == "z_near_0":
                 continue  # lands in Om_w Om_w = 0
             for a in range(i + 1):
-                put(j + a, i - a, -Fraction(binom(j + a, a)) * c)
+                put(j + a, i - a, -binom(j + a, a) * c)
         else:
             raise AssertionError(key)
     return out
@@ -624,7 +624,7 @@ def _expand_near_w(key, c, trunc, put):
         a, b = key[1], key[2]
         # z^a = (u + w)^a
         for i in range(a + 1):
-            put(-i - 1, -(a - i + b) - 1, Fraction(binom(a, i)) * c)
+            put(-i - 1, -(a - i + b) - 1, binom(a, i) * c)
     elif tag == "z":
         b, m = key[1], key[2]
         # Om^m_z -> sum_n (-1)^n C(n+m,n) u^n Om^(m+n)_w
@@ -632,21 +632,21 @@ def _expand_near_w(key, c, trunc, put):
             j = combine_indices(-b - 1, m + n)
             if j is None:
                 continue
-            put(-n - 1, j, Fraction((-1) ** n * binom(n + m, n)) * c)
+            put(-n - 1, j, (-1) ** n * binom(n + m, n) * c)
     elif tag == "w":
         a, m = key[1], key[2]
         for i in range(a + 1):
             j = combine_indices(-(a - i) - 1, m)
             if j is None:
                 continue
-            put(-i - 1, j, Fraction(binom(a, i)) * c)
+            put(-i - 1, j, binom(a, i) * c)
     elif tag == "d":
         b, m = key[1], key[2]
         put(m, -b - 1, c)
     elif tag == "dz":
         i, j = key[1], key[2]
         for n in range(i + 1):
-            put(i - n, j + n, Fraction((-1) ** n * binom(n + j, n)) * c)
+            put(i - n, j + n, (-1) ** n * binom(n + j, n) * c)
     elif tag == "wd":
         i, j = key[1], key[2]
         put(j, i, -c)

@@ -13,7 +13,8 @@ from math import ceil, factorial, floor
 
 import pytest
 
-from raviolo.scalars import Scalar, Grading, KAPPA_PARAM, XI_PARAM, vadd, veq
+from raviolo.scalars import (Scalar, Grading, KAPPA_PARAM, XI_PARAM,
+                             rational_of, twist, vadd, veq)
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
 from raviolo.series import BiDist
@@ -122,7 +123,7 @@ def fc_oracle(gi, n, state):
 def _rational_state(st):
     out = {}
     for k, c in st.items():
-        q = c.rational_value()
+        q = rational_of(c)
         assert q is not None
         out[k] = q
     return out
@@ -204,7 +205,7 @@ def _two_level_field_mode(mod, a, t, v):
         for _, k in mono:
             den *= factorial(k)
         vadd(out, mod.mono_mode(mono, t, v),
-             ca.parity_twist(t >= 0) * Fraction(1, den))
+             twist(ca, t >= 0) * Fraction(1, den))
     return out
 
 
@@ -448,6 +449,83 @@ def test_composite_fields_on_tensor():
     M = PBWModule(pres, spin_cap=3, word_cap=3)
     ok, wit = check_composite_fields(M)
     assert ok, wit
+
+
+def _oracle_mode(oracle, x, k, n, state):
+    """Mode n of the k-th derivative of the field of x, the vacuum or a
+    generator state, through a Fock oracle: the vacuum's field is the
+    identity, and (d^k g)_(n) = (-1)^k k! C(n, k) g_(n-k)."""
+    (key,) = x
+    if not key:
+        return dict(state) if (k, n) == (0, -1) else {}
+    ((gi, _),) = key
+    c = (-1) ** k * factorial(k) * engine.binom(n, k)
+    if not c:
+        return {}
+    return {kk: c * q for kk, q in oracle(gi, n - k, state).items()}
+
+
+def _oracle_composite(oracle, k, t, a, b, v, pa, pb):
+    """k! (a_(-k-1)b)_(t) v as the normal-ordered product of the Fock
+    fields of d^k a and b: both factors in creation modes for t < 0; for
+    t >= 0 the blocks (-1)^|a| A_n B_(t-n-1) and (-1)^((|a|+1)|b|)
+    B_n A_(t-n-1) over n < 0.  The sums run over a fixed deep range:
+    past the depth of v the oracle's annihilation modes give zero."""
+    out = {}
+
+    def block(sign, x, kx, n, y, ky, m):
+        inner = _oracle_mode(oracle, y, ky, m, v)
+        for key, q in _oracle_mode(oracle, x, kx, n, inner).items():
+            _oadd(out, key, sign * q)
+
+    if t < 0:
+        for n in range(t, 0):
+            block(1, a, k, n, b, 0, t - n - 1)
+    else:
+        for n in range(-12, 0):
+            block((-1) ** pa, a, k, n, b, 0, t - n - 1)
+            block((-1) ** ((pa + 1) * pb), b, 0, n, a, k, t - n - 1)
+    return out
+
+
+@pytest.mark.parametrize("name, gens, table, oracle, extra", [
+    ("h", h_gens, h_table, h_oracle,
+     [((0, -2), (1, -1)), ((0, -1), (0, -1))]),
+    ("fc", fc_gens, fc_table, fc_oracle,
+     [((0, -1), (1, -2)), ((1, -2), (1, -1))])], ids=["h", "fc"])
+def test_composite_fields_match_fock_oracle(name, gens, table, oracle,
+                                            extra):
+    """Both sides of every composite-field instance whose factors are the
+    vacuum or a generator equal the normal-ordered product of the
+    factors' Fock fields, with no mode bracket and no _mono_key."""
+    M = PBWModule(Presentation(name, list(gens()), table()), spin_cap=4,
+                  word_cap=4, specialize={"K": 1})
+    factors = default_samples(M, max_word=1)
+    states = factors + [{key: 1} for key in extra]
+    checked = 0
+    for (k, t, a, b, v), lhs, rhs in check_composite_fields.__wrapped__(
+            M, states, 2, 2, 1):
+        if not any(a is x for x in factors) or \
+                not any(b is x for x in factors):
+            continue
+        want = _oracle_composite(oracle, k, t, a, b, _rational_state(v),
+                                 M.state_parity(a), M.state_parity(b))
+        assert _rational_state(lhs) == want, (k, t, a, b, v)
+        assert _rational_state(rhs) == want, (k, t, a, b, v)
+        checked += 1
+    assert checked == len(factors) ** 2 * 3 * len(states) * 5
+
+
+def test_rational_spin_cap():
+    """A rational spin cap keeps exactly the states of spin at most the
+    cap; a cap that is not a rational is rejected."""
+    pres = fc(Fraction(1, 2))
+    capped = PBWModule(pres, spin_cap=Fraction(9, 2)).basis()
+    five = PBWModule(pres, spin_cap=5).basis()
+    assert capped == [(k, g) for k, g in five if g.spin <= Fraction(9, 2)]
+    assert len(capped) < len(five)
+    with pytest.raises(ValueError, match="spin cap"):
+        PBWModule(pres, spin_cap=4.5).basis()
 
 
 # ------------------------------------------- tabled sample-state products

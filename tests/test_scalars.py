@@ -3,8 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from raviolo.scalars import (
-    Param, Scalar, Grading, koszul_sign, binom,
+    Param, Scalar, Grading, koszul_sign, binom, ZERO,
     K_PARAM, KAPPA_PARAM, XI_PARAM, vadd, vscale, vsub, veq,
+    degrees_of, rational_of, twist,
 )
 
 
@@ -229,3 +230,40 @@ def test_vector_helpers():
     assert "a" not in s and s["b"] == K
     assert veq(vscale(w, 2), {"a": Scalar.from_rational(-2), "b": 2 * K})
     assert veq(vsub(w, w), {})
+
+
+def test_hash_agrees_with_eq():
+    # a parameter-free Scalar equals its rational, so it must hash as one
+    two = Scalar.from_rational(2)
+    assert two == 2 and hash(two) == hash(2)
+    assert len({two, 2}) == 1
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    half = Scalar.from_rational(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    assert hash(K + 1) == hash(1 + K) and len({K + 1, K}) == 2
+    assert not ZERO and two and K
+
+
+def test_vector_helpers_demote_parameter_free_results():
+    v = vadd({"a": K + 1}, {"a": -K, "b": Scalar.from_rational(3)})
+    assert v == {"a": 1, "b": 3}
+    assert all(type(c) is int for c in v.values())
+    assert vscale({"a": K}, 0) == {}
+    assert vscale({"a": kap}, kap) == {}
+    h = vscale({"a": Fraction(1, 2), "b": 2 * K}, Scalar.from_rational(2))
+    assert h == {"a": 1, "b": 4 * K} and type(h["a"]) is int
+    d = vsub({"a": K + Fraction(1, 2)}, {"a": K})
+    assert d == {"a": Fraction(1, 2)} and type(d["a"]) is Fraction
+    assert veq({"a": 1}, {"a": Scalar.one()})
+
+
+def test_readers_accept_both_kinds():
+    for q in (0, 3, Fraction(-1, 2)):
+        assert twist(q, 1) == q and degrees_of(q) == (0, 0)
+        assert rational_of(q) == q
+        assert rational_of(Scalar.from_rational(q)) == q
+    assert type(rational_of(Scalar({(): Fraction(4, 2)}))) is int
+    assert rational_of(K + 1) is None
+    assert twist(kap + K, 1) == K - kap and twist(kap + K, 0) == kap + K
+    assert degrees_of(kap) == (1, 0) and degrees_of(Scalar.one()) == (0, 0)

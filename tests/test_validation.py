@@ -1,9 +1,12 @@
 """Input validation that survives `python -O`, no unreferenced code in
 `src/`, and the canonical form of the sparse containers.
 
-Every {key: Scalar} container (FieldExpr, RavSeries, BiDist, TriElement,
-the dg-model's AElement) sums through scalars.vadd/vsub/vscale, so none
-of them may keep a zero coefficient.
+Every vector (FieldExpr, RavSeries, BiDist, TriElement, the dg-model's
+AElement, a PBW module's memoized states) sums through scalars.vadd/
+vsub/vscale, so each of its coefficients is nonzero and canonical: a
+Scalar only while it carries a parameter, else an int or a Fraction with
+denominator > 1.  Coefficients are read through the scalars readers
+that accept both kinds.
 """
 
 import ast
@@ -15,6 +18,7 @@ from fractions import Fraction
 
 from hypothesis import given, seed, settings, strategies as st
 
+from raviolo import catalog, cli, engine
 from raviolo.dgmodel import AElement, a_mul
 from raviolo.modes import FieldExpr
 from raviolo.scalars import Scalar, K_PARAM, KAPPA_PARAM, XI_PARAM
@@ -100,6 +104,28 @@ def test_no_validation_asserts_in_src():
     assert seen == set(ASSERT_ALLOWLIST), "stale allowlist entries"
 
 
+# names of Scalar methods whose callers outside scalars.py would assume a
+# coefficient is a Scalar; the readers twist, rational_of and degrees_of
+# (and plain truth tests) accept both kinds
+_SCALAR_ONLY = {"parity_twist", "rational_value", "degrees", "is_zero"}
+
+
+def test_coefficients_read_through_the_readers():
+    pkg = os.path.join(SRC, "raviolo")
+    bad = []
+    for fn in sorted(os.listdir(pkg)):
+        if not fn.endswith(".py") or fn == "scalars.py":
+            continue
+        tree = ast.parse(open(os.path.join(pkg, fn)).read(), fn)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in _SCALAR_ONLY:
+                bad.append("%s:%d .%s()" % (fn, node.lineno, node.func.attr))
+    assert not bad, "read coefficients through the scalars readers: %s" \
+        % bad
+
+
 # ------------------------------------------------------- dead code
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -170,8 +196,17 @@ def _terms(x):
     return [x.even, x.odd] if isinstance(x, AElement) else [x.terms]
 
 
+def _coeff_ok(c):
+    """A vector entry under the coefficient rule."""
+    if isinstance(c, Scalar):
+        return any(mono for mono in c.terms)  # carries a parameter
+    if type(c) is Fraction:
+        return c.denominator > 1
+    return type(c) is int and c != 0
+
+
 def _canonical(x):
-    return all(c.terms for t in _terms(x) for c in t.values())
+    return all(_coeff_ok(c) for t in _terms(x) for c in t.values())
 
 
 def _empty(x):
@@ -228,3 +263,35 @@ def test_tri_element_keeps_no_zero(a, b, c):
 def test_dg_element_keeps_no_zero(e1, o1, e2, o2, c):
     x, y = AElement(e1, o1), AElement(e2, o2)
     _check(x, y, c, [a_mul(x, y)])
+
+
+def test_module_memos_keep_the_coefficient_rule(monkeypatch, capsys):
+    """Every coefficient memoized by the PBW modules of a suite run on
+    the four presets (parameters symbolic) and of `rav brst` (K and
+    kappa specialized) follows the rule."""
+    mods = []
+    init = engine.PBWModule.__init__
+
+    def register(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        mods.append(self)
+
+    monkeypatch.setattr(engine.PBWModule, "__init__", register)
+    for pres in (catalog.fc(), catalog.heisenberg(), catalog.virasoro(),
+                 catalog.sl2()):
+        mod = engine.PBWModule(pres, spin_cap=3, word_cap=3)
+        engine.verify_axioms(mod, states=engine.default_samples(mod, 1),
+                             tay=1)
+    sl2 = os.path.join(ROOT, "examples", "dsl", "sl2.rav")
+    assert cli.main(["brst", sl2, "--spin", "2", "--word", "3"]) == 0
+    capsys.readouterr()
+    assert len(mods) == 5
+    for mod in mods:
+        coeffs = [c for memo in (mod._act_memo, mod._mono_memo)
+                  for vec in memo.values() for c in vec.values()]
+        assert coeffs, mod.pres.name
+        bad = [c for c in coeffs if not _coeff_ok(c)]
+        assert not bad, (mod.pres.name, bad[:5])
+    # the symbolic runs do memoize parameters, so both kinds were seen
+    assert any(isinstance(c, Scalar) for mod in mods[:4]
+               for vec in mod._act_memo.values() for c in vec.values())
