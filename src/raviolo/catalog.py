@@ -181,30 +181,22 @@ def highest_weight_kernel(mod, spin_cap):
     """Basis-span states killed by every annihilation mode: nu_(n) for
     n >= 1 and b_(n) for n >= 0.  Returns the list of kernel states."""
     keys = [k for k, g in mod.basis() if g.spin <= spin_cap]
-    rows = []
     nmax = int(spin_cap) + 1
-    for k in keys:
-        images = []
-        for n in range(1, nmax + 1):
-            images.append(mod.act("nu", n, {k: 1}))
-        for n in range(0, nmax + 1):
-            images.append(mod.act("b", n, {k: 1}))
-        rows.append(images)
-    # one linear condition per (image slot, target key)
-    slots = len(rows[0]) if rows else 0
-    mat = []
-    for s in range(slots):
+    annihilators = [("nu", n) for n in range(1, nmax + 1)] + \
+        [("b", n) for n in range(0, nmax + 1)]
+    rows = [[mod.act(x, n, {k: 1}) for x, n in annihilators] for k in keys]
+    # one linear condition per (image slot, target key): each slot's
+    # coordinates sit at an offset in every key's column
+    columns = [{} for _ in keys]
+    offset = 0
+    for s in range(len(annihilators)):
         targets = sorted({t for r in rows for t in r[s]})
-        tindex = {t: i for i, t in enumerate(targets)}
-        coords = [rational_coords(r[s], tindex) for r in rows]
-        for i in range(len(targets)):
-            mat.append([c.get(i, Fraction(0)) for c in coords])
-    if not mat:
-        mat = [[Fraction(0)] * len(keys)]
-    out = []
-    for vec in kernel_basis(mat):
-        out.append(as_vector(dict(zip(keys, vec))))
-    return out
+        tindex = {t: offset + i for i, t in enumerate(targets)}
+        for col, r in zip(columns, rows):
+            col.update(rational_coords(r[s], tindex))
+        offset += len(targets)
+    return [as_vector({keys[j]: q for j, q in vec.items()})
+            for vec in kernel_basis(columns)]
 
 
 # ------------------------------------------------------ lattice module

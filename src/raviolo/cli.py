@@ -235,6 +235,11 @@ def _parse_line(doc, line, lineno):
         if not m:
             err("param NAME : deg INT (even|odd)")
         nm, deg, par = m.group(1), int(m.group(2)), m.group(3)
+        if nm in doc.params:
+            err("param %r is %s" % (nm, "builtin" if nm in BUILTIN_PARAMS
+                                    else "already declared"))
+        if nm in doc.gen_names:
+            err("param %r is already a generator" % nm)
         doc.params[nm] = Param(nm, deg, 1 if par == "odd" else 0)
         doc.declared_params.append(nm)
     elif head == "generator":
@@ -247,6 +252,8 @@ def _parse_line(doc, line, lineno):
         nm = m.group(1)
         if nm in doc.gen_names:
             err("duplicate generator %r" % nm)
+        if nm in doc.params:
+            err("generator %r is already a param" % nm)
         fl = tuple(int(x) for x in m.group(5).split()[1:]) if m.group(5) \
             else ()
         doc.gens.append(GeneratorInfo(
@@ -294,6 +301,8 @@ def _parse_line(doc, line, lineno):
         for g in pres.gens:
             if g.name in doc.gen_names:
                 err("preset generator %r already declared" % g.name)
+            if g.name in doc.params:
+                err("preset generator %r is already a param" % g.name)
             doc.gens.append(g)
         for key, e in pres.table.entries.items():
             doc.declared.add(key)
@@ -619,7 +628,10 @@ def cmd_fock(args):
 
 
 def cmd_lattice(args):
-    win = args.flavor_window or 3
+    win = 3 if args.flavor_window is None else args.flavor_window
+    if not win:
+        # no sector pair: the defining relations would pass vacuously
+        raise SpecError("lattice needs --flavor-window >= 1")
     lat = catalog.LatticeModule(window=win, spin_cap=args.spin + 1,
                                 word_cap=args.word)
     rep = Report("lattice(window=%d)" % win, args.spin, args.word)

@@ -16,8 +16,7 @@ up to exact terms.
 from fractions import Fraction
 
 from .scalars import as_vector, vadd, vscale, vsub
-from .linalg import (column_kernel, rational_coords, dense_coords, solve,
-                     in_span)
+from .linalg import column_kernel, rational_coords, in_span
 
 
 # APoly: {(a, b, e): coefficient} with e in {0,1}; keys are z^a lam^b
@@ -173,13 +172,11 @@ def cohomology_basis(degree, cap):
 def is_exact(poly, cap):
     """Is the omega-coefficient poly in the image of d' (sources <= cap)?
     Returns a primitive APoly or None."""
-    basis = monomial_basis(cap)
-    index = {k: i for i, k in enumerate(basis)}
-    cols = [dense_coords(d_poly({k: 1}), index) for k in basis]
-    x = solve(list(zip(*cols)), dense_coords(poly, index))
-    if x is None:
+    basis, index, image, _ = _d_echelon(cap)
+    res, comb = image.reduce(rational_coords(poly, index))
+    if res:
         return None
-    return apoly({k: q for k, q in zip(basis, x) if q})
+    return apoly({basis[j]: q for j, q in sorted(comb.items())})
 
 
 def exactness_witness(m, cap=None):
@@ -202,9 +199,9 @@ def check_cohomology_window(cap):
             continue
         if any(b or e for (a, b, e) in rep):
             return False, ("H0", rep)
-    vecs = [dense_coords(rep, index) for rep in reps]
+    vecs = [rational_coords(rep, index) for rep in reps]
     for n in range(cap):
-        if not in_span(vecs, dense_coords({(n, 0, 0): 1}, index)):
+        if not in_span(vecs, {index[(n, 0, 0)]: 1}):
             return False, ("H0-missing", n)
     # degree 1: each lam^n omega is non-exact, and every monomial inside
     # the window is congruent to C[lam]omega modulo the image

@@ -34,8 +34,7 @@ from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
 from .series import (BiDist, DeltaKernel, combine_indices, delta_decompose,
                      delta_expand, expand_region, tri_normalize)
-from .linalg import (Echelon, column_kernel, rational_coords, dense_coords,
-                     solve)
+from .linalg import Echelon, column_kernel, rational_coords, solve
 
 
 def _is_one(c):
@@ -418,13 +417,7 @@ class PBWModule:
 
     def ope_singular(self, a, b):
         """{n >= 0: a_(n) b} (nonzero entries only)."""
-        bound = _floor(self.state_spin(a) + self.state_spin(b) - 1)
-        out = {}
-        for n in range(0, bound + 1):
-            v = self.field_mode(a, n, b)
-            if v:
-                out[n] = v
-        return out
+        return dict(_modes(self, a, b, 0))
 
     def expr_to_state(self, expr):
         """The state expr|0> of a FieldExpr."""
@@ -1009,11 +1002,12 @@ def cell_basis(mod, grading):
     return [k for k, g in mod.basis() if g == grading]
 
 
-def state_coords(state, keys, index=None):
+def state_coords(state, keys):
     """Dense rational coordinates of a state over the listed keys;
     CoordinateError if a coefficient is not rational or a key is not
     listed."""
-    return dense_coords(state, index or {k: i for i, k in enumerate(keys)})
+    coords = rational_coords(state, {k: i for i, k in enumerate(keys)})
+    return [coords.get(i, Fraction(0)) for i in range(len(keys))]
 
 
 def in_translation_image(mod, state):
@@ -1026,11 +1020,11 @@ def in_translation_image(mod, state):
     if not skeys:
         return False, None
     index = {k: i for i, k in enumerate(cell_basis(mod, g))}
-    cols = [dense_coords(mod.translate({k: 1}), index) for k in skeys]
-    x = solve(list(zip(*cols)), dense_coords(state, index))
+    cols = [rational_coords(mod.translate({k: 1}), index) for k in skeys]
+    x = solve(cols, rational_coords(state, index))
     if x is None:
         return False, None
-    return True, as_vector(dict(zip(skeys, x)))
+    return True, as_vector({skeys[j]: q for j, q in x.items()})
 
 
 # ------------------------------------------------------ deformations

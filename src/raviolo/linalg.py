@@ -8,10 +8,11 @@ are the reduced row echelon form of everything added.  Each row also
 carries its combination of the tagged vectors that were added, which
 answers dependency and solution questions without a second elimination.
 
-`rref`, `kernel_basis`, `solve` and `in_span` take dense lists and read
-their answers off such a basis; a caller with one question uses them,
-and a caller with many questions against one span holds an `Echelon`.
-Sizes are desk scale, exactness is the point.
+`kernel_basis`, `solve` and `in_span` take sparse vectors, such as the
+coordinates `rational_coords` returns, and read their answers off such a
+basis; a caller with one question uses them, and a caller with many
+questions against one span holds an `Echelon`.  `rref` is the one
+function on dense lists.  Sizes are desk scale, exactness is the point.
 """
 
 from fractions import Fraction
@@ -83,11 +84,6 @@ def column_kernel(columns):
     return ech, kernel
 
 
-def _sparse(vec):
-    """The nonzero entries of a dense vector, as {index: Fraction}."""
-    return {i: Fraction(x) for i, x in enumerate(vec) if x}
-
-
 class CoordinateError(ValueError):
     """A state has no rational coordinates over the given keys."""
 
@@ -109,27 +105,15 @@ def rational_coords(state, index):
     return out
 
 
-def dense_coords(state, index):
-    """rational_coords as a dense list of len(index) rationals."""
-    v = [Fraction(0)] * len(index)
-    for i, q in rational_coords(state, index).items():
-        v[i] = q
-    return v
-
-
-def _row_echelon(mat):
-    ech = Echelon()
-    for i, r in enumerate(mat):
-        ech.add(_sparse(r), i)
-    return ech
-
-
 def rref(mat):
-    """Row-reduce a copy of mat; returns (rows, pivot_columns)."""
+    """Row-reduce a copy of the dense matrix mat; returns (rows,
+    pivot_columns)."""
     if not mat:
         return [], []
     ncols = len(mat[0])
-    pivots = sorted(_row_echelon(mat).rows.items())
+    ech, _ = column_kernel([{j: Fraction(x) for j, x in enumerate(r) if x}
+                            for r in mat])
+    pivots = sorted(ech.rows.items())
     rows = [[Fraction(0)] * ncols for _ in mat]
     for dense, (_, (row, _)) in zip(rows, pivots):
         for j, v in row.items():
@@ -137,33 +121,21 @@ def rref(mat):
     return rows, [p for p, _ in pivots]
 
 
-def kernel_basis(mat):
-    """Basis of the right kernel {x : mat @ x = 0}: one vector per
-    non-pivot column j, with x[j] = 1 and x[p] = -rref[p][j] on the
-    pivot columns (column_kernel of the columns, made dense)."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    _, kernel = column_kernel([_sparse(col) for col in zip(*mat)])
-    return [[v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel]
+def kernel_basis(columns):
+    """Basis of {x : sum_j x_j columns[j] = 0}, as sparse vectors: one per
+    column j dependent on the ones before it, with x_j = 1."""
+    return column_kernel(columns)[1]
 
 
-def solve(mat, rhs):
-    """One solution x of mat @ x = rhs, or None if inconsistent; every
-    free variable is 0."""
-    if not mat:
-        return None if any(v != 0 for v in rhs) else []
-    ncols = len(mat[0])
-    rows, pivots = rref([list(r) + [v] for r, v in zip(mat, rhs)])
-    if ncols in pivots:
-        return None  # pivot in the augmented column
-    x = [Fraction(0)] * ncols
-    for row, p in zip(rows, pivots):
-        x[p] = row[ncols]
-    return x
+def solve(columns, target):
+    """One solution {j: x_j} (index order, zeros dropped) of
+    sum_j x_j columns[j] = target, or None if target is not in their
+    span; every free variable is 0, so only the leftmost independent
+    columns are used."""
+    res, comb = column_kernel(columns)[0].reduce(target)
+    return None if res else dict(sorted(comb.items()))
 
 
 def in_span(vectors, vec):
-    """Is vec in the span of the given vectors (all same length)?"""
-    res, _ = _row_echelon(vectors).reduce(_sparse(vec))
-    return not res
+    """Is the sparse vector vec in the span of the given ones?"""
+    return not column_kernel(vectors)[0].reduce(vec)[0]

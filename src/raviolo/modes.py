@@ -84,9 +84,6 @@ class FieldExpr:
     def is_zero(self):
         return not self.terms
 
-    def max_word(self):
-        return max((len(m) for m in self.terms), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, FieldExpr):
             return NotImplemented

@@ -97,6 +97,35 @@ def test_use_preset_expands():
     assert len(doc2.gens) == 4
 
 
+# documents whose names clash: each is rejected at the line that makes
+# the clash, so no name is silently replaced or made unreachable
+NAME_CLASHES = {
+    "param-twice": ("algebra a\nparam c : deg 0 even\n"
+                    "param c : deg 0 even\n", "line 3: param 'c'"),
+    "param-after-generator": ("algebra a\ngenerator X : deg 1 spin 1 even\n"
+                              "param X : deg 0 even\n", "line 3: param 'X'"),
+    "param-builtin": ("algebra a\nparam K : deg 1 odd\nuse heisenberg\n",
+                      "line 2: param 'K' is builtin"),
+    "generator-after-param": ("algebra a\nparam c : deg 0 even\n"
+                              "generator c : deg 1 spin 1 even\n",
+                              "line 3: generator 'c'"),
+    "preset-after-param": ("algebra a\nparam X : deg 0 even\nuse fc\n",
+                           "line 3: preset generator 'X'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_CLASHES))
+def test_name_clash_rejected(case, tmp_path, capsys):
+    text, want = NAME_CLASHES[case]
+    with pytest.raises(SpecError, match=want):
+        parse_spec(text)
+    path = tmp_path / "clash.rav"
+    path.write_text(text)
+    assert main(["character", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + want) and err.count("\n") == 1
+
+
 def test_expr_productions():
     doc = parse_spec("""\
 algebra probe
@@ -286,6 +315,16 @@ def test_module_and_lattice_commands(capsys):
     assert "kernel-is-cyclic" in capsys.readouterr().out
     assert main(["lattice", "--order", "1"]) == 0
     assert "defining-relations" in capsys.readouterr().out
+
+
+def test_lattice_window_zero_rejected(capsys):
+    # window 0 has no sector pair, so the relations check would be vacuous;
+    # only an absent flag means the default window 3
+    assert main(["lattice", "--order", "1", "--flavor-window", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: lattice needs --flavor-window >= 1\n"
+    assert main(["lattice", "--order", "1", "--flavor-window", "1"]) == 0
+    assert "lattice(window=1)" in capsys.readouterr().out
 
 
 # each subcommand takes only the options it reads

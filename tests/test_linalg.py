@@ -4,6 +4,13 @@ from fractions import Fraction
 import sympy
 
 from raviolo.linalg import rref, kernel_basis, solve, in_span
+from raviolo.catalog import fc
+from raviolo.dgmodel import (AElement, a_mul, d_poly, is_exact,
+                             monomial_basis, omega_class)
+from raviolo.engine import (PBWModule, Presentation, cell_basis,
+                            in_translation_image, state_coords)
+from raviolo.modes import GeneratorInfo
+from raviolo.scalars import Grading
 
 
 def _rand_matrix(rng, m, n):
@@ -19,6 +26,23 @@ def _rand_matrix(rng, m, n):
     return a
 
 
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _columns(a, n):
+    """The n columns of the dense matrix a as sparse vectors."""
+    return [_sparse([row[j] for row in a]) for j in range(n)]
+
+
+def _dense(vec, n):
+    return [vec.get(i, 0) for i in range(n)]
+
+
+def _in_index_order(vec):
+    return list(vec) == sorted(vec) and all(vec.values())
+
+
 def test_rank_against_sympy():
     rng = random.Random(7)
     for _ in range(25):
@@ -32,12 +56,27 @@ def test_kernel_against_sympy():
     for _ in range(25):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _rand_matrix(rng, m, n)
-        ker = kernel_basis(a)
+        ker = kernel_basis(_columns(a, n))
+        assert all(_in_index_order(v) for v in ker)
         # the canonical basis: x[j] = 1 on one free column, 0 on the others
-        assert ker == [list(v) for v in sympy.Matrix(a).nullspace()]
+        assert [_dense(v, n) for v in ker] == \
+            [list(v) for v in sympy.Matrix(a).nullspace()]
         for v in ker:
             for row in a:
-                assert sum(x * y for x, y in zip(row, v)) == 0
+                assert sum(row[j] * x for j, x in v.items()) == 0
+    assert kernel_basis([]) == []
+    assert kernel_basis([{}, {0: 1}]) == [{0: 1}]
+
+
+def _sympy_solution(a, rhs):
+    """gauss_jordan_solve's solution with every free parameter 0, or None
+    if the system is inconsistent."""
+    try:
+        sol, params = sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:
+        return None
+    return [Fraction(int(q.p), int(q.q))
+            for q in sol.subs({t: 0 for t in params})]
 
 
 def test_solve_consistent():
@@ -47,26 +86,28 @@ def test_solve_consistent():
         a = _rand_matrix(rng, m, n)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         rhs = [sum(r[j] * x0[j] for j in range(n)) for r in a]
-        x = solve(a, rhs)
-        assert x is not None
-        sol, params = sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(rhs))
-        assert x == list(sol.subs({t: 0 for t in params}))  # free vars 0
+        x = solve(_columns(a, n), _sparse(rhs))
+        assert x is not None and _in_index_order(x)
+        assert _dense(x, n) == _sympy_solution(a, rhs)  # free vars 0
         for r, b in zip(a, rhs):
-            assert sum(u * v for u, v in zip(r, x)) == b
+            assert sum(r[j] * q for j, q in x.items()) == b
 
 
 def test_solve_inconsistent():
-    a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert solve(a, [Fraction(1), Fraction(2)]) is None
+    assert solve([{0: Fraction(1), 1: Fraction(1)}, {}],
+                 {0: Fraction(1), 1: Fraction(2)}) is None
+    assert solve([], {0: 1}) is None
+    assert solve([], {}) == {}
 
 
 def test_in_span():
-    v1 = [Fraction(1), Fraction(0), Fraction(1)]
-    v2 = [Fraction(0), Fraction(1), Fraction(1)]
-    assert in_span([v1, v2], [Fraction(1), Fraction(1), Fraction(2)])
-    assert not in_span([v1, v2], [Fraction(0), Fraction(0), Fraction(1)])
-    assert in_span([], [Fraction(0)])
-    assert not in_span([], [Fraction(1)])
+    v1 = {0: Fraction(1), 2: Fraction(1)}
+    v2 = {1: Fraction(1), 2: Fraction(1)}
+    assert in_span([v1, v2], {0: Fraction(1), 1: Fraction(1),
+                              2: Fraction(2)})
+    assert not in_span([v1, v2], {2: Fraction(1)})
+    assert in_span([], {})
+    assert not in_span([], {0: Fraction(1)})
 
 
 def test_rref_idempotent():
@@ -74,3 +115,66 @@ def test_rref_idempotent():
     r1, p1 = rref(a)
     r2, p2 = rref(r1)
     assert r1 == r2 and p1 == p2
+
+
+# ---------------------------------------- callers against the oracle
+
+
+def _oracle_primitive(image, src_keys, dst_keys, target):
+    """{source key: coefficient} of the sympy solution of
+    sum_k x_k image({k: 1}) = target with free parameters 0, in source
+    order, zeros dropped; None if there is none."""
+    cols = [state_coords(image({k: 1}), dst_keys) for k in src_keys]
+    a = [[c[i] for c in cols] for i in range(len(dst_keys))]
+    x = _sympy_solution(a, state_coords(target, dst_keys))
+    return None if x is None else {k: q for k, q in zip(src_keys, x) if q}
+
+
+def test_translation_primitives_match_sympy():
+    # the chiral weight pair at K = 1; targets are every spin-4 state, T of
+    # each, and T of one combination of each spin-4 cell
+    half = Fraction(1, 2)
+    pres = Presentation("chiral", [GeneratorInfo("X", Grading(1, half, 1)),
+                                   GeneratorInfo("psi", Grading(0, half, 1))],
+                        fc().table)
+    mod = PBWModule(pres, spin_cap=5, word_cap=12, specialize={"K": 1})
+    cells = {}
+    for k, g in mod.basis():
+        if g.spin == 4:
+            cells.setdefault(g, []).append(k)
+    states = [{k: 1} for keys in cells.values() for k in keys]
+    combos = [{k: Fraction(j + 1, 3) for j, k in enumerate(keys)}
+              for keys in cells.values()]
+    targets = states + [mod.translate(st) for st in states + combos]
+    checked = misses = 0
+    for target in targets:
+        g = mod.state_grading(target)
+        skeys = cell_basis(mod, Grading(g.cohdeg, g.spin - 1, g.parity,
+                                        g.flavor))
+        if not skeys:
+            continue
+        want = _oracle_primitive(mod.translate, skeys, cell_basis(mod, g),
+                                 target)
+        ok, prim = in_translation_image(mod, target)
+        checked += 1
+        if want is None:
+            assert (ok, prim) == (False, None), target
+            misses += 1
+        else:
+            assert ok and list(prim.items()) == list(want.items()), target
+    assert checked > 40 and misses
+
+
+def test_exactness_primitives_match_sympy():
+    z = AElement.gen("z")
+    for m in range(5):
+        cap = m + 4
+        target = (a_mul(z, omega_class(m + 1)) - omega_class(m)).odd
+        basis = monomial_basis(cap)
+        want = _oracle_primitive(d_poly, basis, basis, target)
+        assert want is not None
+        assert list(is_exact(target, cap).items()) == list(want.items()), m
+    # lam^0 omega is not exact
+    assert is_exact({(0, 0, 0): 1}, 4) is None
+    assert _oracle_primitive(d_poly, monomial_basis(4), monomial_basis(4),
+                             {(0, 0, 0): 1}) is None

@@ -126,6 +126,27 @@ def test_coefficients_read_through_the_readers():
         % bad
 
 
+def test_elimination_takes_sparse_vectors():
+    # callers hand linalg sparse coordinates: no zip(*...) transpose in
+    # src/, and the dense rref is called nowhere outside linalg.py
+    pkg = os.path.join(SRC, "raviolo")
+    bad = []
+    for fn in sorted(os.listdir(pkg)):
+        if not fn.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(pkg, fn)).read(), fn)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "zip" and any(isinstance(a, ast.Starred)
+                                     for a in node.args):
+                bad.append("%s:%d zip(*...)" % (fn, node.lineno))
+            if name == "rref" and fn != "linalg.py":
+                bad.append("%s:%d rref()" % (fn, node.lineno))
+    assert not bad, "pass sparse vectors to linalg: %s" % bad
+
+
 # ------------------------------------------------------- dead code
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
