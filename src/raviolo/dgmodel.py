@@ -118,11 +118,6 @@ def a_mul(u, v):
     return AElement(even, odd)
 
 
-def a_diff(u):
-    """d'; kills the omega part (its differential carries omega^2 = 0)."""
-    return AElement(None, d_poly(u.even))
-
-
 def omega_class(m):
     """Om^m = ((2m+1)!! / (2^m m!)) lam^m omega."""
     dfac = 1

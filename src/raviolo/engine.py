@@ -18,7 +18,7 @@ kernels, the three-expansion form of associativity, properties of the
 normal-ordered product, the descent-bracket identities, the splitting
 into a commutative product plus a vertex-Lie tower, and the deformation
 layer (odd square-zero differentials from a superpotential, ghost
-systems, graded cohomology, conformal and primary checks).  A check is a
+systems, graded cohomology, the conformal check).  A check is a
 generator of (witness, lhs, rhs) instances, judged by identity_check.
 """
 
@@ -960,7 +960,8 @@ def selected_identities(checks):
         return IDENTITIES
     unknown = set(checks) - set(IDENTITIES)
     if unknown:
-        raise ValueError("unknown checks: %s" % ", ".join(sorted(unknown)))
+        raise ValueError("unknown checks: %s" % ", ".join(
+            sorted(name or repr(name) for name in unknown)))
     return checks
 
 
@@ -1064,8 +1065,8 @@ def dg_cohomology(mod, d, spin_cap=None):
     the enumerated window, cell by cell.
 
     Returns {(spin, cohdeg, flavor): (dimension, representatives)} for
-    cells whose incoming and outgoing differentials stay inside the
-    window.
+    every cell; CoordinateError when the differential of a cell's state
+    leaves the enumerated window.
     """
     cells = {}
     for k, g in mod.basis():
@@ -1157,56 +1158,3 @@ def conformal_check(mod, gamma, states=None):
         yield ("zero-mode", v), mod.field_mode(gamma, 0, v), mod.translate(v)
         yield (("weight", v), mod.field_mode(gamma, 1, v),
                vscale(v, mod.state_spin(v)))
-
-
-def primary_check(mod, gamma, a, nmax=None):
-    """Whether higher annihilation modes of the stress state kill a; the
-    weight mode n = 1 is reported separately from the n >= 2 tail."""
-    if nmax is None:
-        nmax = _floor(mod.state_spin(gamma) + mod.state_spin(a)) + 1
-    higher = []
-    for n in range(2, nmax + 1):
-        st = mod.field_mode(gamma, n, a)
-        if st:
-            higher.append((n, st))
-    weight = mod.field_mode(gamma, 1, a)
-    expected = vscale(a, mod.state_spin(a))
-    return {
-        "higher-ok": not higher,
-        "higher-witness": higher or None,
-        "weight-ok": veq(weight, expected),
-        "weight-state": weight,
-    }
-
-
-# ------------------------------------------------------ module probes
-
-def simplicity_probe(mod, spin_cap=None):
-    """Every nonzero basis state reaches the cyclic vector under
-    annihilation modes; returns (ok, stuck_key_or_None)."""
-    nmax = _floor(max(g.grading.spin for g in mod.gens)
-                  + (spin_cap if spin_cap is not None else mod.spin_cap))
-    for key, g in mod.basis():
-        if not key:
-            continue
-        if spin_cap is not None and g.spin > spin_cap:
-            continue
-        frontier = [{key: 1}]
-        seen = False
-        for _ in range(len(key) * (nmax + 1) + 2):
-            nxt = []
-            for st in frontier:
-                if () in st:
-                    seen = True
-                    break
-                for gi in range(len(mod.gens)):
-                    for n in range(0, nmax + 1):
-                        r = mod.act(gi, n, st)
-                        if r:
-                            nxt.append(r)
-            if seen or not nxt:
-                break
-            frontier = nxt
-        if not seen:
-            return False, key
-    return True, None

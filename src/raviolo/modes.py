@@ -200,70 +200,6 @@ def bracket_modes(A, B, table):
     return out
 
 
-def translate_mode(A):
-    """(d a)_(n) = -n a_(n-1): the translation derivation on modes."""
-    if A.n == 0:
-        return []
-    return [(-A.n, Mode(A.gen, A.n - 1))]
-
-
-# ------------------------------------------------------------ vertex Lie
-
-class VertexLieData:
-    """Finitely supported vertex-Lie presentation: named basis elements
-    with gradings, a flag marking central elements, and n-th products
-    valued in linear combinations of basis names."""
-
-    def __init__(self, gradings, products, central=()):
-        self.gradings = dict(gradings)      # name -> Grading
-        self.products = {}                  # (a, b, n) -> {name: coeff}
-        self.central = set(central)
-        for (a, b, n), val in products.items():
-            if n < 0:
-                raise ValueError("product index must be >= 0, got %r"
-                                 % ((a, b, n),))
-            clean = as_vector(val)
-            if clean:
-                self.products[(a, b, n)] = clean
-
-    def label_parity(self, name, n):
-        """Totalized parity of the label a_[n]; it coincides with the
-        parity of the mode a_(n) (the degree shift of the construction
-        cancels against the Omega degree for n < 0)."""
-        g = self.gradings[name]
-        return (g.tot + (1 if n >= 0 else 0)) % 2
-
-
-def lie_rav_bracket(L, a, n, b, m):
-    """[a_[n], b_[m]] = Koszul sign * sum_k C(n,k) (a_(k) b)_[n+m-k];
-    central labels collapse to K_[-1].  The Koszul sign
-    (-1)^((|a|+1)[n<0]) comes from commuting the Omega component of the
-    label past the product; without it the bracket fails graded
-    antisymmetry.
-
-    Returns {(name, t): coefficient}; central names appear only at t = -1.
-    """
-    if n < 0 and m < 0:
-        return {}  # Omega * Omega = 0 in the label coefficients
-    # Koszul sign from moving the label's Omega component out past a
-    sign = (-1) ** ((L.gradings[a].tot + 1) * (1 if n < 0 else 0))
-    out = {}
-    N = max([k for (x, y, k) in L.products if x == a and y == b],
-            default=-1)
-    for k in range(N + 1):
-        prod = L.products.get((a, b, k), {})
-        coeff = sign * binom(n, k)
-        if coeff == 0:
-            continue
-        t = n + m - k
-        if (n < 0 or m < 0) and t >= 0:
-            continue  # z^p Omega^q = 0 for p > q
-        # K (x) z^t and K (x) Omega^(t'>0) are d-exact
-        vadd(out, {(name, t): c for name, c in prod.items()
-                   if name not in L.central or t == -1}, coeff)
-    return out
-
-
 # ------------------------------------------------------------ PBW skeleton
 
 class InfiniteGradedPiece(Exception):

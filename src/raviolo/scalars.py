@@ -146,15 +146,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.terms)
 
-    def rational_value(self):
-        """The constant value (a Fraction) if this scalar has no
-        parameters, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return Fraction(self.terms[()])
-        return None
-
     def parity_twist(self, p):
         """Sign an operator of parity p picks up passing this scalar:
         negate the odd-parameter monomials when p is odd."""
@@ -351,11 +342,6 @@ class Grading(namedtuple("Grading", "cohdeg spin parity flavor")):
         return Grading(self.cohdeg + other.cohdeg, self.spin + other.spin,
                        (self.parity + other.parity) % 2,
                        tuple(a + b for a, b in zip(fl1, fl2)))
-
-
-def koszul_sign(g1, g2):
-    """(-1)^(|g1||g2|) with |g| the totalized parity."""
-    return -1 if (g1.tot and g2.tot) else 1
 
 
 # -- coefficients and the sparse-vector primitive --------------------

@@ -113,13 +113,6 @@ class RavSeries:
     __repr__ = __str__
 
 
-def residue_pair(f, g):
-    """Non-degenerate pairing <f, g> = Res(f*g); twists must sum to 1."""
-    if f.twist + g.twist != 1:
-        raise ValueError("twists must sum to 1")
-    return f.mul(g).residue()
-
-
 # ---------------------------------------------------------------- text
 
 def format_series(f):

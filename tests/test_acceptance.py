@@ -23,11 +23,13 @@ from raviolo.catalog import (
     fc, heisenberg, virasoro, sl2, stress_tensor, fock,
     highest_weight_kernel, LatticeModule, check_lattice_relations,
     QSeries, character, lattice_character, pochhammer_expand,
+    check_morphism, morphism_image,
 )
 from raviolo.dgmodel import (
-    AElement, a_mul, omega_class, d_poly, apoly_sub,
-    check_cohomology_window, exactness_witness,
+    AElement, a_mul, omega_class, d_poly, apoly_sub, sl2_action,
+    monomial_basis, check_cohomology_window, exactness_witness,
 )
+from raviolo.series import RavSeries, apply_delta
 
 from test_modes import (
     fc_gens, fc_table, h_gens, h_table, vir_gen, vir_table, sl2_gens,
@@ -51,7 +53,7 @@ def _floor(x):
 
 def test_criterion_01_ope_tables(capsys):
     import os
-    from raviolo.cli import main
+    from raviolo.cli import main, parse_spec, print_doc
     t0 = time.monotonic()
     dsl = os.path.join(os.path.dirname(__file__), "..", "examples",
                       "dsl")
@@ -91,6 +93,18 @@ def test_criterion_01_ope_tables(capsys):
     assert sing == {3: {(): XI * Fraction(1, 2)},
                     1: vscale(G, Fraction(2)),
                     0: V.translate(G)}
+
+    # each shipped document is a fixed point of parse_spec/print_doc
+    for fn in sorted(os.listdir(dsl)):
+        with open(os.path.join(dsl, fn), encoding="utf-8") as fh:
+            doc = parse_spec(fh.read())
+        printed = print_doc(doc)
+        doc2 = parse_spec(printed)
+        assert print_doc(doc2) == printed, fn
+        assert (doc2.name, doc2.gen_names) == (doc.name, doc.gen_names), fn
+        assert set(doc2.entries) == set(doc.entries), fn
+        for k in doc.entries:
+            assert (doc.entries[k] - doc2.entries[k]).is_zero(), (fn, k)
     _passed(1, "ope tables", t0, 20)
 
 
@@ -219,6 +233,13 @@ def _mode_commutator_against_singular(M, a, b, win=2):
 
 def test_criterion_03_locality_equivalence():
     t0 = time.monotonic()
+    # the delta kernel reproduces: Res_z Delta(z-w) f(z) = f(w); the map
+    # is linear, so every monomial of the window suffices
+    T = 8
+    for i in range(-T - 1, T + 1):
+        f = RavSeries({i: 1}, T)
+        assert apply_delta(f) == f, i  # same index data, now read in w
+
     pres = Presentation("fc", list(fc_gens()), fc_table()).tensor(
         Presentation("h", list(h_gens()), h_table()))
     M = PBWModule(pres, spin_cap=3, word_cap=4, flavor_window=1,
@@ -435,6 +456,25 @@ def test_criterion_08_lattice_and_fock():
         assert key == (), lam
         assert veq(Fk.act("nu", 0, Fk.vacuum()),
                    vscale(Fk.vacuum(), lam))
+
+    # free-field realizations: the weight-one pair embeds in the
+    # field-antifield pair at spins (0, 1) and (1, 0)
+    H = PBWModule(heisenberg(), spin_cap=3, word_cap=4)
+    F = PBWModule(fc(0, 0), spin_cap=3, word_cap=6, flavor_window=4)
+    gm = {0: vscale(F.translate(F.gen_state("X")), Fraction(-1)),
+          1: F.gen_state("psi")}
+    ok, wit = check_morphism(H, F, gm)
+    assert ok, wit
+    assert check_morphism(H, F, {0: gm[0], 1: vscale(gm[1], 2)}) == \
+        (False, ("nu", 1, "b_(-1)|0>"))
+    F1 = PBWModule(fc(1, 0), spin_cap=3, word_cap=6, flavor_window=4)
+    gm1 = {0: F1.gen_state("X"),
+           1: F1.translate(F1.gen_state("psi"))}
+    ok, wit = check_morphism(H, F1, gm1)
+    assert ok, wit
+    # the stress state has a nonzero image
+    img = morphism_image(F1, gm1, stress_tensor(H, "heisenberg"))
+    assert img, "stress state maps to zero"
     _passed(8, "lattice and Fock", t0, 180)
 
 
@@ -450,6 +490,15 @@ def test_criterion_09_two_disk_cohomology():
         target = a_mul(AElement.gen("z"), omega_class(m + 1)) \
             - omega_class(m)
         assert not apoly_sub(d_poly(p), target.odd), m
+    # the sl2 action on the model: d' = -1/2 omega e and [e, f] = h on
+    # every monomial of the window (all four maps are linear)
+    for k in monomial_basis(11):
+        u = {k: 1}
+        assert not apoly_sub(d_poly(u), vscale(sl2_action("e", u),
+                                               Fraction(-1, 2))), k
+        ef = sl2_action("e", sl2_action("f", u))
+        fe = sl2_action("f", sl2_action("e", u))
+        assert apoly_sub(ef, fe) == sl2_action("h", u), k
     _passed(9, "two-disk cohomology", t0, 60)
 
 

@@ -413,6 +413,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["check", _doc_path("vir.rav"), "--checks",
                  "vacuum,bogus"]) == 2
     assert "unknown checks: bogus" in capsys.readouterr().err
+    # an empty item (a trailing or lone comma) is named, not left blank
+    for checks in ("locality,", ","):
+        assert main(["check", _doc_path("vir.rav"), "--checks",
+                     checks]) == 2, checks
+        assert capsys.readouterr().err == "error: unknown checks: ''\n", \
+            checks
     # 2: a spin-0 even generator makes the graded pieces infinite; the
     # commands that enumerate a basis say so instead of a traceback
     flat = tmp_path / "flat.rav"

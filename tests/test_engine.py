@@ -24,7 +24,7 @@ from raviolo.engine import (
     default_samples, check_locality, check_associativity,
     check_composite_fields, superpotential_check, differential_map,
     check_square_zero, dg_cohomology, cell_basis, state_coords,
-    in_translation_image, simplicity_probe,
+    in_translation_image,
 )
 
 from test_modes import (fc_gens, fc_table, h_gens, h_table, vir_gen,
@@ -705,14 +705,6 @@ def test_tabled_checks_field_mode_calls():
         M.field_mode = counted
         assert check(M, states, *args) == (True, None), name
         assert len(calls) <= _FIELD_MODE_CALLS[name][1], (name, len(calls))
-
-
-def test_vacuum_module_simplicity_probe():
-    M = PBWModule(Presentation("fc", list(fc_gens()), fc_table()),
-                  spin_cap=3, word_cap=3, flavor_window=3,
-                  specialize={"K": 1})
-    ok, wit = simplicity_probe(M, spin_cap=2)
-    assert ok, wit
 
 
 # ------------------------------------------------- deformation layer

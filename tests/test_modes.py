@@ -3,8 +3,8 @@ from fractions import Fraction
 from raviolo.scalars import Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import (
     GeneratorInfo, Mode, FieldExpr, OpeTable,
-    bracket_from_ope, bracket_modes, expr_modes, translate_mode,
-    VertexLieData, lie_rav_bracket, vac_induce, InfiniteGradedPiece,
+    bracket_from_ope, bracket_modes, expr_modes, vac_induce,
+    InfiniteGradedPiece,
 )
 
 K = Scalar.param(K_PARAM)
@@ -250,6 +250,14 @@ def test_bracket_antisymmetry_and_jacobi():
                     lhs = ab.get(key, Scalar.zero())
                     rhs = -(sgn * ba.get(key, Scalar.zero()))
                     assert lhs == rhs, (name, ka, kb, key)
+        # the nonnegative modes close into a subalgebra
+        for a in gens:
+            for b in gens:
+                for n in range(0, 4):
+                    for m in range(0, 4):
+                        out = bracket_modes(Mode(a, n), Mode(b, m), table)
+                        assert all(t >= 0 for _, t in out), \
+                            (name, a, n, b, m, out)
         small = [(g.name, n) for g in gens for n in (-2, -1, 0, 1, 2)]
         for ka in small:
             for kb in small:
@@ -275,13 +283,14 @@ def test_bracket_antisymmetry_and_jacobi():
                             (name, ka, kb, kc, key)
 
 
-def _translate_combo(x, gens_by_name):
+def _translate_combo(x):
+    """(d a)_(t) = -t a_(t-1), read off expr_modes of the derivative."""
     out = {}
     for (name, t), c in x.items():
         if name is None:
             continue  # the identity field is translation invariant
-        for c2, mode in translate_mode(Mode(gens_by_name[name], t)):
-            key = (name, mode.n)
+        for c2, _, t2 in expr_modes(FieldExpr.gen(name, 1), t):
+            key = (name, t2)
             s = out.get(key, Scalar.zero()) + c2 * c
             if s.is_zero():
                 out.pop(key, None)
@@ -298,11 +307,11 @@ def test_translation_is_bracket_derivation():
             for kb in modes:
                 xa, xb = {ka: Scalar.one()}, {kb: Scalar.one()}
                 lhs = _translate_combo(
-                    _bracket_combo(xa, xb, by_name, table), by_name)
-                rhs = _bracket_combo(_translate_combo(xa, by_name), xb,
+                    _bracket_combo(xa, xb, by_name, table))
+                rhs = _bracket_combo(_translate_combo(xa), xb,
                                      by_name, table)
                 for key, c in _bracket_combo(
-                        xa, _translate_combo(xb, by_name),
+                        xa, _translate_combo(xb),
                         by_name, table).items():
                     s = rhs.get(key, Scalar.zero()) + c
                     if s.is_zero():
@@ -322,160 +331,12 @@ def test_expr_modes_derivative_rule():
     assert out == [(Scalar.from_rational(2), "Gamma", -3)]
     assert expr_modes(FieldExpr.const(K), -1) == [(K, None, -1)]
     assert expr_modes(FieldExpr.const(K), 2) == []
-
-
-def test_translate_mode_convention():
-    G = vir_gen()
-    out = translate_mode(Mode(G, -1))
-    assert len(out) == 1
-    c, m = out[0]
-    assert c == Scalar.one() and m.n == -2
-    assert translate_mode(Mode(G, 0)) == []
-    # paper-label check: on mu_{a,n}-type labels a_(n) with n = -3,
+    # the translation derivation (d a)_(n) = -n a_(n-1): it kills the
+    # zero mode, and on mu_{a,n}-type labels a_(n) with n = -3 it gives
     # (d mu)_(-3) = 3 mu_(-4), i.e. "d mu_{a,2} = 3 mu_{a,3}"
-    mu = GeneratorInfo("mu", Grading(1, 1, 0))
-    c, m = translate_mode(Mode(mu, -3))[0]
-    assert c == Scalar.from_rational(3) and m.n == -4
-
-
-# ------------------------------------------------------------ Lie_rav
-
-def h_vld():
-    return VertexLieData(
-        gradings={"b": Grading(0, 1, 0), "nu": Grading(1, 1, 0),
-                  "K": Grading(0, 0, 0)},
-        products={("b", "nu", 1): {"K": K},
-                  ("nu", "b", 1): {"K": -K}},
-        central=("K",))
-
-
-def sl2_vld():
-    prods = {}
-    for a in SL2:
-        for b in SL2:
-            p0 = {"mu_" + c: Scalar.from_rational(v)
-                  for c, v in SL2_F.get((a, b), {}).items()}
-            if p0:
-                prods[("mu_" + a, "mu_" + b, 0)] = p0
-            hab = SL2_KILLING.get((a, b), 0)
-            if hab:
-                prods[("mu_" + a, "mu_" + b, 1)] = {"kappa": KAP * hab}
-    grads = {"mu_" + a: Grading(1, 1, 0) for a in SL2}
-    grads["kappa"] = Grading(1, 0, 0)
-    return VertexLieData(grads, prods, central=("kappa",))
-
-
-def test_lie_rav_heisenberg_values():
-    L = h_vld()
-    for n in range(-4, 5):
-        for m in range(-4, 5):
-            out = lie_rav_bracket(L, "nu", n, "b", m)
-            want = {("K", -1): -n * K} if (m == -n and n != 0) else {}
-            assert out == want, (n, m, out)
-
-
-def test_lie_rav_k_reading_antisymmetric():
-    for L in (h_vld(), sl2_vld()):
-        names = [nm for nm in L.gradings if nm not in L.central]
-        for a in names:
-            for b in names:
-                for n in range(-3, 4):
-                    for m in range(-3, 4):
-                        ab = lie_rav_bracket(L, a, n, b, m)
-                        ba = lie_rav_bracket(L, b, m, a, n)
-                        sgn = -1 if (L.label_parity(a, n)
-                                     and L.label_parity(b, m)) else 1
-                        for key in set(ab) | set(ba):
-                            assert ab.get(key, Scalar.zero()) == \
-                                -(sgn * ba.get(key, Scalar.zero())), \
-                                (a, n, b, m, key)
-
-
-def test_lie_rav_matches_mode_algebra():
-    # a_[n] |-> a_(n) is an isomorphism onto the span of generator modes
-    # and K_(-1): compare values against bracket_from_ope
-    b, nu = h_gens()
-    by_name = {"b": b, "nu": nu}
-    L = h_vld()
-    for a in ("b", "nu"):
-        for c in ("b", "nu"):
-            for n in range(-4, 5):
-                for m in range(-4, 5):
-                    lie = lie_rav_bracket(L, a, n, c, m)
-                    lie = {(None if nm == "K" else nm, t): v
-                           for (nm, t), v in lie.items()}
-                    mode = bracket_modes(Mode(by_name[a], n),
-                                         Mode(by_name[c], m), h_table())
-                    assert lie == mode, (a, n, c, m, lie, mode)
-    gens = {g.name: g for g in sl2_gens()}
-    L = sl2_vld()
-    t = sl2_table()
-    for a in SL2:
-        for c in SL2:
-            for n in range(-3, 4):
-                for m in range(-3, 4):
-                    lie = lie_rav_bracket(L, "mu_" + a, n, "mu_" + c, m)
-                    lie = {(None if nm == "kappa" else nm, tt): v
-                           for (nm, tt), v in lie.items()}
-                    mode = bracket_modes(Mode(gens["mu_" + a], n),
-                                         Mode(gens["mu_" + c], m), t)
-                    assert lie == mode, (a, n, c, m, lie, mode)
-
-
-def test_lie_rav_jacobi_sl2():
-    L = sl2_vld()
-    names = ["mu_" + a for a in SL2]
-
-    def brk(x, y):
-        out = {}
-        for (na, ta), ca in x.items():
-            if na in L.central:
-                continue
-            for (nb, tb), cb in y.items():
-                if nb in L.central:
-                    continue
-                for key, c in lie_rav_bracket(L, na, ta, nb, tb).items():
-                    s = out.get(key, Scalar.zero()) + ca * cb * c
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return out
-
-    labels = [(a, n) for a in names for n in (-2, -1, 0, 1, 2)]
-    for ka in labels:
-        for kb in labels:
-            for kc in labels:
-                xa = {ka: Scalar.one()}
-                xb = {kb: Scalar.one()}
-                xc = {kc: Scalar.one()}
-                lhs = brk(xa, brk(xb, xc))
-                sgn = -1 if (L.label_parity(*ka)
-                             and L.label_parity(*kb)) else 1
-                r1 = brk(brk(xa, xb), xc)
-                r2 = brk(xb, brk(xa, xc))
-                for key in set(lhs) | set(r1) | set(r2):
-                    want = r1.get(key, Scalar.zero()) + \
-                        sgn * r2.get(key, Scalar.zero())
-                    assert lhs.get(key, Scalar.zero()) == want, \
-                        (ka, kb, kc, key)
-
-
-def test_lie_rav_positive_part_closed():
-    for L in (h_vld(), sl2_vld()):
-        names = [nm for nm in L.gradings if nm not in L.central]
-        for a in names:
-            for b in names:
-                for n in range(0, 4):
-                    for m in range(0, 4):
-                        out = lie_rav_bracket(L, a, n, b, m)
-                        for (name, t) in out:
-                            assert t >= 0, (a, n, b, m, name, t)
-
-
-def test_lie_rav_abelian():
-    L = VertexLieData({"a": Grading(0, 1, 0)}, {})
-    assert lie_rav_bracket(L, "a", 2, "a", -3) == {}
+    assert expr_modes(e, -1) == [(1, "Gamma", -2)]
+    assert expr_modes(e, 0) == []
+    assert expr_modes(FieldExpr.gen("mu", 1), -3) == [(3, "mu", -4)]
 
 
 # ------------------------------------------------------------ PBW

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from raviolo.scalars import (
-    Param, Scalar, Grading, koszul_sign, binom, ZERO,
+    Param, Scalar, Grading, binom, ZERO,
     K_PARAM, KAPPA_PARAM, XI_PARAM, vadd, vscale, vsub, veq,
     degrees_of, rational_of, twist,
 )
@@ -144,10 +144,10 @@ def test_integral_coefficients_are_ints():
 
 @settings(max_examples=100, deadline=None)
 @given(_scalars())
-def test_rational_value_is_a_fraction(a):
-    q = a.rational_value()
+def test_rational_of_is_an_int_or_fraction(a):
+    q = rational_of(a)
     if set(a.terms) <= {()}:
-        assert type(q) is Fraction
+        assert type(q) in (int, Fraction)
         assert Scalar.from_rational(q) == a
     else:
         assert q is None
@@ -181,23 +181,6 @@ def test_binom_matches_fraction_product():
         for k in range(0, 7):
             b = binom(n, k)
             assert type(b) is int and b == old_binom(n, k), (n, k)
-
-
-def test_koszul_sign():
-    e = Grading(0, 0, 0)
-    f1 = Grading(1, 0, 0)   # cohdeg 1, even: totalized odd
-    o0 = Grading(1, 0, 1)   # cohdeg 1, odd: totalized even
-    assert koszul_sign(e, e) == 1
-    assert koszul_sign(f1, f1) == -1
-    assert koszul_sign(o0, e) == 1
-    assert koszul_sign(o0, f1) == 1
-
-
-def test_koszul_symmetric():
-    gs = [Grading(c, 0, p) for c in range(-2, 3) for p in (0, 1)]
-    for g1 in gs:
-        for g2 in gs:
-            assert koszul_sign(g1, g2) * koszul_sign(g2, g1) == 1
 
 
 def test_totalized_parity_additive():

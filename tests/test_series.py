@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from raviolo.scalars import Scalar, K_PARAM, binom
 from raviolo.series import (
     RavSeries, BiDist, DeltaKernel, TriElement,
-    delta_expand, apply_delta, delta_decompose, delta_build,
-    tri_normalize, expand_region, residue_pair,
+    delta_expand, delta_decompose, delta_build,
+    tri_normalize, expand_region,
     format_series, combine_indices,
 )
 
@@ -52,8 +52,8 @@ def test_pairing_nondegenerate_window():
     for n in range(T):
         f = RavSeries.z_pow(n, T, twist=Fraction(1, 2))
         g = RavSeries.omega(n, T, twist=Fraction(1, 2))
-        assert residue_pair(f, g) == Scalar.one()
-        assert residue_pair(g, f) == Scalar.one()
+        assert f.mul(g).residue() == Scalar.one()
+        assert g.mul(f).residue() == Scalar.one()
 
 
 # ---------------------------------------------------------------- text
@@ -94,16 +94,6 @@ def test_z_minus_w_lowers_kernel():
         assert (d.mul_z() - d.mul_w()).eq_within(rhs, T - 1, T - 1)
     d = delta_expand(DeltaKernel("full", 0), T)
     assert (d.mul_z() - d.mul_w()).is_zero_within(T - 1, T - 1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.integers(min_value=-5, max_value=5),
-                       st.integers(min_value=-4, max_value=4), max_size=5))
-def test_apply_delta_reproduces(d):
-    T = 8
-    f = RavSeries({i: c for i, c in d.items()}, T)
-    g = apply_delta(f)
-    assert g == f  # same index data, now read in w
 
 
 def test_decompose_spec_examples():

@@ -107,7 +107,7 @@ def test_no_validation_asserts_in_src():
 # names of Scalar methods whose callers outside scalars.py would assume a
 # coefficient is a Scalar; the readers twist, rational_of and degrees_of
 # (and plain truth tests) accept both kinds
-_SCALAR_ONLY = {"parity_twist", "rational_value", "degrees", "is_zero"}
+_SCALAR_ONLY = {"parity_twist", "degrees", "is_zero"}
 
 
 def test_coefficients_read_through_the_readers():
@@ -175,9 +175,13 @@ def _references(tree):
 
 
 def test_no_unreferenced_definitions_in_src():
-    # a module-level def/class must be used outside its own body
+    # a module-level def/class must be used outside its own body, by the
+    # program, the benchmark or an acceptance criterion: a unit test
+    # alone does not keep a name alive
     used, defined = Counter(), []
-    for path in _py_files("src", "tests", "bench"):
+    callers = list(_py_files("src", "bench")) + [
+        os.path.join(ROOT, "tests", "test_acceptance.py")]
+    for path in callers:
         tree = ast.parse(open(path).read(), path)
         used.update(_references(tree))
         if os.path.dirname(path) == os.path.join(ROOT, "src", "raviolo"):
@@ -189,6 +193,23 @@ def test_no_unreferenced_definitions_in_src():
     dead = ["%s:%s" % (fn, node.name) for fn, node in defined
             if used[node.name] <= Counter(_references(node))[node.name]]
     assert not dead, "defined but never referenced: %s" % dead
+
+
+def test_no_unused_imports_in_src():
+    # a module-level import must be referenced in its own module
+    unused = []
+    for path in _py_files("src"):
+        tree = ast.parse(open(path).read(), path)
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in names:
+                        unused.append("%s:%d %s" % (
+                            os.path.basename(path), node.lineno, bound))
+    assert not unused, "imported but never used: %s" % unused
 
 
 # ---------------------------------------------------- canonical form
