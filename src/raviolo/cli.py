@@ -180,17 +180,10 @@ def parse_expr(text, doc):
 
 # ------------------------------------------------------ statements
 
-def _trim(fl):
-    fl = tuple(fl)
-    while fl and fl[-1] == 0:
-        fl = fl[:-1]
-    return fl
-
-
 def _grading_key(g):
-    """The (cohdeg, spin, totalized parity, trimmed flavor) tuple that
-    grading errors print."""
-    return (g.cohdeg, g.spin, g.tot, _trim(g.flavor))
+    """The (cohdeg, spin, totalized parity, flavor) tuple that grading
+    errors print."""
+    return (g.cohdeg, g.spin, g.tot, g.flavor)
 
 
 def _expr_grading(expr, doc):
@@ -493,7 +486,7 @@ def _fug_names(doc):
 # ------------------------------------------------------ commands
 
 def cmd_check(doc, args):
-    wanted = set(args.checks.split(",")) if args.checks else None
+    wanted = None if args.checks is None else set(args.checks.split(","))
     try:
         selected_identities(wanted)
     except ValueError as e:

@@ -1046,9 +1046,51 @@ def superpotential_check(mod, w):
 
 
 def differential_map(mod, w):
-    """v -> w_(0) v."""
+    """v -> w_(0) v for a homogeneous state w, by the derivation rule
+    [w_(0), x_(n)] = (w_(0)x)_(n) (Borcherds' commutator formula at m = 0)
+    on PBW keys:
+
+        d|()>           = w_(0) on the cyclic vector
+        d|x_(n) rest>   = (w_(0)x)_(n)|rest> + (-1)^(|w_(0)||x_(n)|)
+                          x_(n) d|rest>
+
+    The head x_(n) of a key is a creation mode, so the first term is a
+    creation-only field_mode and the second one insertion.  The images
+    w_(0)x of the generators are states of the vacuum algebra, so they
+    are taken in the vacuum module of the same presentation and
+    specialization (mod itself unless mod has a cyclic rule), once per
+    generator.  Each key's image is computed once and kept in a table
+    keyed by the key, which lives as long as the returned map; d(v) sums
+    table rows with the coefficients of v, passed by the odd operator."""
+    vac = mod if mod.cyclic_rule is None else PBWModule(
+        mod.pres, mod.spin_cap, mod.word_cap, mod.flavor_window,
+        specialize=mod.specialize)
+    pd = (mod.state_parity(w) + 1) % 2
+    dgen = {}   # gi -> w_(0) x_gi in the vacuum module
+    table = {}  # pbwkey -> d|pbwkey>
+
+    def row(key):
+        out = table.get(key)
+        if out is not None:
+            return out
+        if not key:
+            out = mod.field_mode(w, 0, {(): 1})
+        else:
+            (gi, n), rest = key[0], key[1:]
+            dx = dgen.get(gi)
+            if dx is None:
+                dx = dgen[gi] = vac.field_mode(w, 0, {((gi, -1),): 1})
+            out = mod.field_mode(dx, n, {rest: 1})
+            vadd(out, mod.act(gi, n, row(rest)),
+                 -1 if pd and mod.gens[gi].mode_parity(n) else 1)
+        table[key] = out
+        return out
+
     def d(v):
-        return mod.field_mode(w, 0, v)
+        out = {}
+        for k, c in v.items():
+            vadd(out, row(k), twist(c, pd))
+        return out
     return d
 
 

@@ -322,13 +322,18 @@ ONE = Scalar.one()
 
 
 class Grading(namedtuple("Grading", "cohdeg spin parity flavor")):
-    """(cohomological degree, spin, intrinsic parity, flavor weights)."""
+    """(cohomological degree, spin, intrinsic parity, flavor weights).
+    Trailing zero flavor weights are dropped, so a neutral weight reads
+    the same whatever the number of flavor axes: () == (0,)."""
 
     __slots__ = ()
 
     def __new__(cls, cohdeg=0, spin=0, parity=0, flavor=()):
+        flavor = tuple(flavor)
+        while flavor and not flavor[-1]:
+            flavor = flavor[:-1]
         return super().__new__(cls, cohdeg, Fraction(spin), parity % 2,
-                               tuple(flavor))
+                               flavor)
 
     @property
     def tot(self):

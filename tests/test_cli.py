@@ -304,10 +304,38 @@ def test_cohomology_command(capsys):
 
 
 def test_brst_command(capsys):
-    assert main(["brst", _doc_path("sl2.rav"),
-                 "--spin", "2", "--word", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "square-zero" in out and "fail" not in out
+    for window in (["--spin", "2", "--word", "3"],
+                   ["--spin", "3", "--word", "5"]):
+        assert main(["brst", _doc_path("sl2.rav")] + window) == 0, window
+        out = capsys.readouterr().out
+        assert "square-zero              pass" in out and "fail" not in out
+
+
+# sl2 written out with a neutral mu_h that declares no flavor axis, so
+# its weight () meets the (0,) of the charged currents in one charge
+SL2_NEUTRAL_H = """\
+algebra sl2
+generator mu_e : deg 1 spin 1 even flavor 2
+generator mu_h : deg 1 spin 1 even
+generator mu_f : deg 1 spin 1 even flavor -2
+ope mu_h mu_e : 0 -> 2 * mu_e
+ope mu_h mu_f : 0 -> -2 * mu_f
+ope mu_e mu_f : 0 -> mu_h ; 1 -> 4 * kappa
+"""
+
+
+def test_brst_neutral_flavor_mix(tmp_path, capsys):
+    path = tmp_path / "sl2.rav"
+    path.write_text(SL2_NEUTRAL_H + "ope mu_h mu_h : 1 -> 8 * kappa\n")
+    assert main(["brst", str(path), "--spin", "2", "--word", "3"]) == 0
+    assert "square-zero              pass" in capsys.readouterr().out
+    # without the Killing-form entry of mu_h the charge does not square
+    # to zero: a verdict, not a homogeneity traceback
+    path.write_text(SL2_NEUTRAL_H)
+    assert main(["brst", str(path), "--spin", "2", "--word", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "charge-grading           pass",
+        "square-zero              fail  [((4, -1),)]"]
 
 
 def test_module_and_lattice_commands(capsys):
@@ -413,8 +441,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["check", _doc_path("vir.rav"), "--checks",
                  "vacuum,bogus"]) == 2
     assert "unknown checks: bogus" in capsys.readouterr().err
-    # an empty item (a trailing or lone comma) is named, not left blank
-    for checks in ("locality,", ","):
+    # an empty item (a trailing or lone comma, or an empty value) is
+    # named, not left blank or read as "every check"
+    for checks in ("locality,", ",", ""):
         assert main(["check", _doc_path("vir.rav"), "--checks",
                      checks]) == 2, checks
         assert capsys.readouterr().err == "error: unknown checks: ''\n", \

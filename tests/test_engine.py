@@ -6,6 +6,7 @@ differentiation for the field-antifield pair), then the structure suite
 runs on all builtin presentations.
 """
 
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,7 +19,7 @@ from raviolo.scalars import (Scalar, Grading, KAPPA_PARAM, XI_PARAM,
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
 from raviolo.series import BiDist
-from raviolo import engine
+from raviolo import catalog, cli, engine
 from raviolo.engine import (
     IDENTITIES, Presentation, PresentationError, PBWModule, verify_axioms,
     default_samples, check_locality, check_associativity,
@@ -777,3 +778,92 @@ def test_dg_cohomology_against_sympy_ranks():
     if dd:
         ok, _ = in_translation_image(M, dd)
         assert isinstance(ok, bool)
+
+
+# ------------------------------------------------- the derivation rule
+
+def _derivation_rule_mismatches(mod, w, twice=False):
+    """Keys where differential_map(mod, w) differs from field_mode(w, 0,
+    .): every basis key and every key of the basis keys' images, and with
+    twice also d(d(k)) on the basis keys, whose coefficients carry the
+    structure parameters when they are left symbolic."""
+    d = differential_map(mod, w)
+    keys = [k for k, _ in mod.basis()]
+    seen = set(keys)
+    for k in keys[:]:
+        for k2 in d({k: 1}):
+            if k2 not in seen:
+                seen.add(k2)
+                keys.append(k2)
+    bad = [k for k in keys
+           if not veq(d({k: 1}), mod.field_mode(w, 0, {k: 1}))]
+    if twice:
+        bad += [("twice", k) for k, _ in mod.basis()
+                if not veq(d(d({k: 1})), mod.field_mode(
+                    w, 0, mod.field_mode(w, 0, {k: 1})))]
+    return bad
+
+
+def _brst_module_and_charge(monkeypatch, path):
+    """The module and charge `rav brst path --spin 2 --word 3` builds."""
+    seen = []
+
+    def recording(mod, w):
+        seen.append((mod, w))
+        return differential_map(mod, w)
+    monkeypatch.setattr(cli, "differential_map", recording)
+    cli.main(["brst", path, "--spin", "2", "--word", "3"])
+    (mod, w), = seen
+    return mod, w
+
+
+_CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus")
+
+
+@pytest.mark.parametrize("doc", ["sl2.rav", "notjacobi.rav"])
+def test_derivation_rule_on_brst_charges(monkeypatch, doc):
+    mod, q = _brst_module_and_charge(monkeypatch, os.path.join(_CORPUS, doc))
+    assert q and _derivation_rule_mismatches(mod, q) == []
+    if doc == "sl2.rav":
+        # K and kappa left symbolic: the images carry the odd kappa
+        sym = PBWModule(mod.pres, spin_cap=2, word_cap=3)
+        assert _derivation_rule_mismatches(sym, q, twice=True) == []
+
+
+def test_derivation_rule_on_superpotential_and_ghost_charge():
+    M = PBWModule(_chiral_pair(), spin_cap=2, word_cap=6,
+                  specialize={"K": 1})
+    X = M.gen_state("X")
+    assert _derivation_rule_mismatches(M, M.nop(X, X), twice=True) == []
+    # criterion 7's charge on the ghost-extended charged pair, at a
+    # smaller window
+    ext = fc(Fraction(1, 2), 1).extend(
+        [GeneratorInfo("c", Grading(1, 0, 0)),
+         GeneratorInfo("bg", Grading(0, 1, 0))],
+        {("bg", "c", 0): FieldExpr.const(1),
+         ("c", "bg", 0): FieldExpr.const(1)})
+    B = PBWModule(ext, spin_cap=2, word_cap=4, flavor_window=2,
+                  specialize={"K": 1})
+    Q = B.nop(B.gen_state("c"),
+              B.nop(B.gen_state("psi"), B.gen_state("X")))
+    assert _derivation_rule_mismatches(B, Q, twice=True) == []
+
+
+@pytest.mark.parametrize("pres", [fc(), heisenberg(), virasoro(), sl2()],
+                         ids=["fc", "h", "vir", "sl2"])
+def test_derivation_rule_on_generator_zero_modes(pres):
+    # even operators for sl2, odd ones elsewhere: a sign (-1)^|x| on the
+    # second term of the rule fails on sl2
+    M = PBWModule(pres, spin_cap=4, word_cap=3, flavor_window=2)
+    for g in pres.gens:
+        assert _derivation_rule_mismatches(M, M.gen_state(g.name)) == [], \
+            g.name
+
+
+def test_derivation_rule_on_fock_module():
+    # the images w_(0)x are vacuum-algebra states: read on the Fock
+    # module, nu_(0) would see the eigenvalue of the cyclic vector
+    F = catalog.fock(Fraction(3, 2), spin_cap=3, word_cap=3)
+    nu, b = F.gen_state("nu"), F.gen_state("b")
+    assert _derivation_rule_mismatches(F, nu) == []
+    assert _derivation_rule_mismatches(F, F.nop(nu, b)) == []

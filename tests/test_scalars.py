@@ -197,6 +197,15 @@ def test_grading_add_flavor():
     assert (g1 + g2).flavor == (1, 2)
 
 
+def test_grading_drops_trailing_zero_flavor():
+    # a neutral weight is one grading whatever the number of axes
+    assert Grading(1, 1, 0, (0,)) == Grading(1, 1, 0) == \
+        Grading(1, 1, 0, (0, 0))
+    assert Grading(0, 0, 0, (2, 0)).flavor == (2,)
+    assert Grading(0, 0, 0, (0, 2)).flavor == (0, 2)
+    assert (Grading(0, 1, 0, (2,)) + Grading(0, 1, 0, (-2,))).flavor == ()
+
+
 def test_binom():
     assert binom(5, 2) == 10
     assert binom(-1, 2) == 1
