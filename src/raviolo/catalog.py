@@ -369,17 +369,14 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
 # ------------------------------------------------------------ characters
 
 def _merge_fugs(f1, f2):
-    d = dict(f1)
-    for nm, p in f2:
-        d[nm] = d.get(nm, 0) + p
-        if not d[nm]:
-            del d[nm]
-    return tuple(sorted(d.items()))
+    # a fugacity monomial is a sorted vector {name: power}
+    return tuple(sorted(vadd(dict(f1), dict(f2)).items()))
 
 
 class QSeries:
     """Truncated series in q^spin with integer-power fugacity monomials;
-    terms below the truncation order only."""
+    terms below the truncation order only.  `terms` is a vector keyed by
+    (spin, fugacity monomial), so it sums through vadd."""
 
     def __init__(self, terms=None, order=6, fug_window=None):
         self.order = Fraction(order)
@@ -390,17 +387,12 @@ class QSeries:
                 self._put(Fraction(s), tuple(f), c)
 
     def _put(self, s, f, c):
-        if s >= self.order or not c:
+        if s >= self.order:
             return
         if self.fug_window is not None and \
                 any(abs(p) > self.fug_window for _, p in f):
             return
-        k = (s, f)
-        v = self.terms.get(k, 0) + c
-        if v:
-            self.terms[k] = v
-        elif k in self.terms:
-            del self.terms[k]
+        vadd(self.terms, {(s, f): c})
 
     @staticmethod
     def one(order=6, fug_window=None):
@@ -410,9 +402,7 @@ class QSeries:
         self._put(Fraction(s), tuple(f), c)
 
     def __add__(self, other):
-        out = QSeries({}, self.order, self.fug_window)
-        for (s, f), c in self.terms.items():
-            out._put(s, f, c)
+        out = QSeries(self.terms, self.order, self.fug_window)
         for (s, f), c in other.terms.items():
             out._put(s, f, c)
         return out
@@ -541,10 +531,7 @@ def pochhammer_expand(factors, order, fug_window=None):
                 raise ValueError("exponent must be +1 or -1")
             out = out * fac
             n += 1
-    trimmed = QSeries({}, order, fug_window)
-    for (s, f), c in out.terms.items():
-        trimmed._put(s, f, c)
-    return trimmed
+    return QSeries(out.terms, order, fug_window)
 
 
 # ------------------------------------------------------------ morphisms
@@ -562,14 +549,13 @@ def morphism_image(dst, gen_map, state):
 
 
 @identity_check
-def check_morphism(src, dst, gen_map, states=None, nrange=(-2, 3)):
+def check_morphism(src, dst, gen_map):
     """The assignment intertwines every generator mode within the
     window: phi(g_(n) v) = phi(g)_(n) phi(v)."""
-    states = states or default_samples(src)
-    for v in states:
+    for v in default_samples(src):
         pv = morphism_image(dst, gen_map, v)
         for gi in range(len(src.gens)):
-            for n in range(nrange[0], nrange[1] + 1):
+            for n in range(-2, 4):
                 lhs = morphism_image(dst, gen_map, src.act(gi, n, v))
                 rhs = dst.field_mode(gen_map[gi], n, pv)
                 yield (src.gens[gi].name, n, v), lhs, rhs

@@ -174,12 +174,10 @@ def is_exact(poly, cap):
     return apoly({basis[j]: q for j, q in sorted(comb.items())})
 
 
-def exactness_witness(m, cap=None):
+def exactness_witness(m):
     """Primitive p with d'(p) = z*Om^(m+1) - Om^m, found by linear solve."""
-    if cap is None:
-        cap = m + 4
     target = a_mul(AElement.gen("z"), omega_class(m + 1)) - omega_class(m)
-    return is_exact(target.odd, cap)
+    return is_exact(target.odd, m + 4)
 
 
 def check_cohomology_window(cap):
@@ -214,14 +212,14 @@ def check_cohomology_window(cap):
     return True, None
 
 
-def apoly_str(u, odd=False):
+def apoly_str(u):
     if not u:
         return "0"
     bits = []
     for (a, b, e) in sorted(u):
         c = u[(a, b, e)]
         mono = "*".join(["z^%d" % a] * (a > 0) + ["lam^%d" % b] * (b > 0)
-                        + ["x"] * e + (["omega"] if odd else []))
+                        + ["x"] * e)
         if not mono:
             bits.append(str(c))
         else:

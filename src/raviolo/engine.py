@@ -66,7 +66,7 @@ class Presentation:
     def grading(self, name):
         return self.gens[self.index[name]].grading
 
-    def tensor(self, other, name=None):
+    def tensor(self, other):
         """Juxtaposition with zero cross products; flavor axes of the two
         factors are kept separate."""
         pad = max([len(g.grading.flavor) for g in self.gens] + [0])
@@ -78,7 +78,7 @@ class Presentation:
                                 (0,) * pad + gr.flavor)))
         entries = dict(self.table.entries)
         entries.update(other.table.entries)
-        return Presentation(name or "%s(x)%s" % (self.name, other.name),
+        return Presentation("%s(x)%s" % (self.name, other.name),
                             gens, OpeTable(entries))
 
     def extend(self, extra_gens, extra_entries, name=None):
@@ -508,36 +508,36 @@ def default_samples(mod, max_word=2):
 
 
 @identity_check
-def check_vacuum_axiom(mod, states=None, nmax=4):
+def check_vacuum_axiom(mod, states=None):
     states = states or default_samples(mod)
     vac = mod.vacuum()
     yield ("translate-vacuum",), mod.translate(vac), {}
     for a in states:
-        for t in range(0, nmax + 1):
+        for t in range(0, 5):
             yield ("creation", t, a), mod.field_mode(a, t, vac), {}
         yield ("state-field", a), mod.field_mode(a, -1, vac), a
         yield (("first-derivative", a), mod.field_mode(a, -2, vac),
                mod.translate(a))
     for v in states:
-        for t in range(-3, nmax + 1):
+        for t in range(-3, 5):
             yield (("identity-field", t), mod.field_mode(vac, t, v),
                    v if t == -1 else {})
 
 
 @identity_check
-def check_translation_axiom(mod, states=None, trange=(-3, 3)):
+def check_translation_axiom(mod, states=None):
     states = states or default_samples(mod)
     for a in states:
         da = mod.translate(a)
         for v in states:
-            for t in range(trange[0], trange[1] + 1):
+            for t in range(-3, 4):
                 lhs = vsub(mod.translate(mod.field_mode(a, t, v)),
                            mod.field_mode(a, t, mod.translate(v)))
                 yield (t, a, v), lhs, mod.field_mode(da, t, v)
 
 
 @identity_check
-def check_skew(mod, states=None, nmin=-2):
+def check_skew(mod, states=None):
     """a_(n) b = (-1)^(|a||b|) sum_l (s/l!) d^l (b_(n+l) a).  Plain powers
     and the singular tower never mix under translation, so for n < 0 only
     l < -n contributes with s = (-1)^(n+l+1) (power-flip sign), while for
@@ -548,7 +548,7 @@ def check_skew(mod, states=None, nmin=-2):
             pa, pb = mod.state_parity(a), mod.state_parity(b)
             kos = (-1) ** (pa * pb)
             nmax = _floor(mod.state_spin(a) + mod.state_spin(b) - 1) + 1
-            for n in range(nmin, nmax + 1):
+            for n in range(-2, nmax + 1):
                 rhs = {}
                 if n < 0:
                     ls = range(0, -n)
@@ -918,13 +918,13 @@ def check_lie_half(mod, states=None, nmax=3):
         yield ("commutator", n, m, a, b), lhs, rhs
 
 
-def check_poisson_split(mod, states=None, tay=3, nmax=3):
+def check_poisson_split(mod, states=None, tay=3):
     """Commutative creation half + vertex-Lie annihilation half, with the
     annihilation modes acting as derivations of the product."""
     for label, check, bound in (
             ("commutative-half", check_commutative_half, tay),
-            ("lie-half", check_lie_half, nmax),
-            ("derivation", check_descent_derivation, nmax)):
+            ("lie-half", check_lie_half, 3),
+            ("derivation", check_descent_derivation, 3)):
         ok, wit = check(mod, states, bound)
         if not ok:
             return False, (label,) + wit
@@ -1095,10 +1095,9 @@ def differential_map(mod, w):
 
 
 @identity_check
-def check_square_zero(mod, d, keys=None):
+def check_square_zero(mod, d):
     """d(d(k)) = 0 on every basis key; the witness is the failing key."""
-    keys = keys if keys is not None else [k for k, _ in mod.basis()]
-    for k in keys:
+    for k, _ in mod.basis():
         yield k, d(d({k: 1})), {}
 
 
@@ -1140,7 +1139,7 @@ def dg_cohomology(mod, d, spin_cap=None):
     return out
 
 
-def ghost_extension(pres, current_names, name=None):
+def ghost_extension(pres, current_names):
     """Adjoin an odd degree-1 spin-0 ghost and an even degree-0 spin-1
     antighost for each listed generator, with the diagonal pairing.
     The ghost carries the opposite flavor of its current and the
@@ -1155,15 +1154,14 @@ def ghost_extension(pres, current_names, name=None):
         extra.append(GeneratorInfo(bg, Grading(0, 1, 0, fl)))
         entries[(bg, c, 0)] = FieldExpr.const(1)
         entries[(c, bg, 0)] = FieldExpr.const(1)
-    return pres.extend(extra, entries,
-                       name=name or pres.name + "+ghosts")
+    return pres.extend(extra, entries, name=pres.name + "+ghosts")
 
 
-def brst_charge(mod, current_names, structure=None, pairing=None, w=None):
+def brst_charge(mod, current_names, structure=None, pairing=None):
     """The canonical odd charge state on a ghost-extended module:
 
         1/2 f^a_{bc} :b_a c^b c^c: + 1/2 K_{ab} :c^a d c^b:
-        - :c^a mu_a: + W
+        - :c^a mu_a:
 
     structure[(a,b)] = {c: coeff} gives [mu_a, mu_b] = f^c_{ab} mu_c and
     pairing[(a,b)] the invariant form; both default to zero (abelian)."""
@@ -1185,18 +1183,15 @@ def brst_charge(mod, current_names, structure=None, pairing=None, w=None):
             for cnm, f in val.items():
                 term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))
                 vadd(total, term, Fraction(1, 2) * f)
-    if w:
-        vadd(total, w)
     return total
 
 
 # ------------------------------------------------------ conformal data
 
 @identity_check
-def conformal_check(mod, gamma, states=None):
+def conformal_check(mod, gamma):
     """gamma_(0) acts as translation, gamma_(1) as the spin grading."""
-    states = states or default_samples(mod)
-    for v in states:
+    for v in default_samples(mod):
         yield ("zero-mode", v), mod.field_mode(gamma, 0, v), mod.translate(v)
         yield (("weight", v), mod.field_mode(gamma, 1, v),
                vscale(v, mod.state_spin(v)))

@@ -1,12 +1,15 @@
-"""Exact linear algebra over Q (fractions.Fraction) on one kernel.
+"""Exact linear algebra on one kernel.
 
 Every elimination in the package goes through `Echelon`, one incremental
-sparse echelon basis: vectors are {column: Fraction} dicts without zero
-entries, each stored row has its least column as pivot, is scaled to 1
-there and is zero in every other row's pivot column, so the stored rows
-are the reduced row echelon form of everything added.  Each row also
-carries its combination of the tagged vectors that were added, which
-answers dependency and solution questions without a second elimination.
+sparse echelon basis whose rows are vectors of the scalars layer
+({column: coefficient} dicts, canonical rational entries, no zeros) and
+sum through vadd/vscale like every other vector.  Each stored row has
+its least column as pivot, is scaled to 1 there and is zero in every
+other row's pivot column, so the stored rows are the reduced row
+echelon form of everything added; the pivot inverse is the one ring
+operation beyond the vector primitive.  Each row also carries its
+combination of the tagged vectors that were added, which answers
+dependency and solution questions without a second elimination.
 
 `kernel_basis`, `solve` and `in_span` take sparse vectors, such as the
 coordinates `rational_coords` returns, and read their answers off such a
@@ -17,17 +20,7 @@ function on dense lists.  Sizes are desk scale, exactness is the point.
 
 from fractions import Fraction
 
-from .scalars import rational_of
-
-
-def _axpy(out, c, vec):
-    """out += c * vec in place, dropping the entries that cancel."""
-    for k, v in vec.items():
-        s = out.get(k, 0) + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+from .scalars import as_vector, rational_of, vadd, vscale
 
 
 class Echelon:
@@ -40,12 +33,12 @@ class Echelon:
         """(residual, combination): vec minus the residual is the sum of
         combination[tag] times the vector added under tag, and the
         residual is zero in every pivot column."""
-        res, comb = {k: v for k, v in vec.items() if v}, {}
+        res, comb = as_vector(vec), {}
         for p, c in vec.items():
             if p in self.rows:
                 row, rcomb = self.rows[p]
-                _axpy(res, -c, row)
-                _axpy(comb, c, rcomb)
+                vadd(res, row, -c)
+                vadd(comb, rcomb, c)
         return res, comb
 
     def add(self, vec, tag):
@@ -56,14 +49,13 @@ class Echelon:
             return comb
         p = min(res)
         inv = 1 / Fraction(res[p])
-        row = {k: inv * v for k, v in res.items()}
-        rcomb = {t: -inv * v for t, v in comb.items()}
-        rcomb[tag] = inv
+        row = vscale(res, inv)
+        rcomb = vadd(vscale(comb, -inv), {tag: inv})
         for other, ocomb in self.rows.values():
             c = other.get(p)
             if c:
-                _axpy(other, -c, row)
-                _axpy(ocomb, -c, rcomb)
+                vadd(other, row, -c)
+                vadd(ocomb, rcomb, -c)
         self.rows[p] = (row, rcomb)
         return None
 
@@ -78,8 +70,8 @@ def column_kernel(columns):
     for j, col in enumerate(columns):
         dep = ech.add(col, j)
         if dep is not None:
-            dep = {i: -q for i, q in dep.items()}
-            dep[j] = Fraction(1)
+            dep = vscale(dep, -1)
+            dep[j] = 1
             kernel.append(dict(sorted(dep.items())))
     return ech, kernel
 

@@ -101,22 +101,19 @@ def _scalar(terms):
 class Scalar:
     """Element of the graded-commutative parameter ring over Q.
 
-    Coefficients are exact and canonical: an int when integral, a
-    Fraction only while a denominator is present.  Scalars are immutable
-    -- no operation changes `terms` in place -- so states and vector
-    helpers may share one Scalar between several dicts.
+    `terms` is a vector of rationals keyed by monomial, so it sums
+    through vadd/vscale/vsub like every other vector: its coefficients
+    are exact and canonical, an int when integral, a Fraction only while
+    a denominator is present.  Scalars are immutable -- no operation
+    changes `terms` in place -- so states and vector helpers may share
+    one Scalar between several dicts.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         # terms: {monomial tuple of Param: int | Fraction}, zeros dropped
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    self.terms[mono] = c
+        self.terms = as_vector(terms)
 
     # -- constructors ------------------------------------------------
 
@@ -179,51 +176,26 @@ class Scalar:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = c
-                continue
-            s = _as_fraction(s + c)
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return _scalar(out)
+        return _scalar(vadd(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar({m: -c for m, c in self.terms.items()})
+        return _scalar(vscale(self.terms, -1))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.from_rational(other)
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = -c
-                continue
-            s = _as_fraction(s - c)
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return _scalar(out)
+        return _scalar(vsub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def _scaled(self, c):
         # c: a canonical nonzero rational
-        if c == 1:
-            return self
-        return _scalar({m: _as_fraction(c * v)
-                        for m, v in self.terms.items()})
+        return self if c == 1 else _scalar(vscale(self.terms, c))
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -237,18 +209,15 @@ class Scalar:
             return self._scaled(b[()])
         if len(a) == 1 and () in a:
             return other._scaled(a[()])
+        # out = sum over the monomials m1 of a of a[m1] * (m1 * b)
         out = {}
         for m1, c1 in a.items():
+            shifted = {}
             for m2, c2 in b.items():
                 merged = _merge_monomials(m1, m2)
-                if merged is None:
-                    continue
-                sign, mono = merged
-                s = _as_fraction(out.get(mono, 0) + sign * c1 * c2)
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
+                if merged is not None:
+                    shifted[merged[1]] = merged[0] * c2
+            vadd(out, shifted, c1)
         return _scalar(out)
 
     def __rmul__(self, other):
@@ -317,10 +286,6 @@ class Scalar:
     __repr__ = __str__
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-
-
 class Grading(namedtuple("Grading", "cohdeg spin parity flavor")):
     """(cohomological degree, spin, intrinsic parity, flavor weights).
     Trailing zero flavor weights are dropped, so a neutral weight reads
@@ -358,9 +323,10 @@ class Grading(namedtuple("Grading", "cohdeg spin parity flavor")):
 # A "vector" is a dict {hashable key: coefficient} with zero entries
 # dropped and every entry canonical.  Entries may be shared with other
 # vectors: Scalars are immutable.  States, field expressions, series,
-# distributions and dg-model polynomials are all vectors; vadd/vscale/
-# vsub are the only code that adds, scales or subtracts them, so none
-# of them keeps a zero or a parameter-free Scalar.
+# distributions, dg-model polynomials, echelon rows, q-series and the
+# monomial terms of a Scalar itself are all vectors; vadd/vscale/vsub
+# are the only code that adds, scales or subtracts them, with no
+# exception, so none of them keeps a zero or a parameter-free Scalar.
 
 def canonical(c):
     """c as a canonical coefficient: a parameter-free Scalar becomes its
@@ -483,6 +449,10 @@ def vsub(a, b):
 
 def veq(a, b):
     return a == b or not vsub(a, b)
+
+
+ZERO = Scalar.zero()
+ONE = Scalar.one()
 
 
 _BINOM = {}

@@ -544,8 +544,7 @@ def tri_normalize(raw_terms, trunc=8):
             if m2 - 1 >= 0:
                 work.append((c, a, b - 1, (("z", m1), ("w", m2 - 1))))
             continue
-        vadd(t.terms,
-             {key: rc * c for key, rc in _zw_relation(m1, m2).items()})
+        vadd(t.terms, _zw_relation(m1, m2), c)
     return t
 
 

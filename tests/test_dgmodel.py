@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import sympy
+
 from raviolo.scalars import Scalar
 from raviolo.dgmodel import (
     AElement, a_mul, apoly, apoly_mul, apoly_sub, d_poly,
@@ -68,11 +70,23 @@ def test_diff_lambda_squared():
     assert _d(l2).odd == apoly({(0, 1, 1): 2})  # 2 lam x omega
 
 
-def test_diff_squares_to_zero():
+def _sym(poly, z, lam, x):
+    return sum(sympy.Rational(str(c)) * z**a * lam**b * x**e
+               for (a, b, e), c in poly.items())
+
+
+def test_d_poly_matches_sympy():
+    # d' = x d/dlam - (z/2) d/dx on Q[z, lam, x], reduced by sympy's
+    # remainder in x modulo x^2 - (1 - z lam)
+    z, lam, x = sympy.symbols("z lam x")
     rng = random.Random(3)
-    for _ in range(30):
-        u = _rand_elt(rng)
-        assert _d(_d(u)).is_zero()
+    for _ in range(50):
+        u = _rand_apoly(rng, 4)
+        p = _sym(u, z, lam, x)
+        want = sympy.rem(sympy.expand(x * sympy.diff(p, lam)
+                                      - z / 2 * sympy.diff(p, x)),
+                         x**2 - (1 - z * lam), x)
+        assert sympy.expand(want - _sym(d_poly(u), z, lam, x)) == 0, u
 
 
 def test_diff_is_derivation():

@@ -2,10 +2,10 @@
 `src/`, and the canonical form of the sparse containers.
 
 Every vector (FieldExpr, RavSeries, BiDist, TriElement, the dg-model's
-AElement, a PBW module's memoized states) sums through scalars.vadd/
-vsub/vscale, so each of its coefficients is nonzero and canonical: a
-Scalar only while it carries a parameter, else an int or a Fraction with
-denominator > 1.  Coefficients are read through the scalars readers
+AElement, a PBW module's memoized states, Echelon rows and kernels,
+QSeries terms) sums through scalars.vadd/vsub/vscale, so each of its
+coefficients is nonzero and canonical: a Scalar only while it carries a
+parameter, else an int or a Fraction with denominator > 1.  Coefficients are read through the scalars readers
 that accept both kinds.
 """
 
@@ -20,6 +20,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from raviolo import catalog, cli, engine
 from raviolo.dgmodel import AElement, a_mul
+from raviolo.linalg import column_kernel
 from raviolo.modes import FieldExpr
 from raviolo.scalars import Scalar, K_PARAM, KAPPA_PARAM, XI_PARAM
 from raviolo.series import BiDist, RavSeries, TriElement
@@ -145,6 +146,40 @@ def test_elimination_takes_sparse_vectors():
             if name == "rref" and fn != "linalg.py":
                 bad.append("%s:%d rref()" % (fn, node.lineno))
     assert not bad, "pass sparse vectors to linalg: %s" % bad
+
+
+# the one place that adds a coefficient and drops it when it cancels
+_ADD_AND_DROP = {("scalars.py", "vadd"), ("scalars.py", "vsub")}
+
+
+def _drops(node):
+    """Is node a `del d[k]` or a two-argument `.pop(k, default)`?"""
+    if isinstance(node, ast.Delete):
+        return any(isinstance(t, ast.Subscript) for t in node.targets)
+    return isinstance(node, ast.Call) and \
+        isinstance(node.func, ast.Attribute) and \
+        node.func.attr == "pop" and len(node.args) == 2
+
+
+def test_only_the_vector_primitive_drops_entries():
+    # a hand-written add-and-drop loop deletes the entries that cancel;
+    # every other sum goes through vadd/vscale/vsub
+    pkg = os.path.join(SRC, "raviolo")
+    bad = []
+
+    def walk(node, fn, qualname):
+        for child in ast.iter_child_nodes(node):
+            if _drops(child) and (fn, qualname) not in _ADD_AND_DROP:
+                bad.append("%s:%d %s" % (fn, child.lineno, qualname))
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = qualname + "." + child.name if qualname \
+                    else child.name
+            walk(child, fn, inner)
+    for fn in sorted(os.listdir(pkg)):
+        if fn.endswith(".py"):
+            walk(ast.parse(open(os.path.join(pkg, fn)).read(), fn), fn, "")
+    assert not bad, "add and drop through scalars.vadd/vsub: %s" % bad
 
 
 # ------------------------------------------------------- dead code
@@ -305,6 +340,31 @@ def test_tri_element_keeps_no_zero(a, b, c):
 def test_dg_element_keeps_no_zero(e1, o1, e2, o2, c):
     x, y = AElement(e1, o1), AElement(e2, o2)
     _check(x, y, c, [a_mul(x, y)])
+
+
+# rationals, some of them not canonical as given
+_RATIONALS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                              Fraction(4, 2), Fraction(-3, 3)])
+_QS_KEYS = [(0, ()), (1, ()), (Fraction(1, 2), (("y", 1),)),
+            (1, (("y", -1),)), (2, (("y", 1), ("z", 2)))]
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), _RATIONALS, max_size=4),
+                max_size=6),
+       st.dictionaries(st.integers(0, 5), _RATIONALS, max_size=4),
+       st.dictionaries(st.sampled_from(_QS_KEYS), _RATIONALS, max_size=4),
+       st.dictionaries(st.sampled_from(_QS_KEYS), _RATIONALS, max_size=4))
+def test_echelon_and_qseries_keep_the_coefficient_rule(columns, target,
+                                                       qa, qb):
+    ech, kernel = column_kernel(columns)
+    vecs = [v for pair in ech.rows.values() for v in pair] + kernel + \
+        list(ech.reduce(target))
+    x, y = catalog.QSeries(qa, 3), catalog.QSeries(qb, 3)
+    vecs += [q.terms for q in (x, y, x + y, x * y)]
+    bad = [c for v in vecs for c in v.values() if not _coeff_ok(c)]
+    assert not bad, bad
 
 
 def test_module_memos_keep_the_coefficient_rule(monkeypatch, capsys):
