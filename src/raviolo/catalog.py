@@ -10,7 +10,7 @@ q-Pochhammer products that serve as the independent oracle.
 from fractions import Fraction
 
 from .scalars import (Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM,
-                      as_vector, vadd, vscale, vsub)
+                      as_vector, twist, vadd, vscale, vsub)
 from .modes import GeneratorInfo, FieldExpr, OpeTable
 from .engine import (Presentation, PBWModule, default_samples,
                      identity_check)
@@ -205,41 +205,79 @@ class LatticeModule:
     """Direct sum of weight-one-pair Fock sectors indexed by integers in
     a window, with the sector-shift vertex operators (all cocycle values
     1).  States are (sector, state-dict) pairs; the sector index is also
-    the flavor weight of the cyclic vector."""
+    the flavor weight of the cyclic vector.
+
+    The vertex operators are linear, so vertex_mode sums per-key values
+    read from two index-keyed tables, each entry computed once:
+    - _exp[(strength, key)] lists E_p|key>, p = 0, 1, ..., grown p by p
+      (E_p is the z^p coefficient of the creation-half exponential);
+    - _vertex[(m1, t, key)] is V^{m1}_t|key>.
+    Both are built from b modes alone, and b modes act identically in
+    every sector: sectors differ only in nu_(0) on the cyclic vector
+    (_fock_rule), which no b mode reaches.  So one sector's module (_b)
+    serves every sector, and the tables hold no sector.  The tables grow
+    with the keys, modes and weights asked for and are never trimmed
+    (ROADMAP item 9)."""
 
     def __init__(self, window=3, spin_cap=4, word_cap=6):
         self.window = window
         self.spin_cap = spin_cap
         self.sectors = {m: fock(m, spin_cap, word_cap, sector_flavor=m)
                         for m in range(-window, window + 1)}
+        self._b = self.sectors[0]
+        self._exp = {}
+        self._vertex = {}
 
     def vacuum(self, m=0):
         return (m, self.sectors[m].vacuum())
 
     def act(self, name, n, mst):
         m, st = mst
-        return (m, self.sectors[m].act(name, n, st))
+        mod = self._b if name == "b" else self.sectors[m]
+        return (m, mod.act(name, n, st))
 
     def translate(self, mst):
         """Sector-wise translation plus the cyclic-vector contribution
         -m b_(-1)|m>."""
         m, st = mst
-        mod = self.sectors[m]
-        out = mod.translate(st)
+        out = self.sectors[m].translate(st)
         if m:
-            vadd(out, mod.act("b", -1, st), -m)
+            vadd(out, self._b.act("b", -1, st), -m)
         return (m, out)
 
-    def _exp_parts(self, strength, st, mod, pmax):
-        """E_p st for p <= pmax, with E_p the z^p coefficient of the
-        creation-half exponential exp(-strength sum_j z^j b_(-j)/j)."""
-        parts = [st]
-        for p in range(1, pmax + 1):
+    def _exp_part(self, strength, key, p):
+        """E_p|key>, with E_p the z^p coefficient of the creation-half
+        exponential exp(-strength sum_j z^j b_(-j)/j)."""
+        parts = self._exp.get((strength, key))
+        if parts is None:
+            parts = self._exp[(strength, key)] = [{key: 1}]
+        while len(parts) <= p:
+            n = len(parts)
             acc = {}
-            for j in range(1, p + 1):
-                vadd(acc, mod.act("b", -j, parts[p - j]), -strength)
-            parts.append(vscale(acc, Fraction(1, p)))
-        return parts
+            for j in range(1, n + 1):
+                vadd(acc, self._b.act("b", -j, parts[n - j]), -strength)
+            parts.append(vscale(acc, Fraction(1, n)))
+        return parts[p]
+
+    def _vertex_key(self, m1, t, key):
+        """V^{m1}_t|key>: the creation exponential for t < 0; for
+        t >= 0 the sum over p of -m1/q E_p b_(q)|key>, q = t + p + 1,
+        where b_(q) kills |key> once q exceeds its spin (both generators
+        have spin one, so mode n adds -n)."""
+        out = self._vertex.get((m1, t, key))
+        if out is None:
+            if t < 0:
+                out = self._exp_part(m1, key, -t - 1)
+            else:
+                out = {}
+                if m1:
+                    for p in range(sum(-n for _, n in key) - t):
+                        q = t + p + 1
+                        for k2, c in self._b.act("b", q, {key: 1}).items():
+                            vadd(out, self._exp_part(m1, k2, p),
+                                 Fraction(-m1, q) * c)
+            self._vertex[(m1, t, key)] = out
+        return out
 
     def vertex_mode(self, m1, t, mst):
         """Mode t of the sector-shift vertex operator of weight m1.
@@ -247,30 +285,17 @@ class LatticeModule:
         Modes t < 0 are the z^(-t-1) coefficients of the creation-half
         exponential; modes t >= 0 combine it with one annihilation-half
         term (the singular-tower square is zero, so the annihilation
-        exponential has only two terms)."""
+        exponential has only two terms), and like the annihilation b
+        modes they are odd."""
         m2, st = mst
         if not st:
             return (m1 + m2, {})
         tgt = m1 + m2
         if not -self.window <= tgt <= self.window:
             raise ValueError("sector %d outside the window" % tgt)
-        mod = self.sectors[m2]
-        # spin directly from the keys (both generators have spin one, so
-        # mode n adds -n); intermediate states can mix flavor weights,
-        # which the graded-state accessor would reject
-        spin = max(sum(-n for _, n in key) for key in st)
-        if t < 0:
-            out = self._exp_parts(m1, st, mod, -t - 1)[-t - 1]
-        else:
-            out = {}
-            if m1:
-                pmax = max(spin - t - 1, -1)
-                for p in range(0, pmax + 1):
-                    q = t + p + 1
-                    hit = mod.act("b", q, st)
-                    if hit:
-                        part = self._exp_parts(m1, hit, mod, p)[p]
-                        vadd(out, part, Fraction(-m1, q))
+        out = {}
+        for key, c in st.items():
+            vadd(out, self._vertex_key(m1, t, key), twist(c, t >= 0))
         return (tgt, out)
 
     def vertex_deriv_mode(self, m1, t, mst):
@@ -299,22 +324,27 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
       2) nu modes pair with vertex modes through the weight times the
          index-combination rule;
       3) the normal-ordered product of the weight-1 field with the
-         derivative of the weight-(-1) field has the modes of b."""
+         derivative of the weight-(-1) field has the modes of b.
+    A witness ends with the sample state, printed by its sector."""
     win = lat.window
     for m in range(-mrange, mrange + 1):
         for m2 in range(-win + abs(m), win - abs(m) + 1):
             for mst in lat.samples(m2, spin_cap):
                 spin = int(lat.state_spin(mst))
+                label = lat.sectors[m2].state_str(mst[1])
+                ls = range(-(tay + 1), spin + 2)
+                b_on = {l: lat.act("b", l, mst) for l in ls}
+                nu_on = {l: lat.act("nu", l, mst) for l in ls}
                 for t in range(-(tay + 1), spin + 1):
                     pv = 1 if t >= 0 else 0  # tower-mode parity of V_t
                     base = lat.vertex_mode(m, t, mst)
-                    for l in range(-(tay + 1), spin + 2):
+                    for l in ls:
                         # 1) graded [b_l, V_t] = 0
                         ks = -1 if (l >= 0 and pv) else 1
                         lhs = vsub(lat.act("b", l, base)[1],
                                    vscale(lat.vertex_mode(
-                                       m, t, lat.act("b", l, mst))[1], ks))
-                        yield ("b-commute", m, l, t, mst[0]), lhs, {}
+                                       m, t, b_on[l])[1], ks))
+                        yield ("b-commute", m, l, t, m2, label), lhs, {}
                         # 2) the nu bracket gives the weight times the
                         # delta kernel: in mode components, with the
                         # canonical-ordering signs (creation nu modes
@@ -329,7 +359,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                         ks = -1 if (l < 0 and pv) else 1
                         lhs = vsub(lat.act("nu", l, base)[1],
                                    vscale(lat.vertex_mode(
-                                       m, t, lat.act("nu", l, mst))[1], ks))
+                                       m, t, nu_on[l])[1], ks))
                         comb = l + t + 1
                         if l < 0 and t < 0:
                             expect = {}
@@ -339,7 +369,8 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                                 lat.vertex_mode(m, l + t, mst)[1], sgn)
                         else:
                             expect = {}
-                        yield ("nu-delta", m, l, t, mst[0]), lhs, expect
+                        yield (("nu-delta", m, l, t, m2, label), lhs,
+                               expect)
     # 3) :V_1 dV_(-1): reproduces b, via the two-block mode sums.  For
     # t >= 0 the inner factor sits in an annihilation mode (odd), and
     # putting it right of the outer tower symbol costs one Koszul sign,
@@ -347,6 +378,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
     for m2 in range(-win + 1, win):
         for mst in lat.samples(m2, spin_cap):
             spin = int(lat.state_spin(mst))
+            label = lat.sectors[m2].state_str(mst[1])
             for t in range(-(tay + 1), spin + 1):
                 rhs = {}
                 if t < 0:
@@ -363,7 +395,8 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
                         inner = lat.vertex_mode(1, t - n - 1, mst)
                         vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1],
                              -1)
-                yield ("nop-b", t, m2), lat.act("b", t, mst)[1], rhs
+                yield (("nop-b", t, m2, label), lat.act("b", t, mst)[1],
+                       rhs)
 
 
 # ------------------------------------------------------------ characters

@@ -12,6 +12,7 @@ or a Scalar while a parameter is left in.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .scalars import binom, as_vector, canonical, vadd, vscale, vsub
@@ -334,13 +335,18 @@ def delta_decompose(f, N):
     return glist, None
 
 
+@lru_cache(maxsize=None)
+def _delta_derivative(i, trunc):
+    """d_w^i Delta(z-w) = i! Delta^(i), truncated at trunc; callers must
+    not mutate it."""
+    return delta_expand(DeltaKernel("full", i), trunc).scale(factorial(i))
+
+
 def delta_build(glist, trunc=8):
     """sum_i d_w^i Delta(z-w) g^(i)(w) as a BiDist."""
     total = BiDist({}, trunc, trunc)
     for i, g in enumerate(glist):
-        k = delta_expand(DeltaKernel("full", i), trunc).scale(
-            factorial(i))
-        total = total + k.mul_series_w(g)
+        total = total + _delta_derivative(i, trunc).mul_series_w(g)
     return total
 
 

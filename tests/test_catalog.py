@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from raviolo.engine import PBWModule, verify_axioms, conformal_check
-from raviolo.scalars import rational_of, vadd, vscale, vsub, veq
+from raviolo.scalars import (Scalar, XI_PARAM, rational_of, vadd, vscale,
+                             vsub, veq)
 from raviolo.catalog import (
     fc, heisenberg, virasoro, sl2, current, fc_multi, stress_tensor,
     fock, highest_weight_kernel, LatticeModule, check_lattice_relations,
@@ -169,6 +170,102 @@ def test_lattice_shift_and_translation():
     for m in (-2, 1, 3):
         assert veq(lat.act("nu", 0, lat.vacuum(m))[1],
                    vscale(lat.vacuum(m)[1], Fraction(m)))
+
+
+def _direct_vertex_mode(lat, m1, t, mst, strength=None):
+    """V^{m1}_t on a whole state, evaluated in the state's own sector:
+    the creation exponential exp(-strength sum_j z^j b_(-j)/j) expanded
+    on the state p by p, with one p-range bound by the state's largest
+    key spin (strength defaults to the weight m1)."""
+    strength = m1 if strength is None else strength
+    m2, st = mst
+    if not st:
+        return (m1 + m2, {})
+    mod = lat.sectors[m2]
+
+    def exp_part(state, p):
+        parts = [state]
+        for n in range(1, p + 1):
+            acc = {}
+            for j in range(1, n + 1):
+                vadd(acc, mod.act("b", -j, parts[n - j]), -strength)
+            parts.append(vscale(acc, Fraction(1, n)))
+        return parts[p]
+
+    if t < 0:
+        return (m1 + m2, exp_part(st, -t - 1))
+    out = {}
+    if m1:
+        spin = max(sum(-n for _, n in key) for key in st)
+        for p in range(0, spin - t):
+            q = t + p + 1
+            vadd(out, exp_part(mod.act("b", q, st), p), Fraction(-m1, q))
+    return (m1 + m2, out)
+
+
+def test_lattice_vertex_modes_match_direct_evaluation():
+    win = 2
+    lat = LatticeModule(window=win, spin_cap=3, word_cap=4)
+    # an odd parameter in a coefficient feels the parity of the mode
+    xi = Scalar.param(XI_PARAM)
+    coeffs = (1, -2, Fraction(1, 3), xi, 1 + xi)
+    for m2, mod in lat.sectors.items():
+        keys = [k for k, g in mod.basis() if g.spin <= 3]
+        # three-key states of mixed spins, plus each single key
+        states = [{k: 1} for k in keys] + [
+            {k: c for k, c in zip(keys[i:i + 3], coeffs[i % 3:])}
+            for i in range(0, len(keys) - 2, 2)]
+        assert any(len({sum(-n for _, n in k) for k in st}) > 1
+                   for st in states)
+        for m1 in range(-win - m2, win - m2 + 1):
+            for t in range(-4, 4):
+                for st in states:
+                    got = lat.vertex_mode(m1, t, (m2, st))
+                    want = _direct_vertex_mode(lat, m1, t, (m2, st))
+                    assert got[0] == want[0] and veq(got[1], want[1]), \
+                        (m1, t, m2, st)
+
+
+def test_lattice_b_modes_act_as_in_sector_zero():
+    # the shared vertex tables read b modes through sector 0 only
+    lat = LatticeModule(window=3, spin_cap=4, word_cap=6)
+    zero = lat.sectors[0]
+    for m, mod in lat.sectors.items():
+        for k, _ in mod.basis():
+            for n in range(-6, 7):
+                assert mod.act("b", n, {k: 1}) == \
+                    zero.act("b", n, {k: 1}), (m, k, n)
+
+
+class _SignFlippedLattice(LatticeModule):
+    """Every t >= 0 vertex mode negated."""
+
+    def vertex_mode(self, m1, t, mst):
+        sector, out = super().vertex_mode(m1, t, mst)
+        return (sector, vscale(out, -1) if t >= 0 else out)
+
+
+class _WrongStrengthLattice(LatticeModule):
+    """The creation exponential built with twice the weight."""
+
+    def vertex_mode(self, m1, t, mst):
+        return _direct_vertex_mode(self, m1, t, mst, strength=2 * m1)
+
+
+@pytest.mark.parametrize("cls, prefix", [
+    (_SignFlippedLattice, ("nu-delta", -2, -4, 0, -1)),
+    (_WrongStrengthLattice, ("nu-delta", -2, 1, -4, -1)),
+])
+def test_lattice_relations_fail_on_broken_vertex_modes(cls, prefix):
+    # the window of `rav lattice --order 1 --spin 1 --word 2`; the
+    # witness ends with the sample state, so the instance can be re-run
+    lat = cls(window=3, spin_cap=2, word_cap=2)
+    ok, wit = check_lattice_relations(lat, mrange=2, spin_cap=1, tay=3)
+    assert not ok
+    assert wit == prefix + ("|0>",)
+    assert check_lattice_relations(
+        LatticeModule(window=3, spin_cap=2, word_cap=2),
+        mrange=2, spin_cap=1, tay=3) == (True, None)
 
 
 # ------------------------------------------------------ characters

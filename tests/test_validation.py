@@ -397,3 +397,18 @@ def test_module_memos_keep_the_coefficient_rule(monkeypatch, capsys):
     # the symbolic runs do memoize parameters, so both kinds were seen
     assert any(isinstance(c, Scalar) for mod in mods[:4]
                for vec in mod._act_memo.values() for c in vec.values())
+
+
+def test_lattice_tables_keep_the_coefficient_rule():
+    """Every coefficient in the lattice module's exponential and
+    vertex-mode tables after a relations check follows the rule."""
+    lat = catalog.LatticeModule(window=3, spin_cap=3, word_cap=4)
+    assert catalog.check_lattice_relations(
+        lat, mrange=2, spin_cap=2, tay=3) == (True, None)
+    vecs = [v for parts in lat._exp.values() for v in parts]
+    vecs += list(lat._vertex.values())
+    coeffs = [c for vec in vecs for c in vec.values()]
+    bad = [c for c in coeffs if not _coeff_ok(c)]
+    assert not bad, bad[:5]
+    # the 1/p of the exponential leaves proper fractions in the tables
+    assert any(type(c) is Fraction for c in coeffs)
