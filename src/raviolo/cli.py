@@ -126,7 +126,9 @@ class _ExprParser:
 
     def take(self, want=None):
         t = self.peek()
-        if t is None or (want is not None and t != want):
+        if t is None:
+            raise SpecError("unexpected end of expression")
+        if want is not None and t != want:
             raise SpecError("expected %r, got %r" % (want, t))
         self.pos += 1
         return t
@@ -216,6 +218,13 @@ def _parse_line(doc, line, lineno):
     def err(msg):
         raise SpecError("line %d: %s" % (lineno, msg))
 
+    def read(parse, *args):
+        # an expression or rational error, prefixed like a statement error
+        try:
+            return parse(*args)
+        except SpecError as e:
+            err(e)
+
     words = line.split()
     head = words[0]
     if head == "algebra":
@@ -250,7 +259,7 @@ def _parse_line(doc, line, lineno):
         fl = tuple(int(x) for x in m.group(5).split()[1:]) if m.group(5) \
             else ()
         doc.gens.append(GeneratorInfo(
-            nm, Grading(int(m.group(2)), _rational(m.group(3)),
+            nm, Grading(int(m.group(2)), read(_rational, m.group(3)),
                         1 if m.group(4) == "odd" else 0, fl)))
     elif head == "ope":
         m = re.fullmatch(r"ope\s+(\w+)\s+(\w+)\s*:\s*(.*)", line)
@@ -265,7 +274,7 @@ def _parse_line(doc, line, lineno):
             if not cm:
                 err("clause %r is not N -> EXPR" % clause.strip())
             n = int(cm.group(1))
-            expr = parse_expr(cm.group(2), doc)
+            expr = read(parse_expr, cm.group(2), doc)
             _check_entry_grading(doc, a, b, n, expr)
             key = (a, b, n)
             if key in doc.declared:
@@ -286,7 +295,7 @@ def _parse_line(doc, line, lineno):
                     err("bad preset argument %r" % piece.strip())
                 v = km.group(2)
                 kwargs[km.group(1)] = int(v) if "/" not in v \
-                    else _rational(v)
+                    else read(_rational, v)
         try:
             pres = PRESETS[m.group(1)](**kwargs)
         except TypeError as e:
@@ -301,7 +310,8 @@ def _parse_line(doc, line, lineno):
             doc.declared.add(key)
             doc.entries[key] = e
     elif head == "superpotential":
-        doc.superpotential = parse_expr(line[len("superpotential"):], doc)
+        doc.superpotential = read(parse_expr, line[len("superpotential"):],
+                                  doc)
     else:
         err("unknown statement %r" % head)
 

@@ -32,8 +32,8 @@ from .scalars import (Scalar, Grading, binom, as_vector, canonical,
                       veq)
 from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
                     bracket_from_ope, vac_induce)
-from .series import (BiDist, DeltaKernel, combine_indices, delta_decompose,
-                     delta_expand, expand_region, tri_normalize)
+from .series import (BiDist, combine_indices, delta_decompose, delta_expand,
+                     mon_u_expand)
 from .linalg import Echelon, column_kernel, rational_coords, solve
 
 
@@ -649,10 +649,10 @@ def check_zero_mode_derivation(mod, states=None):
 # key in the operator coefficient of mon_z(m) mon_w(l), in the canonical
 # z-then-w monomial order (indices as in series.py).  Sums, differences
 # and scalings are vadd/vsub/vscale, and _put places a state at (m, l).
-# The expansion rules the distributions meet -- the Delta_+/- halves and
-# the re-expansions of the Omega_{z-w} tower near w = 0 and near z = 0 --
-# are read from series, their one source; this file only applies them
-# (_expansion).
+# The expansion rules the distributions meet are the Delta_+/- halves
+# (series.delta_expand): re-expanded near w = 0 and near z = 0, the
+# Omega_{z-w} tower is Delta_- and -Delta_+ (series.mon_u_expand).
+# series is their one source; this file only applies them (_expansion).
 
 
 def _put(F, m, l, state, coeff=None):
@@ -728,17 +728,8 @@ def _expansion(kind, t, trunc):
     "z_near_0").  The maps are ring maps, so a w monomial mon_w(l)
     multiplies through (_apply_expansion) and one memo entry per index
     serves every l."""
-    if kind in ("minus", "plus"):
-        b = delta_expand(DeltaKernel(kind, t), trunc)
-    else:
-        if t < 0:
-            # (z-w)^k = sum_i C(k,i) z^(k-i) (-w)^i
-            k = -t - 1
-            raw = [((-1) ** i * binom(k, i), k - i, i, ())
-                   for i in range(k + 1)]
-        else:
-            raw = [(1, 0, 0, (("d", t),))]
-        b = expand_region(tri_normalize(raw, trunc), kind, trunc)
+    b = (delta_expand(kind, t, trunc) if kind in ("minus", "plus")
+         else mon_u_expand(kind, t, trunc))
     return tuple((m, j, rational_of(c)) for (m, j), c in b.terms.items())
 
 

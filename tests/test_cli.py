@@ -126,6 +126,32 @@ def test_name_clash_rejected(case, tmp_path, capsys):
     assert err.startswith("error: " + want) and err.count("\n") == 1
 
 
+# expression and rational errors name their line like statement errors
+EXPR_ERRORS = {
+    "generator-spin": ("algebra a\ngenerator X : deg 1 spin 1/0 even\n",
+                       "line 2: bad rational '1/0'"),
+    "ope-clause": ("algebra a\ngenerator X : deg 0 spin 1 even\n"
+                   "ope X X : 1 -> Q\n", "line 3: unknown name 'Q'"),
+    "superpotential": ("algebra a\ngenerator X : deg 0 spin 1 even\n"
+                       "superpotential NO[X, Y]\n",
+                       "line 3: unknown name 'Y'"),
+    "preset-argument": ("algebra a\nuse fc(s=1/0)\n",
+                        "line 2: bad rational '1/0'"),
+    "end-of-expression": ("algebra a\ngenerator X : deg 0 spin 1 even\n"
+                          "ope X X : 1 -> 1 +\n",
+                          "line 3: unexpected end of expression"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPR_ERRORS))
+def test_expression_errors_name_the_line(case, tmp_path, capsys):
+    text, want = EXPR_ERRORS[case]
+    path = tmp_path / "bad.rav"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % want
+
+
 def test_expr_productions():
     doc = parse_spec("""\
 algebra probe

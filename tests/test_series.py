@@ -1,13 +1,11 @@
 from fractions import Fraction
 from math import factorial
 
-from hypothesis import given, settings, strategies as st
-
 from raviolo.scalars import Scalar, K_PARAM, binom
+from raviolo.engine import _expansion
 from raviolo.series import (
-    RavSeries, BiDist, DeltaKernel, TriElement,
+    RavSeries, BiDist,
     delta_expand, delta_decompose, delta_build,
-    tri_normalize, expand_region,
     format_series, combine_indices,
 )
 
@@ -17,43 +15,37 @@ K = Scalar.param(K_PARAM)
 # ---------------------------------------------------------------- basics
 
 def test_monomial_products():
+    # the one-variable product rule in each slot of a BiDist
     T = 10
-    z2 = RavSeries.z_pow(2, T)
-    om5 = RavSeries.omega(5, T)
-    assert z2.mul(om5) == RavSeries.omega(3, T)
-    assert RavSeries.z_pow(7, T).mul(om5) == RavSeries.zero(T)
-    assert om5.mul(om5) == RavSeries.zero(T)
-    assert z2.mul(RavSeries.z_pow(3, T)) == RavSeries.z_pow(5, T)
 
+    def zslot(i, i2):
+        return BiDist({(i, -1): 1}, T, T).mul_series_z(
+            RavSeries({i2: 1}, T)).terms
 
-def test_derivative_rules():
-    T = 10
-    assert RavSeries.z_pow(3, T).dz() == RavSeries.z_pow(2, T).scale(3)
-    assert RavSeries.omega(2, T).dz() == RavSeries.omega(3, T).scale(-3)
-    assert RavSeries.one(T).dz() == RavSeries.zero(T)
+    def wslot(j, j2):
+        return BiDist({(-1, j): 1}, T, T).mul_series_w(
+            RavSeries({j2: 1}, T)).terms
+
+    for slot, key in ((zslot, lambda k: (k, -1)), (wslot, lambda k: (-1, k))):
+        assert slot(-3, 5) == {key(3): 1}       # z^2 Omega^5 = Omega^3
+        assert slot(-8, 5) == {}                # z^7 Omega^5 = 0
+        assert slot(5, 5) == {}                 # Omega Omega = 0
+        assert slot(-3, -4) == {key(-6): 1}     # z^2 z^3 = z^5
+    # an Omega_z moved left past an Omega_w takes the Koszul sign
+    assert BiDist({(-1, 2): 1}, T, T).mul_series_z(
+        RavSeries({3: 1}, T)).terms == {(3, 2): -1}
 
 
 def test_residue_picks_omega0():
     T = 10
-    f = RavSeries({0: 1, 3: 2, -2: 5}, T, twist=1)
-    assert f.residue() == Scalar.one()
-    # Res dz Omega^m z^n = delta_{n,m}
+    f = BiDist({(0, -1): 1, (3, -1): 2, (-2, -1): 5}, T, T)
+    assert f.residue_z().terms == {-1: 1}
+    # Res_z dz Omega^m_z z^n = delta_{n,m}, here in front of w
     for n in range(4):
         for m in range(4):
-            om = RavSeries.omega(m, T, twist=1)
-            val = om.mul(RavSeries.z_pow(n, T)).residue()
-            assert val == (Scalar.one() if n == m else Scalar.zero())
-
-
-def test_pairing_nondegenerate_window():
-    # <z^n, Omega^m> = delta pairs z^n with Omega^n; every monomial in a
-    # finite window pairs nontrivially with exactly one dual monomial
-    T = 6
-    for n in range(T):
-        f = RavSeries.z_pow(n, T, twist=Fraction(1, 2))
-        g = RavSeries.omega(n, T, twist=Fraction(1, 2))
-        assert f.mul(g).residue() == Scalar.one()
-        assert g.mul(f).residue() == Scalar.one()
+            b = BiDist({(m, -2): 1}, T, T).mul_series_z(
+                RavSeries({-n - 1: 1}, T))
+            assert b.residue_z().terms == ({-2: 1} if n == m else {})
 
 
 # ---------------------------------------------------------------- text
@@ -67,21 +59,25 @@ def test_format_example():
 
 def test_delta_kernel_is_derivative():
     # Delta^(j) = (1/j!) d_w^j Delta
+    def dw(b):
+        # d/dw sends mon_w(l) to (-l-1) mon_w(l+1) in both towers
+        return BiDist({(i, l + 1): (-l - 1) * c for (i, l), c in
+                       b.terms.items() if l != -1}, b.ztr, b.wtr - 1)
     T = 12
     for j in range(4):
-        d = delta_expand(DeltaKernel("full", 0), T)
+        d = delta_expand("full", 0, T)
         for _ in range(j):
-            d = d.dw()
+            d = dw(d)
         d = d.scale(Fraction(1, factorial(j)))
-        assert d.eq_within(delta_expand(DeltaKernel("full", j), T), T - j, T - j)
+        diff = d - delta_expand("full", j, T)
+        assert diff.first_within(T - j, T - j) is None, j
 
 
 def test_delta_halves_sum():
     T = 8
-    full = delta_expand(DeltaKernel("full", 2), T)
-    half = (delta_expand(DeltaKernel("minus", 2), T)
-            + delta_expand(DeltaKernel("plus", 2), T))
-    assert full == half
+    full = delta_expand("full", 2, T)
+    half = delta_expand("minus", 2, T) + delta_expand("plus", 2, T)
+    assert full.terms == half.terms
 
 
 def test_z_minus_w_lowers_kernel():
@@ -89,24 +85,25 @@ def test_z_minus_w_lowers_kernel():
     # Delta^(j-1)
     T = 12
     for j in range(1, 4):
-        d = delta_expand(DeltaKernel("full", j), T)
-        rhs = delta_expand(DeltaKernel("full", j - 1), T)
-        assert (d.mul_z() - d.mul_w()).eq_within(rhs, T - 1, T - 1)
-    d = delta_expand(DeltaKernel("full", 0), T)
-    assert (d.mul_z() - d.mul_w()).is_zero_within(T - 1, T - 1)
+        d = delta_expand("full", j, T)
+        rhs = delta_expand("full", j - 1, T)
+        assert (d.mul_z() - d.mul_w() - rhs).first_within(T - 1, T - 1) \
+            is None
+    d = delta_expand("full", 0, T)
+    assert (d.mul_z() - d.mul_w()).first_within(T - 1, T - 1) is None
 
 
 def test_decompose_spec_examples():
     T = 10
-    one = RavSeries.one(T)
+    one, zero = RavSeries({-1: 1}, T), RavSeries({}, T)
     d0 = delta_build([one], T)
     gl, fail = delta_decompose(d0, 0)
     assert fail is None and len(gl) == 1 and gl[0] == one
     # d_w Delta -> g0 = 0, g1 = 1
-    d1 = delta_build([RavSeries.zero(T), one], T)
+    d1 = delta_build([zero, one], T)
     gl, fail = delta_decompose(d1, 1)
     assert fail is None
-    assert gl[0] == RavSeries.zero(T) and gl[1] == one
+    assert gl[0] == zero and gl[1] == one
 
 
 def test_decompose_roundtrip_random():
@@ -136,7 +133,7 @@ def test_decompose_failure_witnesses():
     out, fail = delta_decompose(f, 0)
     assert out is None and fail[0] == "vanishing"
     # the minus half of Delta alone violates the Omega-replacement rule
-    f = delta_expand(DeltaKernel("minus", 0), T)
+    f = delta_expand("minus", 0, T)
     out, fail = delta_decompose(f, 0)
     assert out is None and fail[0] == "omega-replacement"
     # the witness is the least key the condition compared: the least key
@@ -167,7 +164,7 @@ def test_decompose_builds_each_power_once(monkeypatch):
     assert calls == {"mul_w": N + 1, "mul_z": N + 1}
 
 
-# ---------------------------------------------------------- trivariate
+# ------------------------------------------------ the degree-2 relation
 
 def _bidist_mul(b1, b2):
     """Genuine product of two bivariate distributions, term by term of b1
@@ -190,26 +187,21 @@ def _bidist_mul(b1, b2):
 
 
 def _raw_factor_image(x, m, region, T):
+    """Omega^m_x, x in z, w or d (the z-w tower), near w = 0 or z = 0:
+    Omega^m_{z-w} is Delta_-^(m) near w = 0 and -Delta_+^(m) near z = 0."""
     big = 999  # exact monomials: unbounded trust
-    if region in ("w_near_0", "z_near_0"):
-        if x == "z":
-            return BiDist({(m, -1): 1}, big, big)
-        if x == "w":
-            return BiDist({(-1, m): 1}, big, big)
-        if region == "w_near_0":
-            return delta_expand(DeltaKernel("minus", m), T)
-        return delta_expand(DeltaKernel("plus", m), T).scale(-1)
-    # z_near_w: slots are (u = z-w, w)
-    if x == "d":
+    if x == "z":
         return BiDist({(m, -1): 1}, big, big)
     if x == "w":
         return BiDist({(-1, m): 1}, big, big)
-    terms = {(-n - 1, m + n): Fraction((-1) ** n * binom(n + m, n))
-             for n in range(T + 1)}
-    return BiDist(terms, T, T)
+    if region == "w_near_0":
+        return delta_expand("minus", m, T)
+    return delta_expand("plus", m, T).scale(-1)
 
 
 def _raw_expand(raw_terms, region, T):
+    """The terms (coeff, a, b, Omega factors in written order), each
+    z^a w^b times its factors, multiplied out near w = 0 or z = 0."""
     total = BiDist({}, T, T)
     for c, a, b, oms in raw_terms:
         if oms:
@@ -221,79 +213,24 @@ def _raw_expand(raw_terms, region, T):
                 cur = _bidist_mul(_raw_factor_image(x, m, region, T), cur)
         else:
             cur = BiDist({(-1, -1): 1}, 999, 999)
-        # prefactor z^a w^b
-        if region == "z_near_w":
-            pref = BiDist(
-                {(-i - 1, -(a - i + b) - 1): Fraction(binom(a, i))
-                 for i in range(a + 1)}, 999, 999)
-        else:
-            pref = BiDist({(-a - 1, -b - 1): 1}, 999, 999)
+        pref = BiDist({(-a - 1, -b - 1): 1}, 999, 999)
         total = total + _bidist_mul(pref, cur).scale(c)
     return total
 
 
-def test_deg2_relation_normalizes_to_zero():
-    rel = [
-        (1, 0, 0, (("d", 0), ("z", 0))),
-        (1, 0, 0, (("w", 0), ("d", 0))),
-        (1, 0, 0, (("z", 0), ("w", 0))),
-    ]
-    assert tri_normalize(rel, 8).terms == {}
-
-
 def test_deg2_relation_expands_to_zero():
-    # independent check: the relation is zero as a distribution in every
-    # expansion region
+    # the Delta halves satisfy the degree-2 raviolo relation
+    # Omega_{z-w} Omega_z + Omega_w Omega_{z-w} + Omega_z Omega_w = 0
+    # as distributions near w = 0 and near z = 0
     rel = [
         (1, 0, 0, (("d", 0), ("z", 0))),
         (1, 0, 0, (("w", 0), ("d", 0))),
         (1, 0, 0, (("z", 0), ("w", 0))),
     ]
     T = 12
-    for region in ("w_near_0", "z_near_0", "z_near_w"):
-        assert _raw_expand(rel, region, T).is_zero_within(6, 6), region
-
-
-def test_same_tower_squares_vanish():
-    for x in ("z", "w", "d"):
-        raw = [(1, 0, 0, ((x, 1), (x, 2)))]
-        assert tri_normalize(raw, 8).terms == {}
-
-
-def test_degree_three_vanishes():
-    raw = [(1, 0, 0, (("z", 0), ("w", 0), ("d", 0)))]
-    assert tri_normalize(raw, 8).terms == {}
-
-
-_OM = st.tuples(st.sampled_from(["z", "w", "d"]),
-                st.integers(min_value=0, max_value=3))
-_RAW = st.lists(
-    st.tuples(st.integers(min_value=-3, max_value=3),
-              st.integers(min_value=0, max_value=2),
-              st.integers(min_value=0, max_value=2),
-              st.lists(_OM, max_size=2).map(tuple)),
-    max_size=3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_RAW, st.sampled_from(["w_near_0", "z_near_0", "z_near_w"]))
-def test_normalize_respects_expansion(raw, region):
-    # normal form and raw product must expand to the same distribution
-    T = 14
-    canon = tri_normalize(raw, T)
-    lhs = expand_region(canon, region, T)
-    rhs = _raw_expand(raw, region, T)
-    assert lhs.eq_within(rhs, 6, 6), (raw, region)
-
-
-def test_normalize_reduces_mixed_monomials():
-    # z Omega^2_z = Omega^1_z, w Omega^0_w = 0, (z-w)-tower via z = u + w
-    t = tri_normalize([(1, 1, 0, (("z", 2),))], 8)
-    assert t.terms == {("z", 0, 1): Scalar.one()}
-    t = tri_normalize([(1, 0, 1, (("w", 0),))], 8)
-    assert t.terms == {}
-    t = tri_normalize([(1, 1, 0, (("d", 1),))], 8)
-    assert t.terms == {("d", 1, 1): Scalar.one(), ("d", 0, 0): Scalar.one()}
+    for region in ("w_near_0", "z_near_0"):
+        assert _raw_expand(rel, region, T).first_within(6, 6) is None, \
+            region
 
 
 # ------------------------------------------- closed forms of the rules
@@ -324,8 +261,8 @@ def _region_reference(t, l, region, A):
 
 
 def _mon_u_raw(t, wfactor=()):
-    """Raw trivariate terms of mon_u(t), u = z-w, times the listed w
-    factors (an Omega_w written to its right)."""
+    """Raw terms of mon_u(t), u = z-w, times the listed w factors (an
+    Omega_w written to its right)."""
     if t >= 0:
         return [(1, 0, 0, (("d", t),) + wfactor)]
     k = -t - 1
@@ -334,11 +271,13 @@ def _mon_u_raw(t, wfactor=()):
 
 
 def test_region_expansion_closed_forms():
+    # engine._expansion against the closed form, and against the raw
+    # product of the Delta halves with mon_w(l) inside the window
     A = 7
     for t in range(-5, 5):
         for l in range(-5, 5):
             mon_w = RavSeries({l: 1}, A)
-            # w^b or Omega^l_w inside the trivariate element
+            # w^b or Omega^l_w written to the right of mon_u(t)
             if l < 0:
                 inside = [(c, a, b - l - 1, oms)
                           for c, a, b, oms in _mon_u_raw(t)]
@@ -346,12 +285,12 @@ def test_region_expansion_closed_forms():
                 inside = _mon_u_raw(t, (("w", l),))
             for region in ("w_near_0", "z_near_0"):
                 want = _region_reference(t, l, region, A)
-                outside = expand_region(
-                    tri_normalize(_mon_u_raw(t), A), region, A)
-                assert outside.mul_series_w(mon_w).terms == want.terms, \
+                got = BiDist({(m, j): c for m, j, c in
+                              _expansion(region, t, A)}, A, A)
+                assert got.mul_series_w(mon_w).terms == want.terms, \
                     (t, l, region)
-                got = expand_region(tri_normalize(inside, A), region, A)
-                assert got.terms == want.terms, (t, l, region)
+                raw = _raw_expand(inside, region, A) - want
+                assert raw.first_within(A, A) is None, (t, l, region)
 
 
 def _delta_reference(kind, n, lp, T):
@@ -373,7 +312,7 @@ def test_delta_halves_closed_forms():
     for kind in ("minus", "plus"):
         for n in range(3):
             for lp in range(-7, 5):
-                got = delta_expand(DeltaKernel(kind, n), T).mul_series_w(
+                got = delta_expand(kind, n, T).mul_series_w(
                     RavSeries({lp: 1}, T))
                 assert got.terms == _delta_reference(kind, n, lp, T).terms, \
                     (kind, n, lp)
