@@ -434,12 +434,6 @@ class QSeries:
     def add_term(self, s, f, c):
         self._put(Fraction(s), tuple(f), c)
 
-    def __add__(self, other):
-        out = QSeries(self.terms, self.order, self.fug_window)
-        for (s, f), c in other.terms.items():
-            out._put(s, f, c)
-        return out
-
     def __mul__(self, other):
         out = QSeries({}, self.order, self.fug_window)
         for (s1, f1), c1 in self.terms.items():

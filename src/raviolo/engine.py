@@ -742,22 +742,22 @@ def _apply_expansion(F, expansion, l, st, w):
 
 
 def _delta_failure(comm, cmodes, w):
-    """None when each pbw coefficient of the commutator comm decomposes as
-    sum_n d_w^n Delta(z-w) g^(n)(w) with n! g^(n) the modes cmodes of the
-    n-th singular product, else the first failure."""
-    by_key = {}
-    for (m, l, key), c in comm.items():
-        by_key.setdefault(key, {})[(m, l)] = c
-    for kappa in sorted(by_key):
-        glist, fail = delta_decompose(BiDist(by_key[kappa], w.T, w.T), w.N)
-        if fail is not None:
-            return ("decompose", kappa, fail)
-        for n in range(w.N + 1):
-            for lp in range(w.lo, w.pol + 1):
-                want = cmodes.get((n, lp, kappa), 0)
-                if glist[n].terms.get(lp, 0) * factorial(n) != want:
-                    return ("coefficient", kappa, n, lp)
-    return None
+    """None when at each pbw key the commutator comm, {(m, l, key): c},
+    decomposes as sum_n d_w^n Delta(z-w) g^(n)(w) with n! g^(n) the modes
+    cmodes of the n-th singular product, else the failure at the least
+    key of either vector: its decomposition failure, or else the least
+    (n, l') where n! g^(n) and cmodes differ."""
+    glist, failures = delta_decompose(BiDist(comm, w.T, w.T), w.N)
+    got = {}
+    for n, g in enumerate(glist):
+        vadd(got, {(n,) + k: c for k, c in g.items()
+                   if w.lo <= k[0] <= w.pol}, factorial(n))
+    first = {kappa: ("decompose", kappa, fail)
+             for (kappa,), fail in failures.items()}
+    for n, lp, kappa in sorted(vsub(got, {k: c for k, c in cmodes.items()
+                                          if w.lo <= k[1] <= w.pol})):
+        first.setdefault(kappa, ("coefficient", kappa, n, lp))
+    return first[min(first)] if first else None
 
 
 def check_locality(mod, a, b, v, tay=2):

@@ -37,9 +37,6 @@ class RavSeries:
         self.terms = as_vector({i: c for i, c in terms.items()
                                 if i >= 0 or -i - 1 <= trunc})
 
-    def scale(self, c):
-        return RavSeries(vscale(self.terms, c), self.trunc)
-
     def __eq__(self, other):
         if not isinstance(other, RavSeries):
             return NotImplemented
@@ -94,10 +91,19 @@ def format_series(f):
 
 # ---------------------------------------------------------------- BiDist
 
+def _bidist(terms, ztr, wtr):
+    """Wrap a vector already canonical, zeros dropped, as a BiDist."""
+    b = object.__new__(BiDist)
+    b.terms, b.ztr, b.wtr = terms, ztr, wtr
+    return b
+
+
 class BiDist:
-    """Bivariate distribution: {(i, j): coefficient} with the index
-    convention above in each slot; canonical monomial order is z-part
-    then w-part (Omega_z and Omega_w anticommute)."""
+    """Bivariate distribution: {(i, j) + key: coefficient} with the index
+    convention above in each slot and key a passive trailing index, empty
+    for a single distribution (the engine keeps one distribution per PBW
+    key in one vector); canonical monomial order is z-part then w-part
+    (Omega_z and Omega_w anticommute)."""
 
     def __init__(self, terms, ztr, wtr):
         self.ztr = ztr
@@ -105,46 +111,51 @@ class BiDist:
         self.terms = as_vector(terms)
 
     def __add__(self, other):
-        return BiDist(vadd(dict(self.terms), other.terms),
-                      min(self.ztr, other.ztr), min(self.wtr, other.wtr))
+        return _bidist(vadd(dict(self.terms), other.terms),
+                       min(self.ztr, other.ztr), min(self.wtr, other.wtr))
 
     def __sub__(self, other):
-        return BiDist(vsub(self.terms, other.terms),
-                      min(self.ztr, other.ztr), min(self.wtr, other.wtr))
+        return _bidist(vsub(self.terms, other.terms),
+                       min(self.ztr, other.ztr), min(self.wtr, other.wtr))
 
     def scale(self, c):
-        return BiDist(vscale(self.terms, c), self.ztr, self.wtr)
+        return _bidist(vscale(self.terms, c), self.ztr, self.wtr)
 
     # mul_z, mul_w and mul_omega_z/w send distinct keys to distinct keys,
     # so they build their image directly, with nothing to add
 
     def mul_z(self):
-        return BiDist({(i - 1, j): c for (i, j), c in self.terms.items()
-                       if i != 0}, self.ztr + 1, self.wtr)
+        return _bidist({(k[0] - 1,) + k[1:]: c for k, c in self.terms.items()
+                        if k[0] != 0}, self.ztr + 1, self.wtr)
 
     def mul_w(self):
-        return BiDist({(i, j - 1): c for (i, j), c in self.terms.items()
-                       if j != 0}, self.ztr, self.wtr + 1)
+        return _bidist({(k[0], k[1] - 1) + k[2:]: c
+                        for k, c in self.terms.items() if k[1] != 0},
+                       self.ztr, self.wtr + 1)
 
     def mul_omega_z(self, m):
         """Left multiplication by Omega^m_z (needs ztr >= m for exactness)."""
         if self.ztr < m:
             raise ValueError("insufficient z truncation for Omega^%d_z" % m)
-        return BiDist({(m + i + 1, j): c for (i, j), c in self.terms.items()
-                       if i < 0 and m + i + 1 >= 0}, self.ztr, self.wtr)
+        return _bidist({(m + k[0] + 1,) + k[1:]: c
+                        for k, c in self.terms.items()
+                        if k[0] < 0 and m + k[0] + 1 >= 0},
+                       self.ztr, self.wtr)
 
     def mul_omega_w(self, m):
         """Left multiplication by Omega^m_w; passes the z monomial."""
         if self.wtr < m:
             raise ValueError("insufficient w truncation for Omega^%d_w" % m)
-        return BiDist({(i, m + j + 1): (-1 if i >= 0 else 1) * c
-                       for (i, j), c in self.terms.items()
-                       if j < 0 and m + j + 1 >= 0}, self.ztr, self.wtr)
+        return _bidist({(k[0], m + k[1] + 1) + k[2:]: -c if k[0] >= 0 else c
+                        for k, c in self.terms.items()
+                        if k[1] < 0 and m + k[1] + 1 >= 0},
+                       self.ztr, self.wtr)
 
     def mul_series_z(self, f):
-        """Right-multiply by a RavSeries in z; its monomials commute left
-        past the w part (Koszul sign when both are Omegas)."""
-        b = BiDist({}, min(self.ztr, f.trunc), self.wtr)
+        """Right-multiply a single distribution by a RavSeries in z; its
+        monomials commute left past the w part (Koszul sign when both are
+        Omegas)."""
+        b = _bidist({}, min(self.ztr, f.trunc), self.wtr)
         for (i, j), c in self.terms.items():
             for i2, c2 in f.terms.items():
                 k = combine_indices(i, i2)
@@ -155,28 +166,32 @@ class BiDist:
         return b
 
     def mul_series_w(self, g):
-        """Right-multiply by a RavSeries in w."""
-        b = BiDist({}, self.ztr, min(self.wtr, g.trunc))
+        """Right-multiply a single distribution by series in w, given as
+        one vector {(j,) + key: c}; the result carries the key."""
+        b = _bidist({}, self.ztr, self.wtr)
         for (i, j), c in self.terms.items():
-            for j2, c2 in g.terms.items():
-                k = combine_indices(j, j2)
-                if k is not None:
-                    vadd(b.terms, {(i, k): c * c2})
+            # distinct g keys give distinct products
+            vadd(b.terms, {(i, k) + gk[1:]: c * c2 for gk, c2 in g.items()
+                           if (k := combine_indices(j, gk[0])) is not None})
         return b
 
     def residue_z(self):
-        """Res_z dz: picks the Omega^0_z row, leaving a series in w."""
-        return RavSeries({j: c for (i, j), c in self.terms.items() if i == 0},
-                         self.wtr)
+        """Res_z dz: picks the Omega^0_z row, leaving series in w inside
+        the w window, as {(j,) + key: c}."""
+        return {k[1:]: c for k, c in self.terms.items()
+                if k[0] == 0 and (k[1] >= 0 or -k[1] - 1 <= self.wtr)}
 
     def first_within(self, zt=None, wt=None):
-        """The least key inside the Taylor window (zt, wt); None when
-        there is none."""
+        """{key: least (i, j)} over the entries inside the Taylor window
+        (zt, wt), for each trailing key that has one."""
         zt = self.ztr if zt is None else min(zt, self.ztr)
         wt = self.wtr if wt is None else min(wt, self.wtr)
-        return min(((i, j) for i, j in self.terms
-                    if (i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt)),
-                   default=None)
+        least = {}
+        for k in self.terms:
+            i, j = k[0], k[1]
+            if (i >= 0 or -i - 1 <= zt) and (j >= 0 or -j - 1 <= wt):
+                least[k[2:]] = min(least.get(k[2:], k[:2]), k[:2])
+        return least
 
 
 # ------------------------------------------------------------ delta
@@ -215,45 +230,46 @@ def apply_delta(f):
     """Res_z dz Delta(z-w) f(z), computed through the kernel contraction."""
     need = max([f.trunc] + [i for i in f.terms if i >= 0])
     d = delta_expand("full", 0, need)
-    return RavSeries(d.mul_series_z(f).residue_z().terms, f.trunc)
+    res = d.mul_series_z(f).residue_z()
+    return RavSeries({j: c for (j,), c in res.items()}, f.trunc)
 
 
 def delta_decompose(f, N):
-    """Decompose f = sum_i d_w^i Delta(z-w) g^(i)(w), i = 0..N.
+    """Decompose f = sum_n d_w^n Delta(z-w) g^(n)(w), n = 0..N, at every
+    trailing key of f at once.
 
-    Returns (glist, None) on success or (None, failure) where failure is
-    a (condition_name, witness) pair naming the violated hypothesis.
-    Both conditions and the extraction read one table
-    powers[j] = (w-z)^j f, j = 0..N+1.
+    Returns (glist, failures): glist[n] is g^(n) as {(j,) + key: c}, and
+    failures maps each key whose distribution is no such sum to
+    (condition_name, witness) for the first violated hypothesis, in the
+    order below, with the least failing (i, j) as witness.  Both
+    conditions and the extraction read one table powers[j] = (w-z)^j f,
+    j = 0..N+1, shared by all keys.
     """
     T = min(f.ztr, f.wtr)
     powers = [f]
     for _ in range(N + 1):
         powers.append(powers[-1].mul_w() - powers[-1].mul_z())
     # condition (1): (w-z)^(N+1) f = 0
-    key = powers[N + 1].first_within()
-    if key is not None:
-        return None, ("vanishing", key)
+    failures = {key: ("vanishing", ij)
+                for key, ij in powers[N + 1].first_within().items()}
     # condition (2): (Omega^m_z - sum_j (w-z)^j C(m+j,j) Omega^(m+j)_w) f = 0
     for m in range(0, T - N + 1):
         lhs = f.mul_omega_z(m)
         for j in range(N + 1):
             vadd(lhs.terms, powers[j].mul_omega_w(m + j).terms,
                  -binom(m + j, j))
-        key = lhs.first_within()
-        if key is not None:
-            return None, ("omega-replacement", (m, key))
+        for key, ij in lhs.first_within().items():
+            failures.setdefault(key, ("omega-replacement", (m, ij)))
     # extraction: g^(n)(w) = (1/n!) Res_z dz (z-w)^n f, reliable to the
     # full w window: the w^p coefficient, p <= wtr, reads only f entries
     # of Taylor depth <= p
-    glist = [powers[n].residue_z().scale(Fraction((-1) ** n, factorial(n)))
+    glist = [vscale(powers[n].residue_z(), Fraction((-1) ** n, factorial(n)))
              for n in range(N + 1)]
     # verify the rebuild
     rebuilt = delta_build(glist, T)
-    key = (rebuilt - f).first_within(f.ztr - N, f.wtr - N)
-    if key is not None:
-        return None, ("rebuild", key)
-    return glist, None
+    for key, ij in (rebuilt - f).first_within(f.ztr - N, f.wtr - N).items():
+        failures.setdefault(key, ("rebuild", ij))
+    return glist, failures
 
 
 @lru_cache(maxsize=None)
@@ -264,8 +280,9 @@ def _delta_derivative(i, trunc):
 
 
 def delta_build(glist, trunc):
-    """sum_i d_w^i Delta(z-w) g^(i)(w) as a BiDist."""
-    total = BiDist({}, trunc, trunc)
+    """sum_i d_w^i Delta(z-w) g^(i)(w) as a BiDist, each g^(i) given as
+    {(j,) + key: c}."""
+    total = {}
     for i, g in enumerate(glist):
-        total = total + _delta_derivative(i, trunc).mul_series_w(g)
-    return total
+        vadd(total, _delta_derivative(i, trunc).mul_series_w(g).terms)
+    return _bidist(total, trunc, trunc)

@@ -369,10 +369,34 @@ def test_pair_witness_is_least_differing_index():
         F2 = {(1, 1, ()): one}
         assert engine._eq_within(F1, F2, w) == (False, (-2, 1))
         assert engine._eq_within(F2, F1, w) == (False, (-2, 1))
-    # (-5, -1) has z-Taylor depth 4, beyond ztr = 3
+    # (-5, -1) has z-Taylor depth 4, beyond ztr = 3; each trailing key
+    # has its own least index
     keys = [(0, -1), (-5, -1), (-2, 2), (-3, 0), (1, -4)]
     for order in (keys, keys[::-1]):
-        assert BiDist({k: 1 for k in order}, 3, 3).first_within() == (-3, 0)
+        assert BiDist({k: 1 for k in order}, 3, 3).first_within() == \
+            {(): (-3, 0)}
+        stacked = {k + (key,): 1 for key, ks in (("a", order),
+                                                 ("b", keys[:2]))
+                   for k in ks}
+        assert BiDist(stacked, 3, 3).first_within() == \
+            {("a",): (-3, 0), ("b",): (0, -1)}
+
+
+def test_delta_failure_compares_every_key_of_the_singular_products():
+    """A singular product at a pbw key where the commutator vanishes is
+    compared too: the commutator there decomposes with every g^(n) = 0,
+    which differs from the product's mode."""
+    w = engine.PairWindow(lo=-3, pol=9, N=3, T=7, dminus=17, L=5, amax=2,
+                          tdepth=5)
+    key = ((0, -2),)
+    assert engine._delta_failure({}, {(0, -1, key): 1}, w) == \
+        ("coefficient", key, 0, -1)
+    # a key of the commutator still comes first when it is less
+    comm = {(0, -1, ()): 1}
+    assert engine._delta_failure(comm, {(0, -1, key): 1}, w) == \
+        ("decompose", (), ("vanishing", (0, -5)))
+    # outside the compared window l' <= pol nothing is compared
+    assert engine._delta_failure({}, {(0, w.pol + 1, key): 1}, w) is None
 
 
 @pytest.mark.parametrize("tay", [1, 2])

@@ -4,8 +4,12 @@ The locality and associativity checks run on fc, h, vir and sl2 as
 shipped and with each OPE entry dropped, sign-flipped or doubled (52
 tables), for every generator pair on the vacuum, at two windows.  Their
 failing rows, with the witness repr, must equal tests/data/pair_rows.json.
+The locality check also runs on every pair of generators and translated
+generators (g, T g), the pair set of `rav check`, at (spin 3, word 3,
+tay 2), where the top singular index N reaches 5; its failing rows must
+equal tests/data/locality_translate_rows.json.
 
-A change that moves a witness on purpose regenerates the file with
+A change that moves a witness on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_pair_rows.py
 
@@ -21,6 +25,8 @@ from raviolo.engine import PBWModule, check_locality, check_associativity
 from test_engine import _edited
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "pair_rows.json")
+TRANSLATE_DATA = os.path.join(os.path.dirname(__file__), "data",
+                              "locality_translate_rows.json")
 # (spin_cap, word_cap, tay)
 WINDOWS = [(4, 3, 1), (3, 2, 2)]
 EDITS = {"drop": None, "flip": -1, "double": 2}
@@ -57,17 +63,44 @@ def pair_rows():
     return out
 
 
-def test_pair_rows_match_golden_file():
-    with open(DATA) as fh:
+def locality_translate_rows(spin=3, word=3, tay=2):
+    """Every failing locality row on pairs of generators and translated
+    generators, as [table, edit, condition, a, b, witness repr]."""
+    out = []
+    for name, edit, pres in _tables():
+        M = PBWModule(pres, spin_cap=spin, word_cap=word)
+        gens = [M.gen_state(g.name) for g in M.gens]
+        states = gens + [M.translate(g) for g in gens]
+        for a in states:
+            for b in states:
+                for cond, ok, wit in check_locality(M, a, b, M.vacuum(),
+                                                    tay):
+                    if not ok:
+                        out.append([name, edit, cond, M.state_str(a),
+                                    M.state_str(b), repr(wit)])
+    return out
+
+
+def _match(path, got):
+    with open(path) as fh:
         want = json.load(fh)
-    got = pair_rows()
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
 
 
+def test_pair_rows_match_golden_file():
+    _match(DATA, pair_rows())
+
+
+def test_locality_translate_rows_match_golden_file():
+    _match(TRANSLATE_DATA, locality_translate_rows())
+
+
 if __name__ == "__main__":
-    rows = pair_rows()
-    with open(DATA, "w") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
-    print("%d failing rows written to %s" % (len(rows), DATA))
+    for path, rows in ((DATA, pair_rows()),
+                       (TRANSLATE_DATA, locality_translate_rows())):
+        with open(path, "w") as fh:
+            fh.write("[\n" + ",\n".join(json.dumps(r) for r in rows) +
+                     "\n]\n")
+        print("%d failing rows written to %s" % (len(rows), path))

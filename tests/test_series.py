@@ -23,8 +23,7 @@ def test_monomial_products():
             RavSeries({i2: 1}, T)).terms
 
     def wslot(j, j2):
-        return BiDist({(-1, j): 1}, T, T).mul_series_w(
-            RavSeries({j2: 1}, T)).terms
+        return BiDist({(-1, j): 1}, T, T).mul_series_w({(j2,): 1}).terms
 
     for slot, key in ((zslot, lambda k: (k, -1)), (wslot, lambda k: (-1, k))):
         assert slot(-3, 5) == {key(3): 1}       # z^2 Omega^5 = Omega^3
@@ -39,13 +38,13 @@ def test_monomial_products():
 def test_residue_picks_omega0():
     T = 10
     f = BiDist({(0, -1): 1, (3, -1): 2, (-2, -1): 5}, T, T)
-    assert f.residue_z().terms == {-1: 1}
+    assert f.residue_z() == {(-1,): 1}
     # Res_z dz Omega^m_z z^n = delta_{n,m}, here in front of w
     for n in range(4):
         for m in range(4):
             b = BiDist({(m, -2): 1}, T, T).mul_series_z(
                 RavSeries({-n - 1: 1}, T))
-            assert b.residue_z().terms == ({-2: 1} if n == m else {})
+            assert b.residue_z() == ({(-2,): 1} if n == m else {})
 
 
 # ---------------------------------------------------------------- text
@@ -70,7 +69,7 @@ def test_delta_kernel_is_derivative():
             d = dw(d)
         d = d.scale(Fraction(1, factorial(j)))
         diff = d - delta_expand("full", j, T)
-        assert diff.first_within(T - j, T - j) is None, j
+        assert diff.first_within(T - j, T - j) == {}, j
 
 
 def test_delta_halves_sum():
@@ -88,22 +87,39 @@ def test_z_minus_w_lowers_kernel():
         d = delta_expand("full", j, T)
         rhs = delta_expand("full", j - 1, T)
         assert (d.mul_z() - d.mul_w() - rhs).first_within(T - 1, T - 1) \
-            is None
+            == {}
     d = delta_expand("full", 0, T)
-    assert (d.mul_z() - d.mul_w()).first_within(T - 1, T - 1) is None
+    assert (d.mul_z() - d.mul_w()).first_within(T - 1, T - 1) == {}
+
+
+def _series(terms):
+    """A series in w for the empty trailing key, {(j,): c}."""
+    return {(j,): c for j, c in terms.items() if c}
+
+
+def _window(g, t):
+    """The entries of a keyed series {(j,) + key: c} within Taylor
+    depth t."""
+    return {k: c for k, c in g.items() if k[0] >= 0 or -k[0] - 1 <= t}
+
+
+def _random_glist(rng, N):
+    return [_series({rng.randint(-3, 3): rng.randint(-3, 3)
+                     for _ in range(rng.randint(0, 3))})
+            for _ in range(N + 1)]
 
 
 def test_decompose_spec_examples():
     T = 10
-    one, zero = RavSeries({-1: 1}, T), RavSeries({}, T)
+    one = _series({-1: 1})
     d0 = delta_build([one], T)
-    gl, fail = delta_decompose(d0, 0)
-    assert fail is None and len(gl) == 1 and gl[0] == one
+    gl, fails = delta_decompose(d0, 0)
+    assert fails == {} and len(gl) == 1 and gl[0] == one
     # d_w Delta -> g0 = 0, g1 = 1
-    d1 = delta_build([zero, one], T)
-    gl, fail = delta_decompose(d1, 1)
-    assert fail is None
-    assert gl[0] == zero and gl[1] == one
+    d1 = delta_build([{}, one], T)
+    gl, fails = delta_decompose(d1, 1)
+    assert fails == {}
+    assert gl[0] == {} and gl[1] == one
 
 
 def test_decompose_roundtrip_random():
@@ -112,45 +128,47 @@ def test_decompose_roundtrip_random():
     T = 10
     for _ in range(20):
         N = rng.randint(0, 2)
-        glist = []
-        for _ in range(N + 1):
-            terms = {rng.randint(-3, 3): rng.randint(-3, 3)
-                     for _ in range(rng.randint(0, 3))}
-            glist.append(RavSeries(terms, T))
+        glist = _random_glist(rng, N)
         f = delta_build(glist, T)
-        out, fail = delta_decompose(f, N)
-        assert fail is None, fail
+        out, fails = delta_decompose(f, N)
+        assert fails == {}, fails
         for g, h in zip(out, glist):
             # compare within the guaranteed window
-            t = min(g.trunc, h.trunc, T - N - 3)
-            assert RavSeries(g.terms, t) == RavSeries(h.terms, t)
+            assert _window(g, T - N - 3) == _window(h, T - N - 3)
 
 
 def test_decompose_failure_witnesses():
     T = 8
     # the constant distribution 1 is not (z-w)-torsion
     f = BiDist({(-1, -1): 1}, T, T)
-    out, fail = delta_decompose(f, 0)
-    assert out is None and fail[0] == "vanishing"
+    assert delta_decompose(f, 0)[1][()][0] == "vanishing"
     # the minus half of Delta alone violates the Omega-replacement rule
     f = delta_expand("minus", 0, T)
-    out, fail = delta_decompose(f, 0)
-    assert out is None and fail[0] == "omega-replacement"
+    assert delta_decompose(f, 0)[1][()][0] == "omega-replacement"
     # the witness is the least key the condition compared: the least key
     # of (z-w) f is z^4 (key (-5, -1)), which lies beyond ztr = 3
     f = BiDist({(-4, -1): 1, (-1, -2): 1}, 3, 3)
-    assert delta_decompose(f, 0) == (None, ("vanishing", (-4, -2)))
+    assert delta_decompose(f, 0)[1] == {(): ("vanishing", (-4, -2))}
+
+
+def _stack(slices):
+    """One BiDist holding the distribution slices[key] at each trailing
+    key (key,)."""
+    T = min(b.ztr for b in slices.values())
+    return BiDist({ij + (key,): c for key, b in slices.items()
+                   for ij, c in b.terms.items()}, T, T)
 
 
 def test_decompose_builds_each_power_once(monkeypatch):
     """Both conditions and the extraction read one table of (w-z)^j f,
-    j = 0..N+1: one mul_w and one mul_z per power."""
+    j = 0..N+1, for all trailing keys at once: one mul_w and one mul_z
+    per power, however many keys f holds."""
     import random
     rng = random.Random(7)
     N, T = 2, 8
-    glist = [RavSeries({rng.randint(-3, 3): rng.randint(-3, 3)
-                        for _ in range(3)}, T) for _ in range(N + 1)]
-    f = delta_build(glist, T)
+    f = _stack({key: delta_build(_random_glist(rng, N), T)
+                for key in range(4)})
+    assert len({k[2:] for k in f.terms}) > 1
     calls = {"mul_w": 0, "mul_z": 0}
     for name in calls:
         method = getattr(BiDist, name)
@@ -159,9 +177,43 @@ def test_decompose_builds_each_power_once(monkeypatch):
             calls[_name] += 1
             return _method(self)
         monkeypatch.setattr(BiDist, name, counted)
-    out, fail = delta_decompose(f, N)
-    assert fail is None
+    out, fails = delta_decompose(f, N)
+    assert fails == {}
     assert calls == {"mul_w": N + 1, "mul_z": N + 1}
+
+
+def test_decompose_keys_do_not_leak():
+    """Decomposing the stacked vector gives, at every trailing key,
+    exactly what decomposing that key's slice alone gives, when one
+    slice is corrupted by a monomial or by a delta half."""
+    import random
+    rng = random.Random(11)
+    T = 8
+    conditions = set()
+    for _ in range(12):
+        N = rng.randint(0, 2)
+        slices = {key: delta_build(_random_glist(rng, N), T)
+                  for key in range(5)}
+        bad = rng.randrange(5)
+        if rng.random() < 0.5:
+            junk = BiDist({(rng.randint(-4, 3), rng.randint(-4, 3)): 1},
+                          T, T)
+        else:
+            junk = delta_expand(rng.choice(["minus", "plus"]),
+                                rng.randint(0, N), T)
+        slices[bad] = slices[bad] + junk.scale(rng.choice([1, -2]))
+        glist, fails = delta_decompose(_stack(slices), N)
+        for key, b in slices.items():
+            alone, alone_fails = delta_decompose(b, N)
+            assert fails.get((key,)) == alone_fails.get(()), key
+            for n in range(N + 1):
+                assert {k[:1]: c for k, c in glist[n].items()
+                        if k[1:] == (key,)} == alone[n], (key, n)
+            if key != bad:
+                assert (key,) not in fails
+        conditions.update(f[0] for f in fails.values())
+    # the corruptions reach both conditions
+    assert conditions == {"vanishing", "omega-replacement"}
 
 
 # ------------------------------------------------ the degree-2 relation
@@ -229,7 +281,7 @@ def test_deg2_relation_expands_to_zero():
     ]
     T = 12
     for region in ("w_near_0", "z_near_0"):
-        assert _raw_expand(rel, region, T).first_within(6, 6) is None, \
+        assert _raw_expand(rel, region, T).first_within(6, 6) == {}, \
             region
 
 
@@ -276,7 +328,7 @@ def test_region_expansion_closed_forms():
     A = 7
     for t in range(-5, 5):
         for l in range(-5, 5):
-            mon_w = RavSeries({l: 1}, A)
+            mon_w = {(l,): 1}
             # w^b or Omega^l_w written to the right of mon_u(t)
             if l < 0:
                 inside = [(c, a, b - l - 1, oms)
@@ -290,7 +342,7 @@ def test_region_expansion_closed_forms():
                 assert got.mul_series_w(mon_w).terms == want.terms, \
                     (t, l, region)
                 raw = _raw_expand(inside, region, A) - want
-                assert raw.first_within(A, A) is None, (t, l, region)
+                assert raw.first_within(A, A) == {}, (t, l, region)
 
 
 def _delta_reference(kind, n, lp, T):
@@ -312,8 +364,7 @@ def test_delta_halves_closed_forms():
     for kind in ("minus", "plus"):
         for n in range(3):
             for lp in range(-7, 5):
-                got = delta_expand(kind, n, T).mul_series_w(
-                    RavSeries({lp: 1}, T))
+                got = delta_expand(kind, n, T).mul_series_w({(lp,): 1})
                 assert got.terms == _delta_reference(kind, n, lp, T).terms, \
                     (kind, n, lp)
 
