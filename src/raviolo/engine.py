@@ -25,6 +25,7 @@ generator of (witness, lhs, rhs) instances, judged by identity_check.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import product
 from math import factorial, floor as _floor, lcm
 
 from .scalars import (Scalar, Grading, binom, as_vector, canonical,
@@ -458,9 +459,11 @@ class PBWModule:
 # ================================================================ checks
 #
 # A check is a generator of (witness, lhs, rhs) instances; identity_check
-# turns it into a function returning (ok, witness).  The checks that reuse
-# products of their sample states read them from an index-keyed table
-# (_mode_table), each product computed once per check call.
+# turns it into a function returning (ok, witness).  Every check reads the
+# products of its states from one index-keyed table (_Products), which
+# verify_axioms builds once per run and passes to each check: no check
+# recomputes a product, an instance or an operator order that an earlier
+# check of the run computed.
 
 
 def identity_check(instances):
@@ -478,17 +481,149 @@ def identity_check(instances):
     return check
 
 
-def _mode_table(mod, xs, ys=None):
-    """mode(i, n, j) = xs[i]_(n) ys[j] (ys defaults to xs), computed on
-    first use and read back after, so callers must not mutate it.  The
-    key holds indices, not states: hashing whole states costs more than
-    the products it saves."""
-    ys = xs if ys is None else ys
+class _Products:
+    """The products of a suite run's states, keyed by state index and
+    computed on first use: the states xs (the samples first, then the
+    vacuum and pair states that index() adds), their parities, spins
+    times mod._spin_den and translates d^k x, the products
+    (d^k x_i)_(n) x_j, the Jacobi instances (n, m, ia, ib, ic), the
+    derivation instances (n, ia, ib, ic), and the raw operator-order
+    products y_(j) x_(i) v of the pair checks.  Callers must not mutate
+    what it returns.
 
-    @lru_cache(maxsize=None)
-    def mode(i, n, j):
-        return mod.field_mode(xs[i], n, ys[j])
-    return mode
+    Lifetime and plumbing:
+    - A table lives for one verify_axioms call (or one check called
+      alone) and is freed when it returns.  It is never a module-level
+      cache, which a process running many suites would keep filled
+      across runs, nor an attribute of mod, which would keep it alive
+      through a reference cycle.
+    - Keys hold indices, not states: hashing whole states costs more
+      than the products it saves.
+    - Entries are only added, never deleted (no del or pop on vectors).
+    - Every product goes through mod.field_mode, so a wrapped or
+      overridden field_mode sees each call; an instance skips the
+      products of a zero state, which are zero.
+    - It adds nothing to set: no option, environment variable or
+      parameter.  A check reads it in place of its states, a pair check
+      in place of mod."""
+
+    def __init__(self, mod, states):
+        self.mod = mod
+        self.n = len(states)
+        self.xs, self.par, self.spin, self._ders = [], [], [], []
+        self._mode = {}   # (i, k, n, j) -> (d^k x_i)_(n) x_j
+        # instances by (ia, ib, ic), then n (and m), in lists: most are
+        # zero on both sides and kept as ()
+        self._jacobi, self._derivation = {}, {}
+        self._tower = (None, {})  # ((ia, ib, ic), {(l, k): (a_(l)b)_(k) c})
+        self._raw = {}    # (ix, iy, iv) -> (lo, {(i, j, key): c})
+        for x in states:
+            self._add(x)
+        self.vac = self.index(mod.vacuum())
+
+    def _add(self, x):
+        self.xs.append(x)
+        self.par.append(self.mod.state_parity(x))
+        self.spin.append(int(self.mod.state_spin(x) * self.mod._spin_den))
+        self._ders.append([x])
+        return len(self.xs) - 1
+
+    def index(self, x):
+        """The index of the first state equal to x, x added if none is."""
+        for i, y in enumerate(self.xs):
+            if y is x or y == x:
+                return i
+        return self._add(x)
+
+    def der(self, i, k):
+        """d^k x_i."""
+        ders = self._ders[i]
+        while len(ders) <= k:
+            ders.append(self.mod.translate(ders[-1]))
+        return ders[k]
+
+    def mode(self, i, n, j, k=0):
+        """(d^k x_i)_(n) x_j."""
+        key = (i, k, n, j)
+        out = self._mode.get(key)
+        if out is None:
+            out = self._mode[key] = self.mod.field_mode(self.der(i, k), n,
+                                                        self.xs[j])
+        return out
+
+    @staticmethod
+    def _row(rows, key, i):
+        """rows[key], a list padded with None (not yet computed) past i."""
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = []
+        if len(row) <= i:
+            row.extend([None] * (i + 1 - len(row)))
+        return row
+
+    def jacobi(self, n, m, ia, ib, ic):
+        """(lhs, rhs) of [a_(n), b_(m)] c = (-1)^(|a|+1) sum_l C(n,l)
+        (a_(l)b)_(m+n-l) c, the commutator's second term moved right."""
+        row = self._row(self._jacobi, (ia, ib, ic, n), m)
+        if row[m] is None:
+            xs, mode, fm = self.xs, self.mode, self.mod.field_mode
+            pa, pb = self.par[ia], self.par[ib]
+            bc, ac = mode(ib, m, ic), mode(ia, n, ic)
+            lhs = fm(xs[ia], n, bc) if bc else {}
+            rhs = vscale(fm(xs[ib], m, ac), (-1) ** ((pa + 1) * (pb + 1))) \
+                if ac else {}
+            # (a_(l)b)_(k) c is shared by the (n, m) with m + n - l = k;
+            # the instances come triple by triple, so one triple's are kept
+            if self._tower[0] != (ia, ib, ic):
+                self._tower = ((ia, ib, ic), {})
+            tower = self._tower[1]
+            for l in range(0, n + 1):
+                k = m + n - l
+                t = tower.get((l, k))
+                if t is None:
+                    ab = mode(ia, l, ib)
+                    t = tower[l, k] = fm(ab, k, xs[ic]) if ab else {}
+                if t:
+                    vadd(rhs, t, (-1) ** (pa + 1) * binom(n, l))
+            row[m] = (lhs, rhs) if lhs or rhs else ()
+        return row[m] or ({}, {})
+
+    def derivation(self, n, ia, ib, ic):
+        """(lhs, rhs) of a_(n)(b_(-1)c) = (a_(n)b)_(-1)c
+        + (-1)^((|a|+1)|b|) b_(-1)(a_(n)c)."""
+        row = self._row(self._derivation, (ia, ib, ic), n)
+        if row[n] is None:
+            nop, mode = self.mod.nop, self.mode
+            bc, ab, ac = mode(ib, -1, ic), mode(ia, n, ib), mode(ia, n, ic)
+            lhs = self.mod.field_mode(self.xs[ia], n, bc) if bc else {}
+            rhs = nop(ab, self.xs[ic]) if ab else {}
+            if ac:
+                vadd(rhs, nop(self.xs[ib], ac),
+                     (-1) ** ((self.par[ia] + 1) * self.par[ib]))
+            row[n] = (lhs, rhs) if lhs or rhs else ()
+        return row[n] or ({}, {})
+
+    def raw(self, ix, iy, iv, lo):
+        """{(i, j, key): c} of y_(j) x_(i) v for i, j from lo up, computed
+        once per (x, y, v) at the deepest lo asked for, so it may start
+        below lo: the pair checks compare only inside their window."""
+        got = self._raw.get((ix, iy, iv))
+        if got is None or got[0] > lo:
+            mod, y, out = self.mod, self.xs[iy], {}
+            for i, xv in _modes(mod, self.xs[ix], self.xs[iv], lo):
+                for j, yxv in _modes(mod, y, xv, lo):
+                    for k, c in yxv.items():
+                        out[i, j, k] = c
+            got = self._raw[ix, iy, iv] = (lo, out)
+        return got[1]
+
+
+def _products(mod, states):
+    """The table a check reads: the run's, when verify_axioms passes it
+    as the states, else a fresh one over states (default samples)."""
+    if isinstance(states, _Products):
+        return states
+    return _Products(mod, states or default_samples(mod))
 
 
 def default_samples(mod, max_word=2):
@@ -509,31 +644,27 @@ def default_samples(mod, max_word=2):
 
 @identity_check
 def check_vacuum_axiom(mod, states=None):
-    states = states or default_samples(mod)
-    vac = mod.vacuum()
-    yield ("translate-vacuum",), mod.translate(vac), {}
-    for a in states:
+    P = _products(mod, states)
+    xs, vac = P.xs, P.vac
+    yield ("translate-vacuum",), mod.translate(xs[vac]), {}
+    for i in range(P.n):
         for t in range(0, 5):
-            yield ("creation", t, a), mod.field_mode(a, t, vac), {}
-        yield ("state-field", a), mod.field_mode(a, -1, vac), a
-        yield (("first-derivative", a), mod.field_mode(a, -2, vac),
-               mod.translate(a))
-    for v in states:
-        for t in range(-3, 5):
-            yield (("identity-field", t), mod.field_mode(vac, t, v),
-                   v if t == -1 else {})
+            yield ("creation", t, xs[i]), P.mode(i, t, vac), {}
+        yield ("state-field", xs[i]), P.mode(i, -1, vac), xs[i]
+        yield (("first-derivative", xs[i]), P.mode(i, -2, vac),
+               P.der(i, 1))
+    for j, t in product(range(P.n), range(-3, 5)):
+        yield (("identity-field", t), P.mode(vac, t, j),
+               xs[j] if t == -1 else {})
 
 
 @identity_check
 def check_translation_axiom(mod, states=None):
-    states = states or default_samples(mod)
-    for a in states:
-        da = mod.translate(a)
-        for v in states:
-            for t in range(-3, 4):
-                lhs = vsub(mod.translate(mod.field_mode(a, t, v)),
-                           mod.field_mode(a, t, mod.translate(v)))
-                yield (t, a, v), lhs, mod.field_mode(da, t, v)
+    P = _products(mod, states)
+    for i, j, t in product(range(P.n), range(P.n), range(-3, 4)):
+        lhs = vsub(mod.translate(P.mode(i, t, j)),
+                   mod.field_mode(P.xs[i], t, P.der(j, 1)))
+        yield (t, P.xs[i], P.xs[j]), lhs, P.mode(i, t, j, 1)
 
 
 @identity_check
@@ -542,92 +673,59 @@ def check_skew(mod, states=None):
     and the singular tower never mix under translation, so for n < 0 only
     l < -n contributes with s = (-1)^(n+l+1) (power-flip sign), while for
     n >= 0 all l contribute with s = (-1)^(n+l) (tower-label sign)."""
-    states = states or default_samples(mod)
-    for a in states:
-        for b in states:
-            pa, pb = mod.state_parity(a), mod.state_parity(b)
-            kos = (-1) ** (pa * pb)
-            nmax = _floor(mod.state_spin(a) + mod.state_spin(b) - 1) + 1
-            for n in range(-2, nmax + 1):
-                rhs = {}
-                if n < 0:
-                    ls = range(0, -n)
-                else:
-                    ls = range(0, nmax - n + 2)
-                for l in ls:
-                    term = mod.field_mode(b, n + l, a)
-                    for _ in range(l):
-                        term = mod.translate(term)
-                    e = n + l + (1 if n < 0 else 0)
-                    vadd(rhs, term,
-                         Fraction(kos * (-1) ** (e % 2), factorial(l)))
-                yield (n, a, b), mod.field_mode(a, n, b), rhs
+    P = _products(mod, states)
+    for ia, ib in product(range(P.n), repeat=2):
+        kos = (-1) ** (P.par[ia] * P.par[ib])
+        nmax = (P.spin[ia] + P.spin[ib]) // mod._spin_den
+        for n in range(-2, nmax + 1):
+            rhs = {}
+            for l in range(0, -n) if n < 0 else range(0, nmax - n + 2):
+                term = P.mode(ib, n + l, ia)
+                for _ in range(l):
+                    term = mod.translate(term)
+                e = n + l + (1 if n < 0 else 0)
+                vadd(rhs, term, Fraction(kos * (-1) ** (e % 2), factorial(l)))
+            yield (n, P.xs[ia], P.xs[ib]), P.mode(ia, n, ib), rhs
 
 
 @identity_check
 def check_nop_commutative(mod, states=None):
-    states = states or default_samples(mod)
-    for a in states:
-        for b in states:
-            sign = (-1) ** (mod.state_parity(a) * mod.state_parity(b))
-            yield (a, b), mod.nop(a, b), vscale(mod.nop(b, a), sign)
+    P = _products(mod, states)
+    for ia, ib in product(range(P.n), repeat=2):
+        yield ((P.xs[ia], P.xs[ib]), P.mode(ia, -1, ib),
+               vscale(P.mode(ib, -1, ia), (-1) ** (P.par[ia] * P.par[ib])))
 
 
 @identity_check
 def check_nop_associative(mod, states=None):
-    states = states or default_samples(mod)
-    for a in states:
-        for b in states:
-            for c in states:
-                yield ((a, b, c), mod.nop(a, mod.nop(b, c)),
-                       mod.nop(mod.nop(a, b), c))
+    P = _products(mod, states)
+    xs = P.xs
+    for ia, ib, ic in product(range(P.n), repeat=3):
+        yield ((xs[ia], xs[ib], xs[ic]), mod.nop(xs[ia], P.mode(ib, -1, ic)),
+               mod.nop(P.mode(ia, -1, ib), xs[ic]))
 
 
 @identity_check
 def check_descent_derivation(mod, states=None, nmax=None):
     """a_(n), n >= 0, is an (appropriately signed) derivation of the
     normal-ordered product."""
-    states = states or default_samples(mod)
-    par = [mod.state_parity(x) for x in states]
-    spin = [mod.state_spin(x) for x in states]
-    mode = _mode_table(mod, states)
-    for ia, a in enumerate(states):
-        for ib, b in enumerate(states):
-            sign = (-1) ** ((par[ia] + 1) * par[ib])
-            for ic, c in enumerate(states):
-                hi = nmax if nmax is not None else \
-                    _floor(spin[ia] + spin[ib] + spin[ic])
-                for n in range(0, hi + 1):
-                    lhs = mod.field_mode(a, n, mode(ib, -1, ic))
-                    rhs = mod.nop(mode(ia, n, ib), c)
-                    vadd(rhs, mod.nop(b, mode(ia, n, ic)), sign)
-                    yield (n, a, b, c), lhs, rhs
+    P = _products(mod, states)
+    xs = P.xs
+    for ia, ib, ic in product(range(P.n), repeat=3):
+        hi = nmax if nmax is not None else \
+            (P.spin[ia] + P.spin[ib] + P.spin[ic]) // mod._spin_den
+        for n in range(0, hi + 1):
+            yield ((n, xs[ia], xs[ib], xs[ic]),) + P.derivation(n, ia, ib, ic)
 
 
-def _jacobi_instances(mod, states, nmax):
-    """[a_(n), b_(m)] c = (-1)^(|a|+1) sum_l C(n,l) (a_(l)b)_(m+n-l) c
-    for n, m in 0..nmax, as ((n, m, a, b, c), lhs, rhs) instances with the
-    graded commutator's second term moved to the right."""
-    par = [mod.state_parity(x) for x in states]
-    mode = _mode_table(mod, states)
-    for ia, a in enumerate(states):
-        pa = par[ia]
-        for ib, b in enumerate(states):
-            sign = (-1) ** ((pa + 1) * (par[ib] + 1))
-            for ic, c in enumerate(states):
-                # (l, k) -> (a_(l)b)_(k) c, shared by the (n, m) with
-                # m + n - l = k
-                tower = lru_cache(maxsize=None)(
-                    lambda l, k: mod.field_mode(mode(ia, l, ib), k, c))
-                for n in range(0, nmax + 1):
-                    for m in range(0, nmax + 1):
-                        lhs = mod.field_mode(a, n, mode(ib, m, ic))
-                        rhs = vscale(mod.field_mode(b, m, mode(ia, n, ic)),
-                                     sign)
-                        for l in range(0, n + 1):
-                            vadd(rhs, tower(l, m + n - l),
-                                 (-1) ** (pa + 1) * binom(n, l))
-                        yield (n, m, a, b, c), lhs, rhs
+def _jacobi_instances(P, nmax):
+    """The Jacobi instances (P.jacobi) of the table's samples for n, m in
+    0..nmax, as ((n, m, a, b, c), lhs, rhs)."""
+    xs = P.xs
+    for ia, ib, ic in product(range(P.n), repeat=3):
+        for n, m in product(range(nmax + 1), repeat=2):
+            yield ((n, m, xs[ia], xs[ib], xs[ic]),) + \
+                P.jacobi(n, m, ia, ib, ic)
 
 
 @identity_check
@@ -635,7 +733,7 @@ def check_descent_jacobi(mod, states=None, nmax=3):
     """{{a,{{b,c}}^(m)}}^(n) = (-1)^(|a|+1) sum_l C(n,l)
     {{{{a,b}}^(l),c}}^(m+n-l) + (-1)^((|a|+1)(|b|+1)) {{b,{{a,c}}^(n)}}^(m),
     all brackets being the annihilation-mode products."""
-    yield from _jacobi_instances(mod, states or default_samples(mod), nmax)
+    yield from _jacobi_instances(_products(mod, states), nmax)
 
 
 def check_zero_mode_derivation(mod, states=None):
@@ -671,22 +769,28 @@ def _modes(mod, x, v, lo):
             yield l, st
 
 
-def _operator_order(mod, a, b, v, lo, ab):
-    """A(z)B(w)v if ab, else (-1)^(|a||b|) B(w)A(z)v, in the canonical
-    order, for mode indices from lo up.  With X_i acting first and Y_j
-    second, entry (m, l) is Y_j X_i v times (-1)^([i>=0] p): p is the mode
-    parity |Y| + [j>=0] for A(z)B(w), and |Y| for B(w)A(z), whose tower
-    sign (-1)^([i>=0][j>=0]) cancels the mode's shift."""
-    x, y = (b, a) if ab else (a, b)
-    py = mod.state_parity(y)
-    kos = 1 if ab else (-1) ** (mod.state_parity(x) * py)
-    F = {}
-    for i, xv in _modes(mod, x, v, lo):
-        for j, yxv in _modes(mod, y, xv, lo):
-            m, l = (j, i) if ab else (i, j)
-            _put(F, m, l, yxv,
-                 kos * (-1) ** ((i >= 0) * (py + (ab and j >= 0))))
-    return F
+def _operator_orders(P, ia, ib, iv, lo):
+    """(A(z)B(w)v, (-1)^(|a||b|) B(w)A(z)v) in the canonical order, for
+    mode indices from lo up (or deeper, see _Products.raw), read from the
+    raw products of the table P.
+    With X_i acting first and Y_j second, entry (m, l) is Y_j X_i v times
+    (-1)^([i>=0] p): p is the mode parity |Y| + [j>=0] for A(z)B(w), and
+    |Y| for B(w)A(z), whose tower sign (-1)^([i>=0][j>=0]) cancels the
+    mode's shift."""
+    pa, pb = P.par[ia], P.par[ib]
+    fab = {(j, i, k): -c if (i >= 0) * (pa + (j >= 0)) % 2 else c
+           for (i, j, k), c in P.raw(ib, ia, iv, lo).items()}
+    fba = {(i, j, k): -c if pb * (pa + (i >= 0)) % 2 else c
+           for (i, j, k), c in P.raw(ia, ib, iv, lo).items()}
+    return fab, fba
+
+
+def _pair_products(mod, a, b, v):
+    """(P, ia, ib, iv): the table a pair check reads, the run's when
+    verify_axioms passes it as mod, else a fresh one, with the indices
+    of a, b and v in it."""
+    P = mod if isinstance(mod, _Products) else _Products(mod, [])
+    return P, P.index(a), P.index(b), P.index(v)
 
 
 class PairWindow(namedtuple("PairWindow", "lo pol N T dminus L amax tdepth")):
@@ -768,18 +872,19 @@ def check_locality(mod, a, b, v, tay=2):
 
     Returns a list of (condition_name, ok, witness).
     """
+    P, ia, ib, iv = _pair_products(mod, a, b, v)
+    mod = P.mod
     w = _pair_window(mod, a, b, v, tay)
     # cmodes holds the modes (a_(n)b)_(l') v of the singular products
     cmodes, dminus, dplus = {}, {}, {}
     for n in range(w.N + 1):
-        for lp, st in _modes(mod, mod.field_mode(a, n, b), v, -(w.T + 1)):
+        for lp, st in _modes(mod, P.mode(ia, n, ib), v, -(w.T + 1)):
             _put(cmodes, n, lp, st)
             _apply_expansion(dminus, _expansion("minus", n, w.dminus), lp,
                              st, w)
             _apply_expansion(dplus, _expansion("plus", n, w.T), lp, st, w)
 
-    fab = _operator_order(mod, a, b, v, -(w.T + 1), True)
-    kfba = _operator_order(mod, a, b, v, -(w.T + 1), False)
+    fab, kfba = _operator_orders(P, ia, ib, iv, -(w.T + 1))
     # :A(z)B(w):v takes the creation part of A (m < 0) from A(z)B(w)v and
     # the annihilation part (m >= 0) from B(w)A(z)v, re-signed by
     # (-1)^(|a|+1) where l >= 0
@@ -803,16 +908,17 @@ def check_associativity(mod, a, b, v, tay=2):
     Only meaningful for v the cyclic vector: against a general state the
     region re-expansion is not termwise finite, and only matrix elements
     converge.  check_composite_fields covers general states instead."""
+    P, ia, ib, iv = _pair_products(mod, a, b, v)
+    mod = P.mod
     w = _pair_window(mod, a, b, v, tay)
     # sum_t mon_u(t) (a_(t)b)(w) v, u = z-w, re-expanded in each region
     H1, H2 = {}, {}
     for t in range(-w.tdepth, w.N + 1):
-        for l, st in _modes(mod, mod.field_mode(a, t, b), v, -(w.L + 1)):
+        for l, st in _modes(mod, P.mode(ia, t, ib), v, -(w.L + 1)):
             _apply_expansion(H1, _expansion("w_near_0", t, w.amax), l, st, w)
             _apply_expansion(H2, _expansion("z_near_0", t, w.amax), l, st, w)
 
-    fab = _operator_order(mod, a, b, v, w.lo, True)
-    fba = _operator_order(mod, a, b, v, w.lo, False)
+    fab, fba = _operator_orders(P, ia, ib, iv, w.lo)
     return [("expand-w-near-0",) + _eq_within(H1, fab, w),
             ("expand-z-near-0",) + _eq_within(H2, fba, w)]
 
@@ -827,96 +933,74 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
     of the two factors.  This carries the general-state content of
     associativity: the coefficientwise three-expansion comparison (see
     check_associativity) only converges against the cyclic vector."""
-    states = states or default_samples(mod)
-    par = [mod.state_parity(x) for x in states]
-    # ders[i * (kmax + 1) + k] = d^k states[i], with spin times D in dspin
-    D = mod._spin_den
-    ders = []
-    for a in states:
-        ders.append(a)
-        for _ in range(kmax):
-            ders.append(mod.translate(ders[-1]))
-    dspin = [int(mod.state_spin(x) * D) for x in ders]
-    mode = _mode_table(mod, states)
-    dmode = _mode_table(mod, ders, states)
-    for ia, a in enumerate(states):
-        pa = par[ia]
-        for ib, b in enumerate(states):
-            pb, sb = par[ib], dspin[ib * (kmax + 1)]
-            for k in range(kmax + 1):
-                di = ia * (kmax + 1) + k
-                da, sa = ders[di], dspin[di]
-                comp = mod.field_mode(a, -k - 1, b)
-                for iv, v in enumerate(states):
-                    for t in range(-(tay + 1), nmax + 1):
-                        lhs = vscale(mod.field_mode(comp, t, v),
-                                     factorial(k))
-                        rhs = {}
-                        if t < 0:
-                            # both factors in creation modes
-                            for n in range(t, 0):
-                                inner = mode(ib, t - n - 1, iv)
-                                if inner:
-                                    vadd(rhs, mod.field_mode(da, n, inner))
-                        else:
-                            # ceil(t - vspin - s), spins scaled by D to ints
-                            vs = dspin[iv * (kmax + 1)] - D * t
-                            s1 = (-1) ** pa
-                            for n in range(-((vs + sb) // D), 0):
-                                inner = mode(ib, t - n - 1, iv)
-                                if inner:
-                                    vadd(rhs, mod.field_mode(da, n, inner),
-                                         s1)
-                            s2 = (-1) ** ((pa + 1) * pb)
-                            for n in range(-((vs + sa) // D), 0):
-                                av = dmode(di, t - n - 1, iv)
-                                if av:
-                                    vadd(rhs, mod.field_mode(b, n, av), s2)
-                        yield (k, t, a, b, v), lhs, rhs
+    P = _products(mod, states)
+    xs, spin, D = P.xs, P.spin, mod._spin_den
+    for ia, ib, k in product(range(P.n), range(P.n), range(kmax + 1)):
+        a, b, pa, pb = xs[ia], xs[ib], P.par[ia], P.par[ib]
+        da = P.der(ia, k)
+        sa = spin[ia] + k * D if da else 0
+        comp = P.mode(ia, -k - 1, ib)
+        for iv, t in product(range(P.n), range(-(tay + 1), nmax + 1)):
+            lhs = vscale(mod.field_mode(comp, t, xs[iv]), factorial(k))
+            rhs = {}
+            if t < 0:
+                # both factors in creation modes
+                for n in range(t, 0):
+                    inner = P.mode(ib, t - n - 1, iv)
+                    if inner:
+                        vadd(rhs, mod.field_mode(da, n, inner))
+            else:
+                # ceil(t - vspin - s), spins scaled by D to ints
+                vs = spin[iv] - D * t
+                for n in range(-((vs + spin[ib]) // D), 0):
+                    inner = P.mode(ib, t - n - 1, iv)
+                    if inner:
+                        vadd(rhs, mod.field_mode(da, n, inner), (-1) ** pa)
+                for n in range(-((vs + sa) // D), 0):
+                    av = P.mode(ia, t - n - 1, iv, k)
+                    if av:
+                        vadd(rhs, mod.field_mode(b, n, av),
+                             (-1) ** ((pa + 1) * pb))
+            yield (k, t, a, b, xs[iv]), lhs, rhs
 
 
 @identity_check
 def check_commutative_half(mod, states=None, tay=3):
     """The creation halves of all fields graded-commute."""
-    states = states or default_samples(mod)
-    par = [mod.state_parity(x) for x in states]
-    mode = _mode_table(mod, states)
-    for ia, a in enumerate(states):
-        for ib, b in enumerate(states):
-            kos = (-1) ** (par[ia] * par[ib])
-            for iv in range(len(states)):
-                for m in range(-(tay + 1), 0):
-                    for l in range(-(tay + 1), 0):
-                        lhs = mod.field_mode(a, m, mode(ib, l, iv))
-                        rhs = mod.field_mode(b, l, mode(ia, m, iv))
-                        yield (m, l, a, b), lhs, vscale(rhs, kos)
+    P = _products(mod, states)
+    xs, modes = P.xs, range(-(tay + 1), 0)
+    for ia, ib, iv, m, l in product(*[range(P.n)] * 3, modes, modes):
+        lhs = mod.field_mode(xs[ia], m, P.mode(ib, l, iv))
+        rhs = mod.field_mode(xs[ib], l, P.mode(ia, m, iv))
+        yield ((m, l, xs[ia], xs[ib]), lhs,
+               vscale(rhs, (-1) ** (P.par[ia] * P.par[ib])))
 
 
 @identity_check
 def check_lie_half(mod, states=None, nmax=3):
     """The annihilation halves form a vertex-Lie tower: translation
     compatibility, skew-symmetry, and the mode commutation rule."""
-    states = states or default_samples(mod)
+    P = _products(mod, states)
     # translation: (da)_(m) = -m a_(m-1) for m >= 0
-    for a in states:
-        da = mod.translate(a)
-        for v in states:
-            for m in range(0, nmax + 1):
-                yield (("translation", m, a), mod.field_mode(da, m, v),
-                       vscale(mod.field_mode(a, m - 1, v), -m))
+    for i, j, m in product(range(P.n), range(P.n), range(nmax + 1)):
+        yield (("translation", m, P.xs[i]), P.mode(i, m, j, 1),
+               vscale(P.mode(i, m - 1, j), -m))
     # commutator of annihilation modes against singular products
-    for (n, m, a, b, _), lhs, rhs in _jacobi_instances(mod, states, nmax):
+    for (n, m, a, b, _), lhs, rhs in _jacobi_instances(P, nmax):
         yield ("commutator", n, m, a, b), lhs, rhs
 
 
 def check_poisson_split(mod, states=None, tay=3):
     """Commutative creation half + vertex-Lie annihilation half, with the
-    annihilation modes acting as derivations of the product."""
+    annihilation modes acting as derivations of the product.  The halves
+    read one table, so at nmax = 3 the commutator and derivation rows are
+    the instances descent-jacobi and descent-derivation compute."""
+    P = _products(mod, states)
     for label, check, bound in (
             ("commutative-half", check_commutative_half, tay),
             ("lie-half", check_lie_half, 3),
             ("derivation", check_descent_derivation, 3)):
-        ok, wit = check(mod, states, bound)
+        ok, wit = check(mod, P, bound)
         if not ok:
             return False, (label,) + wit
     return True, None
@@ -960,25 +1044,29 @@ def verify_axioms(mod, states=None, tay=2, deep_states=None, checks=None):
     """Run the suite, or only the IDENTITIES named in checks, in suite
     order; returns a list of (name, ok, witness).  A failed locality or
     associativity condition is reported as a "locality/<cond>" or
-    "associativity/<cond>" row in place of the passing row."""
+    "associativity/<cond>" row in place of the passing row.
+
+    The checks share one product table (_Products) built here: a check
+    that takes the states gets it in their place, a pair check in place
+    of mod, and every row is the row the check gives alone."""
     checks = selected_identities(checks)
     states = states or default_samples(mod)
     pairs = deep_states or [s for s in states if len(s) == 1
                             and list(s)[0] and len(list(s)[0]) == 1]
+    P = _Products(mod, states)
     out = []
     for name, fn_name, form in _SUITE:
         if name not in checks:
             continue
         fn = globals()[fn_name]
         if form != "pairs":
-            ok, wit = fn(mod, states, tay=tay) if form == "tay" \
-                else fn(mod, states)
+            ok, wit = fn(mod, P, tay=tay) if form == "tay" else fn(mod, P)
             out.append((name, ok, wit))
             continue
         failed = []
         for a in pairs:
             for b in pairs:
-                for cond, ok, wit in fn(mod, a, b, mod.vacuum(), tay=tay):
+                for cond, ok, wit in fn(P, a, b, P.xs[P.vac], tay=tay):
                     if not ok:
                         failed.append(
                             (name + "/" + cond, False,

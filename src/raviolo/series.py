@@ -110,10 +110,6 @@ class BiDist:
         self.wtr = wtr
         self.terms = as_vector(terms)
 
-    def __add__(self, other):
-        return _bidist(vadd(dict(self.terms), other.terms),
-                       min(self.ztr, other.ztr), min(self.wtr, other.wtr))
-
     def __sub__(self, other):
         return _bidist(vsub(self.terms, other.terms),
                        min(self.ztr, other.ztr), min(self.wtr, other.wtr))
