@@ -141,7 +141,7 @@ def stress_tensor(mod, which, s=None):
     """The distinguished odd spin-2 state of a preset module:
     - "heisenberg": -:b nu:
     - "fc": (1-s):psi dX: - s:X dpsi:
-    - "virasoro": the generator itself."""
+    (the stress-tensor algebra's is its generator Gamma itself)."""
     if which == "heisenberg":
         return vscale(mod.nop(mod.gen_state("b"), mod.gen_state("nu")), -1)
     if which == "fc":
@@ -150,8 +150,6 @@ def stress_tensor(mod, which, s=None):
         out = vscale(mod.nop(psi, mod.translate(X)), 1 - s)
         vadd(out, mod.nop(X, mod.translate(psi)), -s)
         return out
-    if which == "virasoro":
-        return mod.gen_state("Gamma")
     raise ValueError("no stress tensor for %r" % (which,))
 
 
@@ -167,7 +165,7 @@ def _fock_rule(lam):
     return rule
 
 
-def fock(lam, spin_cap=4, word_cap=6, sector_flavor=None):
+def fock(lam, spin_cap, word_cap=6, sector_flavor=None):
     """The induced weight-one-pair module with nu_(0) eigenvalue lam on
     the cyclic vector and K specialized to 1."""
     fl = (sector_flavor,) if sector_flavor is not None else ()
@@ -219,7 +217,7 @@ class LatticeModule:
     with the keys, modes and weights asked for and are never trimmed
     (ROADMAP item 9)."""
 
-    def __init__(self, window=3, spin_cap=4, word_cap=6):
+    def __init__(self, window, spin_cap, word_cap):
         self.window = window
         self.spin_cap = spin_cap
         self.sectors = {m: fock(m, spin_cap, word_cap, sector_flavor=m)
@@ -228,22 +226,10 @@ class LatticeModule:
         self._exp = {}
         self._vertex = {}
 
-    def vacuum(self, m=0):
-        return (m, self.sectors[m].vacuum())
-
     def act(self, name, n, mst):
         m, st = mst
         mod = self._b if name == "b" else self.sectors[m]
         return (m, mod.act(name, n, st))
-
-    def translate(self, mst):
-        """Sector-wise translation plus the cyclic-vector contribution
-        -m b_(-1)|m>."""
-        m, st = mst
-        out = self.sectors[m].translate(st)
-        if m:
-            vadd(out, self._b.act("b", -1, st), -m)
-        return (m, out)
 
     def _exp_part(self, strength, key, p):
         """E_p|key>, with E_p the z^p coefficient of the creation-half
@@ -310,16 +296,21 @@ class LatticeModule:
         m, st = mst
         return self.sectors[m].state_spin(st)
 
-    def samples(self, m, max_spin=3):
+    def samples(self, m, max_spin):
         mod = self.sectors[m]
         return [(m, {k: 1}) for k, g in mod.basis()
                 if g.spin <= max_spin]
 
 
+# the Taylor depth of the lattice relations: modes from -(LATTICE_TAY + 1)
+LATTICE_TAY = 3
+
+
 @identity_check
-def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
+def check_lattice_relations(lat, mrange, spin_cap):
     """The defining relations of the sector-shift fields, verified
-    mode-wise on all basis states within the spin cap:
+    mode-wise on all basis states within the spin cap, from mode
+    -(LATTICE_TAY + 1) up:
       1) generator-b modes commute with every vertex mode;
       2) nu modes pair with vertex modes through the weight times the
          index-combination rule;
@@ -332,10 +323,10 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
             for mst in lat.samples(m2, spin_cap):
                 spin = int(lat.state_spin(mst))
                 label = lat.sectors[m2].state_str(mst[1])
-                ls = range(-(tay + 1), spin + 2)
+                ls = range(-(LATTICE_TAY + 1), spin + 2)
                 b_on = {l: lat.act("b", l, mst) for l in ls}
                 nu_on = {l: lat.act("nu", l, mst) for l in ls}
-                for t in range(-(tay + 1), spin + 1):
+                for t in range(-(LATTICE_TAY + 1), spin + 1):
                     pv = 1 if t >= 0 else 0  # tower-mode parity of V_t
                     base = lat.vertex_mode(m, t, mst)
                     for l in ls:
@@ -379,7 +370,7 @@ def check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3):
         for mst in lat.samples(m2, spin_cap):
             spin = int(lat.state_spin(mst))
             label = lat.sectors[m2].state_str(mst[1])
-            for t in range(-(tay + 1), spin + 1):
+            for t in range(-(LATTICE_TAY + 1), spin + 1):
                 rhs = {}
                 if t < 0:
                     for n in range(t, 0):
@@ -411,13 +402,12 @@ class QSeries:
     terms below the truncation order only.  `terms` is a vector keyed by
     (spin, fugacity monomial), so it sums through vadd."""
 
-    def __init__(self, terms=None, order=6, fug_window=None):
+    def __init__(self, terms, order, fug_window=None):
         self.order = Fraction(order)
         self.fug_window = fug_window
         self.terms = {}
-        if terms:
-            for (s, f), c in terms.items():
-                self._put(Fraction(s), tuple(f), c)
+        for (s, f), c in terms.items():
+            self._put(Fraction(s), tuple(f), c)
 
     def _put(self, s, f, c):
         if s >= self.order:
@@ -428,7 +418,7 @@ class QSeries:
         vadd(self.terms, {(s, f): c})
 
     @staticmethod
-    def one(order=6, fug_window=None):
+    def one(order, fug_window):
         return QSeries({(0, ()): 1}, order, fug_window)
 
     def add_term(self, s, f, c):
@@ -444,8 +434,9 @@ class QSeries:
     def __eq__(self, other):
         return self.terms == other.terms and self.order == other.order
 
-    def coeff(self, s, f=()):
-        return self.terms.get((Fraction(s), tuple(f)), 0)
+    def coeff(self, s):
+        """The coefficient of q^s with no fugacity."""
+        return self.terms.get((Fraction(s), ()), 0)
 
     def __str__(self):
         def fmt(s, f, c):

@@ -639,7 +639,7 @@ def cmd_lattice(args):
                                 word_cap=args.word)
     rep = Report("lattice(window=%d)" % win, args.spin, args.word)
     ok, wit = catalog.check_lattice_relations(
-        lat, mrange=min(3, win - 1), spin_cap=min(args.spin, 3), tay=3)
+        lat, mrange=min(3, win - 1), spin_cap=min(args.spin, 3))
     rep.add("defining-relations", ok, wit)
     qs = catalog.lattice_character(lat, 1)
     want = catalog.QSeries({}, 1)

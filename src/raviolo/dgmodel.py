@@ -15,13 +15,13 @@ up to exact terms.
 
 from fractions import Fraction
 
-from .scalars import as_vector, vadd, vscale, vsub
+from .scalars import as_vector, vadd, vsub
 from .linalg import column_kernel, rational_coords, in_span
 
 
 # APoly: {(a, b, e): coefficient} with e in {0,1}; keys are z^a lam^b
 # x^e.  An APoly is a vector of the scalars layer, so its sums are
-# vadd/vsub/vscale.
+# vadd/vsub.
 
 apoly = as_vector
 apoly_sub = vsub
@@ -80,34 +80,18 @@ def sl2_action(which, u):
 class AElement:
     """even + odd*omega."""
 
-    def __init__(self, even=None, odd=None):
+    def __init__(self, even, odd=None):
         self.even = apoly(even)
         self.odd = apoly(odd)
 
     @staticmethod
     def gen(name):
         key = {"z": (1, 0, 0), "lam": (0, 1, 0), "x": (0, 0, 1)}
-        if name == "omega":
-            return AElement(None, {(0, 0, 0): 1})
         return AElement({key[name]: 1})
-
-    @staticmethod
-    def one():
-        return AElement({(0, 0, 0): 1})
-
-    def __add__(self, other):
-        return AElement(vadd(dict(self.even), other.even),
-                        vadd(dict(self.odd), other.odd))
 
     def __sub__(self, other):
         return AElement(vsub(self.even, other.even),
                         vsub(self.odd, other.odd))
-
-    def scale(self, c):
-        return AElement(vscale(self.even, c), vscale(self.odd, c))
-
-    def is_zero(self):
-        return not self.even and not self.odd
 
 
 def a_mul(u, v):
@@ -152,16 +136,12 @@ def _d_echelon(cap):
         [rational_coords(d_poly({k: 1}), index) for k in basis])
 
 
-def cohomology_basis(degree, cap):
-    """Representatives of H^degree on the filtration-by-total-degree
-    piece <= cap; reliable one step inside the cap."""
-    if degree not in (0, 1):
-        raise ValueError("the model has cohomology in degrees 0 and 1 only,"
-                         " not %r" % (degree,))
-    basis, _, image, kernel = _d_echelon(cap)
-    if degree == 0:
-        return [apoly({basis[i]: q for i, q in v.items()}) for v in kernel]
-    return [apoly({k: 1}) for i, k in enumerate(basis) if i not in image.rows]
+def cohomology_basis(cap):
+    """Representatives of H^0 (the kernel of d') on the
+    filtration-by-total-degree piece <= cap; reliable one step inside the
+    cap."""
+    basis, _, _, kernel = _d_echelon(cap)
+    return [apoly({basis[i]: q for i, q in v.items()}) for v in kernel]
 
 
 def is_exact(poly, cap):
@@ -186,7 +166,7 @@ def check_cohomology_window(cap):
     basis, index, image, _ = _d_echelon(cap)
     # degree 0: representatives supported inside the window lie in C[z],
     # and they span every z^n there
-    reps = cohomology_basis(0, cap)
+    reps = cohomology_basis(cap)
     for rep in reps:
         if any(a + b + e > cap - 1 for (a, b, e) in rep):
             continue

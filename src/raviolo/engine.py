@@ -643,7 +643,7 @@ def default_samples(mod, max_word=2):
 
 
 @identity_check
-def check_vacuum_axiom(mod, states=None):
+def check_vacuum_axiom(mod, states):
     P = _products(mod, states)
     xs, vac = P.xs, P.vac
     yield ("translate-vacuum",), mod.translate(xs[vac]), {}
@@ -659,7 +659,7 @@ def check_vacuum_axiom(mod, states=None):
 
 
 @identity_check
-def check_translation_axiom(mod, states=None):
+def check_translation_axiom(mod, states):
     P = _products(mod, states)
     for i, j, t in product(range(P.n), range(P.n), range(-3, 4)):
         lhs = vsub(mod.translate(P.mode(i, t, j)),
@@ -668,7 +668,7 @@ def check_translation_axiom(mod, states=None):
 
 
 @identity_check
-def check_skew(mod, states=None):
+def check_skew(mod, states):
     """a_(n) b = (-1)^(|a||b|) sum_l (s/l!) d^l (b_(n+l) a).  Plain powers
     and the singular tower never mix under translation, so for n < 0 only
     l < -n contributes with s = (-1)^(n+l+1) (power-flip sign), while for
@@ -689,7 +689,7 @@ def check_skew(mod, states=None):
 
 
 @identity_check
-def check_nop_commutative(mod, states=None):
+def check_nop_commutative(mod, states):
     P = _products(mod, states)
     for ia, ib in product(range(P.n), repeat=2):
         yield ((P.xs[ia], P.xs[ib]), P.mode(ia, -1, ib),
@@ -697,7 +697,7 @@ def check_nop_commutative(mod, states=None):
 
 
 @identity_check
-def check_nop_associative(mod, states=None):
+def check_nop_associative(mod, states):
     P = _products(mod, states)
     xs = P.xs
     for ia, ib, ic in product(range(P.n), repeat=3):
@@ -706,7 +706,7 @@ def check_nop_associative(mod, states=None):
 
 
 @identity_check
-def check_descent_derivation(mod, states=None, nmax=None):
+def check_descent_derivation(mod, states, nmax=None):
     """a_(n), n >= 0, is an (appropriately signed) derivation of the
     normal-ordered product."""
     P = _products(mod, states)
@@ -718,25 +718,31 @@ def check_descent_derivation(mod, states=None, nmax=None):
             yield ((n, xs[ia], xs[ib], xs[ic]),) + P.derivation(n, ia, ib, ic)
 
 
-def _jacobi_instances(P, nmax):
+# the annihilation modes n, m <= JACOBI_NMAX that the Jacobi identity
+# and the vertex-Lie half of the Poisson split compare
+JACOBI_NMAX = 3
+
+
+def _jacobi_instances(P):
     """The Jacobi instances (P.jacobi) of the table's samples for n, m in
-    0..nmax, as ((n, m, a, b, c), lhs, rhs)."""
+    0..JACOBI_NMAX, as ((n, m, a, b, c), lhs, rhs)."""
     xs = P.xs
     for ia, ib, ic in product(range(P.n), repeat=3):
-        for n, m in product(range(nmax + 1), repeat=2):
+        for n, m in product(range(JACOBI_NMAX + 1), repeat=2):
             yield ((n, m, xs[ia], xs[ib], xs[ic]),) + \
                 P.jacobi(n, m, ia, ib, ic)
 
 
 @identity_check
-def check_descent_jacobi(mod, states=None, nmax=3):
+def check_descent_jacobi(mod, states):
     """{{a,{{b,c}}^(m)}}^(n) = (-1)^(|a|+1) sum_l C(n,l)
     {{{{a,b}}^(l),c}}^(m+n-l) + (-1)^((|a|+1)(|b|+1)) {{b,{{a,c}}^(n)}}^(m),
-    all brackets being the annihilation-mode products."""
-    yield from _jacobi_instances(_products(mod, states), nmax)
+    all brackets being the annihilation-mode products, for n, m up to
+    JACOBI_NMAX."""
+    yield from _jacobi_instances(_products(mod, states))
 
 
-def check_zero_mode_derivation(mod, states=None):
+def check_zero_mode_derivation(mod, states):
     return check_descent_derivation(mod, states, nmax=0)
 
 
@@ -864,7 +870,7 @@ def _delta_failure(comm, cmodes, w):
     return first[min(first)] if first else None
 
 
-def check_locality(mod, a, b, v, tay=2):
+def check_locality(mod, a, b, v, tay):
     """Mutual locality of the fields of a and b witnessed on v: the
     commutator is delta-supported with coefficients the singular
     products, and both operator orders differ from the normal-ordered
@@ -924,23 +930,24 @@ def check_associativity(mod, a, b, v, tay=2):
 
 
 @identity_check
-def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
+def check_composite_fields(mod, states=None):
     """Fields of product states agree with the two-block normal-ordered
     mode sums of the factor fields.
 
     k! a_(-k-1)b is the product of the k-th derivative field of a with
     the field of b, so its modes must match the explicit sums over modes
-    of the two factors.  This carries the general-state content of
-    associativity: the coefficientwise three-expansion comparison (see
-    check_associativity) only converges against the cyclic vector."""
+    of the two factors, for k = 0, 1, 2 and modes t = -3, ..., 2.  This
+    carries the general-state content of associativity: the
+    coefficientwise three-expansion comparison (see check_associativity)
+    only converges against the cyclic vector."""
     P = _products(mod, states)
     xs, spin, D = P.xs, P.spin, mod._spin_den
-    for ia, ib, k in product(range(P.n), range(P.n), range(kmax + 1)):
+    for ia, ib, k in product(range(P.n), range(P.n), range(3)):
         a, b, pa, pb = xs[ia], xs[ib], P.par[ia], P.par[ib]
         da = P.der(ia, k)
         sa = spin[ia] + k * D if da else 0
         comp = P.mode(ia, -k - 1, ib)
-        for iv, t in product(range(P.n), range(-(tay + 1), nmax + 1)):
+        for iv, t in product(range(P.n), range(-3, 3)):
             lhs = vscale(mod.field_mode(comp, t, xs[iv]), factorial(k))
             rhs = {}
             if t < 0:
@@ -965,7 +972,7 @@ def check_composite_fields(mod, states=None, kmax=2, nmax=2, tay=2):
 
 
 @identity_check
-def check_commutative_half(mod, states=None, tay=3):
+def check_commutative_half(mod, states, tay=3):
     """The creation halves of all fields graded-commute."""
     P = _products(mod, states)
     xs, modes = P.xs, range(-(tay + 1), 0)
@@ -977,30 +984,33 @@ def check_commutative_half(mod, states=None, tay=3):
 
 
 @identity_check
-def check_lie_half(mod, states=None, nmax=3):
+def check_lie_half(mod, states):
     """The annihilation halves form a vertex-Lie tower: translation
-    compatibility, skew-symmetry, and the mode commutation rule."""
+    compatibility, skew-symmetry, and the mode commutation rule, for
+    modes up to JACOBI_NMAX."""
     P = _products(mod, states)
     # translation: (da)_(m) = -m a_(m-1) for m >= 0
-    for i, j, m in product(range(P.n), range(P.n), range(nmax + 1)):
+    for i, j, m in product(range(P.n), range(P.n),
+                           range(JACOBI_NMAX + 1)):
         yield (("translation", m, P.xs[i]), P.mode(i, m, j, 1),
                vscale(P.mode(i, m - 1, j), -m))
     # commutator of annihilation modes against singular products
-    for (n, m, a, b, _), lhs, rhs in _jacobi_instances(P, nmax):
+    for (n, m, a, b, _), lhs, rhs in _jacobi_instances(P):
         yield ("commutator", n, m, a, b), lhs, rhs
 
 
 def check_poisson_split(mod, states=None, tay=3):
     """Commutative creation half + vertex-Lie annihilation half, with the
     annihilation modes acting as derivations of the product.  The halves
-    read one table, so at nmax = 3 the commutator and derivation rows are
-    the instances descent-jacobi and descent-derivation compute."""
+    read one table, so with modes up to JACOBI_NMAX the commutator and
+    derivation rows are the instances descent-jacobi and
+    descent-derivation compute."""
     P = _products(mod, states)
-    for label, check, bound in (
-            ("commutative-half", check_commutative_half, tay),
-            ("lie-half", check_lie_half, 3),
-            ("derivation", check_descent_derivation, 3)):
-        ok, wit = check(mod, P, bound)
+    for label, check, args in (
+            ("commutative-half", check_commutative_half, (tay,)),
+            ("lie-half", check_lie_half, ()),
+            ("derivation", check_descent_derivation, (JACOBI_NMAX,))):
+        ok, wit = check(mod, P, *args)
         if not ok:
             return False, (label,) + wit
     return True, None
@@ -1135,15 +1145,13 @@ def differential_map(mod, w):
 
     The head x_(n) of a key is a creation mode, so the first term is a
     creation-only field_mode and the second one insertion.  The images
-    w_(0)x of the generators are states of the vacuum algebra, so they
-    are taken in the vacuum module of the same presentation and
-    specialization (mod itself unless mod has a cyclic rule), once per
-    generator.  Each key's image is computed once and kept in a table
-    keyed by the key, which lives as long as the returned map; d(v) sums
-    table rows with the coefficients of v, passed by the odd operator."""
-    vac = mod if mod.cyclic_rule is None else PBWModule(
-        mod.pres, mod.spin_cap, mod.word_cap, mod.flavor_window,
-        specialize=mod.specialize)
+    w_(0)x of the generators are states of the vacuum algebra, so mod
+    must be a vacuum module (ValueError for one with a cyclic rule).
+    Each key's image is computed once and kept in a table keyed by the
+    key, which lives as long as the returned map; d(v) sums table rows
+    with the coefficients of v, passed by the odd operator."""
+    if mod.cyclic_rule is not None:
+        raise ValueError("differential_map takes a vacuum module")
     pd = (mod.state_parity(w) + 1) % 2
     dgen = {}   # gi -> w_(0) x_gi in the vacuum module
     table = {}  # pbwkey -> d|pbwkey>
@@ -1158,7 +1166,7 @@ def differential_map(mod, w):
             (gi, n), rest = key[0], key[1:]
             dx = dgen.get(gi)
             if dx is None:
-                dx = dgen[gi] = vac.field_mode(w, 0, {((gi, -1),): 1})
+                dx = dgen[gi] = mod.field_mode(w, 0, {((gi, -1),): 1})
             out = mod.field_mode(dx, n, {rest: 1})
             vadd(out, mod.act(gi, n, row(rest)),
                  -1 if pd and mod.gens[gi].mode_parity(n) else 1)
@@ -1180,7 +1188,7 @@ def check_square_zero(mod, d):
         yield k, d(d({k: 1})), {}
 
 
-def dg_cohomology(mod, d, spin_cap=None):
+def dg_cohomology(mod, d, spin_cap):
     """Cohomology of an odd, spin- and flavor-preserving differential on
     the enumerated window, cell by cell.
 
@@ -1190,7 +1198,7 @@ def dg_cohomology(mod, d, spin_cap=None):
     """
     cells = {}
     for k, g in mod.basis():
-        if spin_cap is not None and g.spin > spin_cap:
+        if g.spin > spin_cap:
             continue
         cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
 
@@ -1236,14 +1244,14 @@ def ghost_extension(pres, current_names):
     return pres.extend(extra, entries, name=pres.name + "+ghosts")
 
 
-def brst_charge(mod, current_names, structure=None, pairing=None):
+def brst_charge(mod, current_names, structure, pairing):
     """The canonical odd charge state on a ghost-extended module:
 
         1/2 f^a_{bc} :b_a c^b c^c: + 1/2 K_{ab} :c^a d c^b:
         - :c^a mu_a:
 
     structure[(a,b)] = {c: coeff} gives [mu_a, mu_b] = f^c_{ab} mu_c and
-    pairing[(a,b)] the invariant form; both default to zero (abelian)."""
+    pairing[(a,b)] the invariant form; an empty one is zero (abelian)."""
     total = {}
     cs = {nm: mod.gen_state("c_" + nm) for nm in current_names}
     bs = {nm: mod.gen_state("b_" + nm) for nm in current_names}
@@ -1253,15 +1261,13 @@ def brst_charge(mod, current_names, structure=None, pairing=None):
         # sign relative to the opposite ordering, and this is the
         # relative sign against the trilinear term that squares to zero
         vadd(total, mod.nop(cs[nm], mod.gen_state(nm)))
-    if pairing:
-        for (a, b), c in pairing.items():
-            term = mod.nop(cs[a], mod.translate(cs[b]))
-            vadd(total, term, Fraction(1, 2) * c)
-    if structure:
-        for (a, b), val in structure.items():
-            for cnm, f in val.items():
-                term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))
-                vadd(total, term, Fraction(1, 2) * f)
+    for (a, b), c in pairing.items():
+        term = mod.nop(cs[a], mod.translate(cs[b]))
+        vadd(total, term, Fraction(1, 2) * c)
+    for (a, b), val in structure.items():
+        for cnm, f in val.items():
+            term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))
+            vadd(total, term, Fraction(1, 2) * f)
     return total
 
 

@@ -64,9 +64,6 @@ class FieldExpr:
     def __add__(self, other):
         return FieldExpr(vadd(dict(self.terms), other.terms))
 
-    def __neg__(self):
-        return FieldExpr(vscale(self.terms, -1))
-
     def __sub__(self, other):
         return FieldExpr(vsub(self.terms, other.terms))
 

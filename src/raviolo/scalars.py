@@ -190,9 +190,6 @@ class Scalar:
             return self
         return _scalar(vsub(self.terms, other.terms))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def _scaled(self, c):
         # c: a canonical nonzero rational
         return self if c == 1 else _scalar(vscale(self.terms, c))
@@ -437,7 +434,10 @@ def vsub(a, b):
             if v:
                 out[k] = -v
             continue
-        s = cur - v
+        if type(v) is Scalar and type(cur) is not Scalar:
+            s = -v + cur  # a Scalar has no reflected subtraction
+        else:
+            s = cur - v
         if type(s) is not int:
             s = canonical(s)
         if s:

@@ -261,8 +261,14 @@ def delta_decompose(f, N):
     # of Taylor depth <= p
     glist = [vscale(powers[n].residue_z(), Fraction((-1) ** n, factorial(n)))
              for n in range(N + 1)]
-    # verify the rebuild
-    rebuilt = delta_build(glist, T)
+    # verify the rebuild, expanding Delta's w^a Omega^a_z terms as deep as
+    # the deepest polar g entry Omega^p_w, which they meet in polar-polar
+    # entries of the window.  An exact rank check of each total-degree
+    # slice i + j < 3T + 12 (N <= 3, T <= N + 4) found no f that passes
+    # both conditions and fails here; that is evidence, not a proof, so
+    # the rebuild stays.
+    deepest = max([T] + [k[0] for g in glist for k in g if k[0] >= 0])
+    rebuilt = delta_build(glist, deepest)
     for key, ij in (rebuilt - f).first_within(f.ztr - N, f.wtr - N).items():
         failures.setdefault(key, ("rebuild", ij))
     return glist, failures

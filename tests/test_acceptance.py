@@ -20,7 +20,7 @@ from raviolo.engine import (
     check_square_zero, dg_cohomology, state_coords, conformal_check,
 )
 from raviolo.catalog import (
-    fc, heisenberg, virasoro, sl2, stress_tensor, fock,
+    fc, fc_multi, heisenberg, virasoro, sl2, stress_tensor, fock,
     highest_weight_kernel, LatticeModule, check_lattice_relations,
     QSeries, character, lattice_character, pochhammer_expand,
     check_morphism, morphism_image,
@@ -113,6 +113,10 @@ def test_criterion_01_ope_tables(capsys):
 def test_criterion_02_mode_commutators():
     t0 = time.monotonic()
     R = range(-6, 7)
+
+    # the level kappa and the central charge xi are odd parameters: they
+    # anticommute, so their product changes sign with the order
+    assert KAP * XI == -(XI * KAP) and KAP * XI != XI * KAP
 
     # weight-(0,1) pair: the only brackets pair an annihilation mode
     # with the matching creation mode and produce the central element
@@ -349,6 +353,14 @@ def test_criterion_06_characters():
         [((("y", -1),), 1, 1), ((("y", 1),), -1, 0)],
         order=4, fug_window=3)
 
+    # two independent pairs: the character factorizes, one fugacity per
+    # pair (word 10 holds every state of spin < 4 and flavor within 3)
+    F2 = PBWModule(fc_multi(2), spin_cap=3, word_cap=10, flavor_window=3,
+                   specialize={"K": 1})
+    ch2 = character(F2, order=4, fug_names=("y", "z"), fug_window=3)
+    assert ch2 == ch * character(F, order=4, fug_names=("z",),
+                                 fug_window=3)
+
     # rank-one currents: triple product over the root weights
     S = PBWModule(sl2(), spin_cap=3, word_cap=6)
     ch = character(S, order=4, fug_names=("s",), fug_window=8)
@@ -446,7 +458,7 @@ def test_criterion_07_deformations():
 def test_criterion_08_lattice_and_fock():
     t0 = time.monotonic()
     lat = LatticeModule(window=4, spin_cap=4, word_cap=6)
-    ok, wit = check_lattice_relations(lat, mrange=3, spin_cap=3, tay=3)
+    ok, wit = check_lattice_relations(lat, mrange=3, spin_cap=3)
     assert ok, wit
     for lam in (Fraction(3, 2), Fraction(-2)):
         Fk = fock(lam, spin_cap=3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import sympy
 
-from raviolo.scalars import Scalar
+from raviolo.scalars import Scalar, vadd
 from raviolo.dgmodel import (
     AElement, a_mul, apoly, apoly_mul, apoly_sub, d_poly,
     sl2_action, omega_class, cohomology_basis, is_exact,
@@ -13,7 +13,7 @@ from raviolo.dgmodel import (
 Z = AElement.gen("z")
 LAM = AElement.gen("lam")
 X = AElement.gen("x")
-OMEGA = AElement.gen("omega")
+OMEGA = omega_class(0)
 
 
 def _rand_apoly(rng, size=3):
@@ -30,6 +30,14 @@ def _rand_elt(rng):
     return AElement(_rand_apoly(rng), _rand_apoly(rng))
 
 
+def _zero(u):
+    return not u.even and not u.odd
+
+
+def _add(u, v):
+    return AElement(vadd(dict(u.even), v.even), vadd(dict(u.odd), v.odd))
+
+
 def _d(u):
     """d' on A; it kills the omega part (its differential carries
     omega^2 = 0)."""
@@ -43,7 +51,7 @@ def test_x_squared_relation():
 
 
 def test_omega_squares_to_zero():
-    assert a_mul(OMEGA, OMEGA).is_zero()
+    assert _zero(a_mul(OMEGA, OMEGA))
 
 
 def test_normal_form_monomial():
@@ -53,16 +61,16 @@ def test_normal_form_monomial():
 
 
 def test_diff_generators():
-    assert _d(Z).is_zero()
+    assert _zero(_d(Z))
     assert _d(LAM).odd == apoly({(0, 0, 1): 1})       # x omega
     assert _d(X).odd == apoly({(1, 0, 0): Fraction(-1, 2)})  # -z/2 omega
-    assert _d(OMEGA).is_zero()
+    assert _zero(_d(OMEGA))
 
 
 def test_diff_of_relation_constant():
-    rel = a_mul(Z, LAM) + a_mul(X, X)  # = 1 in the quotient
+    rel = _add(a_mul(Z, LAM), a_mul(X, X))  # = 1 in the quotient
     assert rel.even == apoly({(0, 0, 0): 1})
-    assert _d(rel).is_zero()
+    assert _zero(_d(rel))
 
 
 def test_diff_lambda_squared():
@@ -97,11 +105,11 @@ def test_diff_is_derivation():
         u1 = AElement(None, _rand_apoly(rng))    # odd
         v = _rand_elt(rng)
         lhs = _d(a_mul(u0, v))
-        rhs = a_mul(_d(u0), v) + a_mul(u0, _d(v))
-        assert (lhs - rhs).is_zero()
+        rhs = _add(a_mul(_d(u0), v), a_mul(u0, _d(v)))
+        assert _zero(lhs - rhs)
         lhs = _d(a_mul(u1, v))
         rhs = a_mul(_d(u1), v) - a_mul(u1, _d(v))
-        assert (lhs - rhs).is_zero()
+        assert _zero(lhs - rhs)
 
 
 def test_sl2_examples():
@@ -112,12 +120,11 @@ def test_sl2_examples():
 
 
 def test_cohomology_small_window():
-    reps0 = cohomology_basis(0, 4)
-    reps1 = cohomology_basis(1, 4)
+    reps0 = cohomology_basis(4)
     # degree 0 should contain 1, z, z^2, z^3 up to the filtration edge
     ok, witness = check_cohomology_window(4)
     assert ok, witness
-    assert len(reps0) >= 4 and len(reps1) >= 4
+    assert len(reps0) >= 4
 
 
 def test_cohomology_all_windows():

@@ -143,6 +143,26 @@ def test_decompose_roundtrip_random():
             assert _window(g, T - N - 3) == _window(h, T - N - 3)
 
 
+def test_decompose_accepts_polar_g_deeper_than_the_window():
+    # genuine sums whose g has Omega^p_w entries with p > T: Delta's
+    # w^a Omega^a_z terms meet them in polar-polar entries, which every
+    # window compares, so the rebuild must expand Delta to depth p
+    import random
+    rng = random.Random(23)
+    assert delta_decompose(BiDist({(0, 1): 1, (1, 0): 1}, 0, 0), 0) == \
+        ([_series({1: 1})], {})
+    for _ in range(60):
+        T, N = rng.randint(0, 5), rng.randint(0, 3)
+        glist = [_series({rng.randint(-3, T + 5): rng.randint(-3, 3)
+                          for _ in range(rng.randint(1, 3))})
+                 for _ in range(N + 1)]
+        f = BiDist(delta_build(glist, T + 5).terms, T, T)
+        out, fails = delta_decompose(f, N)
+        assert fails == {}, (T, N, glist, fails)
+        for g, h in zip(out, glist):
+            assert _window(g, T - N) == _window(h, T - N), (T, N, glist)
+
+
 def test_decompose_failure_witnesses():
     T = 8
     # the constant distribution 1 is not (z-w)-torsion

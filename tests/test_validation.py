@@ -1,5 +1,5 @@
-"""Input validation that survives `python -O`, no unreferenced code in
-`src/`, and the canonical form of the sparse containers.
+"""Input validation that survives `python -O`, no code in `src/` that no
+claim runs, and the canonical form of the sparse containers.
 
 Every vector (FieldExpr, RavSeries, BiDist, the dg-model's
 AElement, a PBW module's memoized states, Echelon rows and kernels,
@@ -10,12 +10,21 @@ that accept both kinds.
 """
 
 import ast
+import contextlib
+import importlib
+import importlib.util
+import inspect
+import io
+import json
 import os
+import random
 import subprocess
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from raviolo import catalog, cli, engine
@@ -177,9 +186,15 @@ def test_only_the_vector_primitive_drops_entries():
     assert not bad, "add and drop through scalars.vadd/vsub: %s" % bad
 
 
-# ------------------------------------------------------- dead code
+# ------------------------------------------------------- reached code
+#
+# Every def and method in src/ must run under a claim: the acceptance
+# criteria and one pass of the items (and their checks) of each benchmark
+# workload, traced by a sys.setprofile hook.  A name match would keep a
+# method alive because another class has a method of the same name.
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+PKG = os.path.join(SRC, "raviolo")
 
 
 def _py_files(*dirs):
@@ -188,6 +203,166 @@ def _py_files(*dirs):
             for fn in sorted(files):
                 if fn.endswith(".py"):
                     yield os.path.join(base, fn)
+
+
+# the package modules, in the order bench/run.py imports them
+LAYERS = ("scalars", "modes", "engine", "series", "linalg", "dgmodel",
+          "catalog", "cli")
+
+# (file, qualified name) -> why it may stay unreached
+UNREACHED_ALLOWLIST = {
+    ("modes.py", "GeneratorInfo.__repr__"): "repr, for debugging",
+    ("modes.py", "Mode.__repr__"): "repr, for debugging",
+    ("modes.py", "FieldExpr.__str__"): "str, for debugging",
+    ("scalars.py", "Param.__repr__"): "repr, for debugging",
+    ("series.py", "RavSeries.__str__"): "str, for debugging",
+    ("series.py", "format_series"): "called only by RavSeries.__str__",
+    ("series.py", "format_series.<locals>.monostr"):
+        "called only by RavSeries.__str__",
+    ("modes.py", "InfiniteGradedPiece.__init__"):
+        "an exception, raised on an unbounded graded piece",
+    ("cli.py", "_parse_line.<locals>.err"):
+        "error-only: builds the message of a malformed line",
+    ("modes.py", "FieldExpr.__eq__"):
+        "deleting it would silently make == an identity test",
+    ("scalars.py", "Scalar.__hash__"):
+        "deleting it would make Scalar unhashable beside its __eq__",
+    ("linalg.py", "rref"):
+        "the benchmark counts its calls (linalg.rref.calls)",
+}
+
+
+def _src_functions():
+    """(file, qualified name) of every def and method in src/raviolo: the
+    code objects with their own locals, without lambdas, comprehensions
+    and class bodies."""
+    out = set()
+
+    def walk(code, fn):
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                if c.co_flags & inspect.CO_NEWLOCALS and \
+                        not c.co_name.startswith("<"):
+                    out.add((fn, c.co_qualname))
+                walk(c, fn)
+    for fn in sorted(os.listdir(PKG)):
+        if fn.endswith(".py"):
+            path = os.path.join(PKG, fn)
+            with open(path) as fh:
+                walk(compile(fh.read(), path, "exec"), fn)
+    return out
+
+
+class _Capture:
+    """capsys for a criterion run outside its own test: readouterr()
+    returns and clears what was printed since the last call."""
+
+    def __init__(self):
+        self.buf = io.StringIO()
+
+    def readouterr(self):
+        out = self.buf.getvalue()
+        self.buf.seek(0)
+        self.buf.truncate()
+        return types.SimpleNamespace(out=out, err="")
+
+
+def _bench_pass():
+    """Every item of every benchmark workload run once and checked, from
+    the already imported package (bench/run.py would import it anew)."""
+    bench = os.path.join(ROOT, "bench")
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = write
+    with open(os.path.join(bench, "oracle.json")) as fh:
+        oracle = json.load(fh)
+    rv = types.SimpleNamespace(**{
+        layer: importlib.import_module("raviolo." + layer)
+        for layer in LAYERS})
+    for name, workload in workloads.WORKLOADS.items():
+        work = workload(rv, random.Random(1), oracle[name],
+                        os.path.join(bench, "corpus"))
+        for item in work.items:
+            ops, _ = item.check(item.run())
+            assert all(ok for _, ok, _ in ops), (name, item.label, ops)
+
+
+@pytest.fixture(scope="module")
+def claim_trace():
+    """(file, qualified name) of each src/ function that runs under the
+    criteria and one benchmark pass.  The lru_caches are cleared first:
+    a cache filled by an earlier test would hide its function's body."""
+    import test_acceptance
+    for layer in LAYERS:
+        for value in vars(importlib.import_module("raviolo." + layer)
+                          ).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+    cap = _Capture()
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(cap.buf):
+            for name in sorted(vars(test_acceptance)):
+                if not name.startswith("test_criterion_"):
+                    continue
+                criterion = getattr(test_acceptance, name)
+                if "capsys" in inspect.signature(criterion).parameters:
+                    criterion(cap)
+                else:
+                    criterion()
+        _bench_pass()
+    finally:
+        sys.setprofile(None)
+    pkg = os.path.realpath(PKG)
+    seen = set()
+    for c in codes:
+        if os.path.dirname(os.path.realpath(c.co_filename)) == pkg:
+            # a nested function runs only after the enclosing one ran and
+            # defined it (a decorator runs at import, before the hook)
+            parts = c.co_qualname.split(".<locals>.")
+            seen.update((os.path.basename(c.co_filename),
+                         ".<locals>.".join(parts[:i]))
+                        for i in range(1, len(parts) + 1))
+    return seen
+
+
+def _unreached(defined, seen, allowlist):
+    """(defined functions that never ran and are not allowlisted,
+    allowlist entries that ran or name no function)."""
+    missing = sorted(defined - seen - set(allowlist))
+    stale = sorted((set(allowlist) & seen) | (set(allowlist) - defined))
+    return missing, stale
+
+
+def test_every_src_function_runs_under_a_claim(claim_trace):
+    defined = _src_functions()
+    assert len(defined) > 250
+    missing, stale = _unreached(defined, claim_trace, UNREACHED_ALLOWLIST)
+    assert not missing, "no criterion or benchmark item runs: %s" % missing
+    assert not stale, "stale allowlist entries: %s" % stale
+
+
+def test_reach_checker_names_what_did_not_run(claim_trace):
+    # drop one function that ran: the checker names it; let one
+    # allowlisted function run: the checker calls its entry stale
+    defined = _src_functions()
+    gone = ("engine.py", "differential_map")
+    assert gone in claim_trace
+    assert _unreached(defined, claim_trace - {gone},
+                      UNREACHED_ALLOWLIST) == ([gone], [])
+    ran = ("linalg.py", "rref")
+    assert _unreached(defined, claim_trace | {ran},
+                      UNREACHED_ALLOWLIST) == ([], [ran])
 
 
 def _references(tree):
@@ -207,36 +382,23 @@ def _references(tree):
                 yield node.value.rsplit(".", 1)[-1]
 
 
-def _definitions(tree):
-    """(qualified name, node) of each module-level def/class and each
-    non-dunder def in a module-level class body."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for node in tree.body:
-        if isinstance(node, defs + (ast.ClassDef,)):
-            yield node.name, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, defs) and not (
-                        item.name.startswith("__") and
-                        item.name.endswith("__")):
-                    yield "%s.%s" % (node.name, item.name), item
-
-
-def test_no_unreferenced_definitions_in_src():
-    # a module-level def/class, or a non-dunder method, must be used
-    # outside its own body, by the program, the benchmark or an
-    # acceptance criterion: a unit test alone does not keep a name alive
-    used, defined = Counter(), []
+def test_every_src_class_is_referenced():
+    # a class is built or raised, which the profile hook does not see, so
+    # each module-level class must be used outside its own body by the
+    # program, the benchmark or an acceptance criterion
+    used, classes = Counter(), []
     callers = list(_py_files("src", "bench")) + [
         os.path.join(ROOT, "tests", "test_acceptance.py")]
     for path in callers:
-        tree = ast.parse(open(path).read(), path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
         used.update(_references(tree))
         if os.path.dirname(path) == os.path.join(ROOT, "src", "raviolo"):
-            defined.extend((os.path.basename(path), qual, node)
-                           for qual, node in _definitions(tree))
-    assert len(defined) > 200
-    dead = ["%s:%s" % (fn, qual) for fn, qual, node in defined
+            classes.extend((os.path.basename(path), node)
+                           for node in tree.body
+                           if isinstance(node, ast.ClassDef))
+    assert len(classes) > 10
+    dead = ["%s:%s" % (fn, node.name) for fn, node in classes
             if used[node.name] <= Counter(_references(node))[node.name]]
     assert not dead, "defined but never referenced: %s" % dead
 
@@ -311,7 +473,7 @@ def _check(x, y, c, products):
     results = [_plus(x, y), x - y, x.scale(c)] + products
     assert _empty(x.scale(0))
     assert all(_canonical(r) for r in results)
-    neg = -x if hasattr(x, "__neg__") else x.scale(-1)
+    neg = x.scale(-1)
     assert _canonical(neg)
     assert _empty(x - x) and _empty(_plus(x, neg))
 
@@ -348,8 +510,12 @@ def test_bidist_keeps_no_zero(a, b, f, c):
 @given(_dict(_POLY_KEYS), _dict(_POLY_KEYS), _dict(_POLY_KEYS),
        _dict(_POLY_KEYS), _COEFFS)
 def test_dg_element_keeps_no_zero(e1, o1, e2, o2, c):
+    # a dg-model element has a difference and the product, which also
+    # scales by a constant element
     x, y = AElement(e1, o1), AElement(e2, o2)
-    _check(x, y, c, [a_mul(x, y)])
+    results = [x - y, a_mul(x, y), a_mul(AElement({(0, 0, 0): c}), x)]
+    assert all(_canonical(r) for r in results)
+    assert _empty(x - x)
 
 
 # rationals, some of them not canonical as given
@@ -414,7 +580,7 @@ def test_lattice_tables_keep_the_coefficient_rule():
     vertex-mode tables after a relations check follows the rule."""
     lat = catalog.LatticeModule(window=3, spin_cap=3, word_cap=4)
     assert catalog.check_lattice_relations(
-        lat, mrange=2, spin_cap=2, tay=3) == (True, None)
+        lat, mrange=2, spin_cap=2) == (True, None)
     vecs = [v for parts in lat._exp.values() for v in parts]
     vecs += list(lat._vertex.values())
     coeffs = [c for vec in vecs for c in vec.values()]
