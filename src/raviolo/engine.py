@@ -31,8 +31,8 @@ from math import factorial, floor as _floor, lcm
 from .scalars import (Scalar, Grading, binom, as_vector, canonical,
                       degrees_of, rational_of, twist, vadd, vscale, vsub,
                       veq)
-from .modes import (GeneratorInfo, Mode, FieldExpr, OpeTable,
-                    bracket_from_ope, vac_induce)
+from .modes import (GeneratorInfo, FieldExpr, OpeTable, bracket_from_ope,
+                    vac_induce)
 from .series import (BiDist, combine_indices, delta_decompose, delta_expand,
                      mon_u_expand)
 from .linalg import Echelon, column_kernel, rational_coords, solve
@@ -120,15 +120,13 @@ class PBWModule:
         self._act_memo = {}
         self._mono_memo = {}
         self._kg_memo = {}
-        self._akey_memo = {}   # akey -> (mono, 1/den or None, parity)
+        self._key_memo = {}    # key -> _key_info(key)
         # spins scaled by their common denominator are ints: the mode
         # windows below take integer floors, not Fraction arithmetic
         self._spin_den = lcm(*(g.grading.spin.denominator
                                for g in self.gens))
         self._gen_spin = [int(g.grading.spin * self._spin_den)
                           for g in self.gens]
-        self._mg_memo = {}     # mono -> (parity, scaled spin)
-        self._ks_memo = {}     # key -> scaled spin above the cyclic vector
 
     def _spec(self, c):
         if self.specialize and type(c) is Scalar:
@@ -152,15 +150,21 @@ class PBWModule:
             self._kg_memo[key] = g
         return g
 
-    def _key_spin(self, key):
-        """The spin of a PBW key above the cyclic vector, times
-        _spin_den (an int)."""
-        s = self._ks_memo.get(key)
-        if s is None:
-            s = self._ks_memo[key] = int(
-                (self.key_grading(key).spin - self.cyclic_grading.spin)
-                * self._spin_den)
-        return s
+    def _key_info(self, key):
+        """(parity, spin times _spin_den, 1/den or None) of a PBW key:
+        the parity and the (int) scaled spin that its creation modes add
+        to the cyclic vector's, and den = Π k! of the key read as a field
+        monomial, whose factor (gi, n) is d^k g / k!, k = -n - 1."""
+        info = self._key_memo.get(key)
+        if info is None:
+            p, s, den, D = 0, 0, 1, self._spin_den
+            for gi, n in key:
+                p += self.gens[gi].grading.tot
+                s += self._gen_spin[gi] - (n + 1) * D
+                den *= factorial(-n - 1)
+            info = self._key_memo[key] = (
+                p % 2, s, Fraction(1, den) if den > 1 else None)
+        return info
 
     def state_grading(self, state):
         """Grading of a homogeneous state, scalar coefficients included
@@ -234,7 +238,7 @@ class PBWModule:
                 out[nk] = sign
         else:
             # no states below the cyclic spin
-            if self._key_spin(key) + self._gen_spin[gi] < \
+            if self._key_info(key)[1] + self._gen_spin[gi] < \
                     (n + 1) * self._spin_den:
                 memo[mk] = {}
                 return {}
@@ -247,7 +251,7 @@ class PBWModule:
                 rest_state = {rest: 1}
                 # commutator against the head mode
                 for coeff, expr, t in bracket_from_ope(
-                        Mode(self.gens[gi], n), Mode(self.gens[hgi], hn),
+                        self.gens[gi], n, self.gens[hgi], hn,
                         self.pres.table):
                     vadd(out, self.expr_mode(expr, t, rest_state),
                          self._spec(coeff))
@@ -270,40 +274,36 @@ class PBWModule:
         """Mode t of a FieldExpr (normal-ordered monomials in derivatives
         of generators) applied to a state.  Scalar coefficients pass the
         odd singular-tower symbols with a Koszul sign, so odd parameters
-        flip on the annihilation modes."""
+        flip on the annihilation modes.  Each factor (name, k) becomes
+        the creation mode (gi, -k - 1), in the monomial's order."""
         tw = 1 if t >= 0 else 0
+        index = self.index
         out = {}
         for mono, c in expr.terms.items():
-            vadd(out, self.mono_mode(mono, t, state),
+            key = tuple((index[nm], -k - 1) for nm, k in mono)
+            vadd(out, self.mono_mode(key, t, state),
                  twist(self._spec(c), tw))
         return out
 
-    def _mono_grading(self, mono):
-        """(parity, spin times _spin_den) of a normal-ordered monomial of
-        derivatives."""
-        g = self._mg_memo.get(mono)
-        if g is None:
-            p, s = 0, 0
-            for nm, k in mono:
-                gr = self.pres.grading(nm)
-                p += gr.tot
-                s += gr.spin + k
-            g = self._mg_memo[mono] = (p % 2, int(s * self._spin_den))
-        return g
-
     def mono_mode(self, mono, t, state):
-        p = (self._mono_grading(mono)[0] + (1 if t >= 0 else 0)) % 2
+        """Mode t of the normal-ordered monomial mono, applied to a state:
+        a factor (gi, n < 0) of mono is the derivative d^k g, k = -n - 1
+        (as a field, not over k!)."""
+        p = self._key_info(mono)[0] ^ (t >= 0)
         out = {}
         for key, c in state.items():
             vadd(out, self._mono_key(mono, t, key), twist(c, p))
         return out
 
-    def _deriv_mode(self, gname, k, n, state):
-        """(d^k g)_(n) = (-1)^k k! C(n, k) g_(n-k) applied to a state."""
+    def _deriv_mode(self, fac, n, state):
+        """(d^k g)_(n) = (-1)^k k! C(n, k) g_(n-k) applied to a state, for
+        the factor fac = (gi, -k - 1)."""
+        gi, m = fac
+        k = -m - 1
         coeff = (-1) ** k * factorial(k) * binom(n, k)
         if coeff == 0:
             return {}
-        return vscale(self.act(gname, n - k, state), coeff)
+        return vscale(self.act(gi, n - k, state), coeff)
 
     def _mono_key(self, mono, t, vkey):
         memo = self._mono_memo
@@ -316,36 +316,35 @@ class PBWModule:
                 out = {vkey: 1}
             memo[mk] = out
             return out
-        g1name, k1 = mono[0]
-        rest = mono[1:]
+        fac, rest = mono[0], mono[1:]
         vstate = {vkey: 1}
         if not rest:
-            out = self._deriv_mode(g1name, k1, t, vstate)
+            out = self._deriv_mode(fac, t, vstate)
             memo[mk] = out
             return out
-        pa, sa = self._mono_grading(mono[:1])
-        pb, sb = self._mono_grading(rest)
+        pa, sa, _ = self._key_info(mono[:1])
+        pb, sb, _ = self._key_info(rest)
         # with spins scaled by D to ints, ceil(t - vspin - s) is
         # -((D vspin - D t + D s) // D)
         D = self._spin_den
-        vs = self._key_spin(vkey) - D * t
+        vs = self._key_info(vkey)[1] - D * t
         if t < 0:
             # both factors in creation modes; finitely many terms
             for n in range(t, 0):
                 inner = self._mono_key(rest, t - n - 1, vkey)
                 if inner:
-                    vadd(out, self._deriv_mode(g1name, k1, n, inner))
+                    vadd(out, self._deriv_mode(fac, n, inner))
         else:
             # sum_{n<0} A_n B_{t-n-1}: B annihilates deep enough
             s1 = (-1) ** pa
             for n in range(-((vs + sb) // D), 0):
                 inner = self._mono_key(rest, t - n - 1, vkey)
                 if inner:
-                    vadd(out, self._deriv_mode(g1name, k1, n, inner), s1)
+                    vadd(out, self._deriv_mode(fac, n, inner), s1)
             # sum_{n<0} B_n A_{t-n-1}: A annihilates deep enough
             s2 = (-1) ** ((pa + 1) * pb)
             for n in range(-((vs + sa) // D), 0):
-                av = self._deriv_mode(g1name, k1, t - n - 1, vstate)
+                av = self._deriv_mode(fac, t - n - 1, vstate)
                 if av:
                     vadd(out, self.mono_mode(rest, n, av), s2)
         memo[mk] = out
@@ -356,14 +355,14 @@ class PBWModule:
         As in expr_mode, the state's scalar coefficients pass the odd
         singular-tower symbols with a Koszul sign, so their odd-parameter
         part flips on the annihilation modes.  One pass over (akey, vkey)
-        pairs: each term is (ca * cv) * _mono_key, with ca the twisted
-        akey coefficient over Π k! and cv the twisted vstate one."""
+        pairs: each term is (ca * cv) * _mono_key of the akey, with ca the
+        twisted akey coefficient over Π k! and cv the twisted vstate one."""
         tw = 1 if t >= 0 else 0
         out = {}
         if not vstate:
             return out
         for akey, ca in astate.items():
-            mono, inv_den, p = self._akey_info(akey)
+            p, _, inv_den = self._key_info(akey)
             ca = twist(ca, tw)
             if inv_den is not None:
                 ca = canonical(ca * inv_den)
@@ -374,22 +373,8 @@ class PBWModule:
                     cv = twist(cv, 1)
                 # ca stays on the left: odd parameters anticommute
                 c = cv if a_one else ca if _is_one(cv) else ca * cv
-                vadd(out, self._mono_key(mono, t, vkey), c)
+                vadd(out, self._mono_key(akey, t, vkey), c)
         return out
-
-    def _akey_info(self, akey):
-        """(mono, 1/den or None, parity) of a PBW key read as a field:
-        g_(-k-1) is the derivative d^k g / k!."""
-        info = self._akey_memo.get(akey)
-        if info is None:
-            mono = tuple((self.gens[gi].name, -n - 1) for gi, n in akey)
-            den = 1
-            for _, k in mono:
-                den *= factorial(k)
-            info = self._akey_memo[akey] = (
-                mono, Fraction(1, den) if den > 1 else None,
-                self._mono_grading(mono)[0])
-        return info
 
     # -- derived operations ------------------------------------------
 
@@ -421,17 +406,8 @@ class PBWModule:
         return dict(_modes(self, a, b, 0))
 
     def expr_to_state(self, expr):
-        """The state expr|0> of a FieldExpr."""
-        out = {}
-        for mono, c in expr.terms.items():
-            cur = self.vacuum()
-            for nm, k in reversed(mono):
-                fac = self.gen_state(nm)
-                for _ in range(k):
-                    fac = self.translate(fac)
-                cur = self.nop(fac, cur)
-            vadd(out, cur, self._spec(c))
-        return out
+        """The state expr|0> of a FieldExpr: its mode -1 on the vacuum."""
+        return self.expr_mode(expr, -1, self.vacuum())
 
     def state_str(self, state):
         if not state:

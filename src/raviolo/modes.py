@@ -31,15 +31,6 @@ class GeneratorInfo:
         return "GeneratorInfo(%r)" % self.name
 
 
-class Mode:
-    def __init__(self, gen, n):
-        self.gen = gen
-        self.n = n
-
-    def __repr__(self):
-        return "%s_(%d)" % (self.gen.name, self.n)
-
-
 class FieldExpr:
     """Linear combination (coefficients of the scalars layer) of
     normal-ordered monomials in derivatives of generators; a factor is
@@ -153,20 +144,20 @@ def expr_modes(expr, t):
     return out
 
 
-def bracket_from_ope(A, B, table):
-    """Graded commutator [A_m, B_l] as a list of (int, FieldExpr, t),
-    each meaning coeff * (expr field)_(t).
+def bracket_from_ope(a, m, b, l, table):
+    """Graded commutator [a_(m), b_(l)] of the modes of two generators
+    (GeneratorInfo) as a list of (int, FieldExpr, t), each meaning
+    coeff * (expr field)_(t).
 
     Four cases by mode signs; C^n = a_(n) b from the table, N its largest
     singular index.
     """
-    m, l = A.n, B.n
     if m < 0 and l < 0:
         return []
-    N = table.max_index(A.gen.name, B.gen.name)
+    N = table.max_index(a.name, b.name)
     if N is None:
         return []
-    sign_a = (-1) ** (A.gen.grading.tot + 1)
+    sign_a = (-1) ** (a.grading.tot + 1)
     out = []
     if m >= 0 and l >= 0:
         lo, sign = 0, sign_a
@@ -175,7 +166,7 @@ def bracket_from_ope(A, B, table):
     else:  # m < 0, l >= 0
         lo, sign = max(0, m + l + 1), sign_a
     for n in range(lo, N + 1):
-        cn = table.get(A.gen.name, B.gen.name, n)
+        cn = table.get(a.name, b.name, n)
         if not cn.terms:
             continue
         coeff = sign * binom(m, n)
@@ -185,13 +176,13 @@ def bracket_from_ope(A, B, table):
     return out
 
 
-def bracket_modes(A, B, table):
+def bracket_modes(a, m, b, l, table):
     """bracket_from_ope resolved to elementary modes, for tables whose
     entries have at most one NOP factor.  Returns {(name_or_None, t):
     coefficient} with None denoting the identity field (nonzero only at
     -1)."""
     out = {}
-    for coeff, expr, t in bracket_from_ope(A, B, table):
+    for coeff, expr, t in bracket_from_ope(a, m, b, l, table):
         for c2, name, t2 in expr_modes(expr, t):
             vadd(out, {(name, t2): coeff * c2})
     return out

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from raviolo.scalars import Scalar, Grading, ONE, vadd, vscale, vsub, \
     veq, binom
-from raviolo.modes import GeneratorInfo, FieldExpr, Mode, \
-    bracket_modes, bracket_from_ope
+from raviolo.modes import GeneratorInfo, FieldExpr, bracket_modes, \
+    bracket_from_ope
 from raviolo.engine import (
     Presentation, PBWModule, verify_axioms, check_locality,
     check_associativity, check_descent_jacobi, check_poisson_split,
@@ -94,10 +94,26 @@ def test_criterion_01_ope_tables(capsys):
                     1: vscale(G, Fraction(2)),
                     0: V.translate(G)}
 
-    # each shipped document is a fixed point of parse_spec/print_doc
+    # each shipped document, and one that declares a parameter, uses it
+    # in an entry and pulls a preset with an argument, is a fixed point
+    # of parse_spec/print_doc
+    texts = {"inline": "algebra twofc_lam\n"
+                       "param lam : deg 0 even\n"
+                       "use fc_multi(n=2)\n"
+                       "generator Y : deg 0 spin 1/2 even\n"
+                       "generator chi : deg 1 spin 1/2 even\n"
+                       "ope chi Y : 0 -> lam\n"}
     for fn in sorted(os.listdir(dsl)):
         with open(os.path.join(dsl, fn), encoding="utf-8") as fh:
-            doc = parse_spec(fh.read())
+            texts[fn] = fh.read()
+    inline = parse_spec(texts["inline"])
+    assert inline.declared_params == ["lam"]
+    assert inline.gen_names == ["X1", "psi1", "X2", "psi2", "Y", "chi"]
+    lam = FieldExpr.const(Scalar.param(inline.params["lam"]))
+    for key in (("chi", "Y", 0), ("Y", "chi", 0)):
+        assert (inline.entries[key] - lam).is_zero(), key
+    for fn, text in texts.items():
+        doc = parse_spec(text)
         printed = print_doc(doc)
         doc2 = parse_spec(printed)
         assert print_doc(doc2) == printed, fn
@@ -127,11 +143,11 @@ def test_criterion_02_mode_commutators():
             want = {}
             if (s >= 0) != (u >= 0) and s + u == -1:
                 want = {(None, -1): K}
-            assert bracket_modes(Mode(psi, s), Mode(X, u), t) == want, \
+            assert bracket_modes(psi, s, X, u, t) == want, \
                 (s, u)
             if s < 0 and u >= 0 and s + u == -1:
                 want = {(None, -1): -K}
-            assert bracket_modes(Mode(X, s), Mode(psi, u), t) == want, \
+            assert bracket_modes(X, s, psi, u, t) == want, \
                 (s, u)
 
     # weight-(1,1) pair: central with a mode factor
@@ -141,10 +157,10 @@ def test_criterion_02_mode_commutators():
         for u in R:
             hit = (s >= 0) != (u >= 0) and s + u == 0
             want = {(None, -1): K * (-s)} if hit else {}
-            assert bracket_modes(Mode(nu, s), Mode(b, u), th) == want, \
+            assert bracket_modes(nu, s, b, u, th) == want, \
                 (s, u)
             want = {(None, -1): K * abs(s)} if hit else {}
-            assert bracket_modes(Mode(b, s), Mode(nu, u), th) == want, \
+            assert bracket_modes(b, s, nu, u, th) == want, \
                 (s, u)
 
     # vector fields: a Witt-type algebra with the cubic central value
@@ -152,7 +168,7 @@ def test_criterion_02_mode_commutators():
     tv = vir_table()
     for s in R:
         for u in R:
-            out = bracket_modes(Mode(G, s), Mode(G, u), tv)
+            out = bracket_modes(G, s, G, u, tv)
             want = {}
             if s >= 0 and u >= 0:
                 if s != u:
@@ -169,7 +185,7 @@ def test_criterion_02_mode_commutators():
                             Scalar.from_rational(s - u)}
             assert out == want, (s, u, out, want)
     # the advertised central value at annihilation index 3
-    assert bracket_modes(Mode(G, 3), Mode(G, -1), tv) == \
+    assert bracket_modes(G, 3, G, -1, tv) == \
         {(None, -1): XI * Fraction(1, 2)}
 
     # currents: loop brackets plus the level term on matched indices
@@ -195,8 +211,7 @@ def test_criterion_02_mode_commutators():
                                     Scalar.from_rational(v)
                     want = {k: v for k, v in want.items()
                             if not v.is_zero()}
-                    out = bracket_modes(Mode(gens[a], s),
-                                        Mode(gens[bb], u), ts)
+                    out = bracket_modes(gens[a], s, gens[bb], u, ts)
                     assert out == want, (a, bb, s, u)
     _passed(2, "mode commutators", t0, 10)
 
@@ -317,8 +332,7 @@ def test_criterion_05_poisson_split_and_reassembly():
                     for l in range(-3, 4):
                         kos = Fraction(
                             (-1) ** (pm * B.mode_parity(l)))
-                        terms = bracket_from_ope(
-                            Mode(A, m), Mode(B, l), table)
+                        terms = bracket_from_ope(A, m, B, l, table)
                         for v in samples:
                             lhs = vsub(
                                 M.act(A.name, m, M.act(B.name, l, v)),

@@ -198,14 +198,14 @@ def test_odd_parameter_mode_twist():
 
 def _two_level_field_mode(mod, a, t, v):
     """field_mode as the sum over akeys of mono_mode, each scaled by the
-    twisted akey coefficient over the product of k! (reference form)."""
+    twisted akey coefficient over the product of k!, k = -n - 1 for each
+    factor (gi, n) (reference form)."""
     out = {}
     for akey, ca in a.items():
-        mono = tuple((mod.gens[gi].name, -n - 1) for gi, n in akey)
         den = 1
-        for _, k in mono:
-            den *= factorial(k)
-        vadd(out, mod.mono_mode(mono, t, v),
+        for _, n in akey:
+            den *= factorial(-n - 1)
+        vadd(out, mod.mono_mode(akey, t, v),
              twist(ca, t >= 0) * Fraction(1, den))
     return out
 
@@ -232,6 +232,30 @@ def test_field_mode_matches_two_level_sum():
                 assert veq(mod.field_mode(a, t, v),
                            _two_level_field_mode(mod, a, t, v)), \
                     (pres.name, a, t, v)
+
+
+def test_key_info_matches_the_grading_path():
+    # the key record sums scaled int spins; key_grading adds Gradings on
+    # top of the cyclic vector's
+    mods = [PBWModule(pres, spin_cap=4, word_cap=3)
+            for pres in (fc(Fraction(1, 2)), sl2(), virasoro())]
+    mods.append(catalog.fock(Fraction(3, 2), spin_cap=4, word_cap=3,
+                             sector_flavor=2))
+    assert mods[-1].cyclic_grading.flavor == (2,)
+    for mod in mods:
+        cyc, D = mod.cyclic_grading, mod._spin_den
+        keys = [k for k, _ in mod.basis()]
+        assert any(n < -1 for k in keys for _, n in k)
+        for key in keys:
+            kg = mod.key_grading(key)
+            den = 1
+            for _, n in key:
+                den *= factorial(-n - 1)
+            p, s, inv_den = mod._key_info(key)
+            assert p == kg.tot, (mod.pres.name, key)
+            assert s == (kg.spin - cyc.spin) * D, (mod.pres.name, key)
+            assert (1 if inv_den is None else inv_den) == \
+                Fraction(1, den), (mod.pres.name, key)
 
 
 def test_h_locality_resolves_to_delta():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from raviolo.scalars import Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import (
-    GeneratorInfo, Mode, FieldExpr, OpeTable,
+    GeneratorInfo, FieldExpr, OpeTable,
     bracket_from_ope, bracket_modes, expr_modes, vac_induce,
     InfiniteGradedPiece,
 )
@@ -110,10 +110,10 @@ def test_fc_bracket_table():
     for n in range(0, 7):
         for m in range(0, 7):
             # [psi_(n), X_(-m-1)] = delta_{n,m} K
-            out = bracket_modes(Mode(psi, n), Mode(X, -m - 1), t)
+            out = bracket_modes(psi, n, X, -m - 1, t)
             want = {(None, -1): K} if n == m else {}
             assert out == want, (n, m, out)
-            out = bracket_modes(Mode(X, n), Mode(psi, -m - 1), t)
+            out = bracket_modes(X, n, psi, -m - 1, t)
             assert out == want, (n, m, out)
 
 
@@ -122,7 +122,7 @@ def test_fc_nonnegative_pairs_vanish():
     t = fc_table()
     for n in range(0, 5):
         for l in range(0, 5):
-            assert bracket_modes(Mode(psi, n), Mode(X, l), t) == {}
+            assert bracket_modes(psi, n, X, l, t) == {}
 
 
 def test_negative_pairs_vanish():
@@ -131,7 +131,7 @@ def test_negative_pairs_vanish():
             for b in gens:
                 for n in range(-4, 0):
                     for m in range(-4, 0):
-                        assert bracket_from_ope(Mode(a, n), Mode(b, m), t) \
+                        assert bracket_from_ope(a, n, b, m, t) \
                             == []
 
 
@@ -141,11 +141,11 @@ def test_h_bracket_table():
     for n in range(0, 7):
         for m in range(0, 7):
             # [nu_(n), b_(-m-1)] = -n delta_{n,m+1} K
-            out = bracket_modes(Mode(nu, n), Mode(b, -m - 1), t)
+            out = bracket_modes(nu, n, b, -m - 1, t)
             want = {(None, -1): -n * K} if n == m + 1 else {}
             assert out == want, (n, m, out)
             # [nu_(-n-1), b_(m)] = m delta_{n+1,m} K
-            out = bracket_modes(Mode(nu, -n - 1), Mode(b, m), t)
+            out = bracket_modes(nu, -n - 1, b, m, t)
             want = {(None, -1): m * K} if m == n + 1 else {}
             assert out == want, (n, m, out)
 
@@ -154,7 +154,7 @@ def test_virasoro_central_value():
     G = vir_gen()
     t = vir_table()
     # [G_3, Gamma_0] with G_m = Gamma_(m), Gamma_n = Gamma_(-n-1)
-    out = bracket_modes(Mode(G, 3), Mode(G, -1), t)
+    out = bracket_modes(G, 3, G, -1, t)
     assert out == {(None, -1): XI * Fraction(1, 2)}
 
 
@@ -165,7 +165,7 @@ def test_virasoro_mixed_table():
     t = vir_table()
     for m in range(0, 7):
         for n in range(0, 7):
-            out = bracket_modes(Mode(G, m), Mode(G, -n - 1), t)
+            out = bracket_modes(G, m, G, -n - 1, t)
             want = {}
             if n + 3 == m:
                 want = {(None, -1): XI * Fraction(m * (m - 1) * (m - 2), 12)}
@@ -182,7 +182,7 @@ def test_virasoro_positive_witt():
     t = vir_table()
     for m in range(0, 7):
         for n in range(0, 7):
-            out = bracket_modes(Mode(G, m), Mode(G, n), t)
+            out = bracket_modes(G, m, G, n, t)
             want = {}
             if m != n and m + n - 1 >= 0:
                 want = {("Gamma", m + n - 1): Scalar.from_rational(m - n)}
@@ -196,8 +196,8 @@ def test_current_bracket_is_loop_algebra():
         for b in SL2:
             for n in range(0, 4):
                 for m in range(0, 4):
-                    out = bracket_modes(Mode(gens["mu_" + a], n),
-                                        Mode(gens["mu_" + b], m), t)
+                    out = bracket_modes(gens["mu_" + a], n,
+                                        gens["mu_" + b], m, t)
                     want = {}
                     for c, v in SL2_F.get((a, b), {}).items():
                         want[("mu_" + c, n + m)] = Scalar.from_rational(v)
@@ -223,8 +223,8 @@ def _bracket_combo(x, y, gens_by_name, table):
         for (n2, t2), c2 in y.items():
             if n1 is None or n2 is None:
                 continue
-            res = bracket_modes(Mode(gens_by_name[n1], t1),
-                                Mode(gens_by_name[n2], t2), table)
+            res = bracket_modes(gens_by_name[n1], t1, gens_by_name[n2], t2,
+                                table)
             for key, c in res.items():
                 s = out.get(key, Scalar.zero()) + c1 * c2 * c
                 if s.is_zero():
@@ -255,7 +255,7 @@ def test_bracket_antisymmetry_and_jacobi():
             for b in gens:
                 for n in range(0, 4):
                     for m in range(0, 4):
-                        out = bracket_modes(Mode(a, n), Mode(b, m), table)
+                        out = bracket_modes(a, n, b, m, table)
                         assert all(t >= 0 for _, t in out), \
                             (name, a, n, b, m, out)
         small = [(g.name, n) for g in gens for n in (-2, -1, 0, 1, 2)]

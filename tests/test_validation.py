@@ -212,7 +212,6 @@ LAYERS = ("scalars", "modes", "engine", "series", "linalg", "dgmodel",
 # (file, qualified name) -> why it may stay unreached
 UNREACHED_ALLOWLIST = {
     ("modes.py", "GeneratorInfo.__repr__"): "repr, for debugging",
-    ("modes.py", "Mode.__repr__"): "repr, for debugging",
     ("modes.py", "FieldExpr.__str__"): "str, for debugging",
     ("scalars.py", "Param.__repr__"): "repr, for debugging",
     ("series.py", "RavSeries.__str__"): "str, for debugging",
