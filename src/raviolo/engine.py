@@ -1178,27 +1178,25 @@ def dg_cohomology(mod, d, spin_cap):
             continue
         cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
 
-    def images(src_keys, dst_keys):
-        index = {k: i for i, k in enumerate(dst_keys)}
-        return [rational_coords(d({k: 1}), index) for k in src_keys]
-
-    out = {}
-    for (spin, deg, fl), keys in sorted(cells.items()):
-        nxt = cells.get((spin, deg + 1, fl), [])
-        prv = cells.get((spin, deg - 1, fl), [])
-        # kernel of d out of this cell
-        _, kern = column_kernel(images(keys, nxt))
-        # image of d into this cell
-        img = Echelon()
-        for k, v in zip(prv, images(prv, keys)):
-            img.add(v, k)
+    # column_kernel's echelon of d out of a cell is the image of d in
+    # the next cell, which reads it from here: images[cell]
+    out, images = {}, {}
+    for cell, keys in sorted(cells.items()):
+        spin, deg, fl = cell
+        nxt = (spin, deg + 1, fl)
+        index = {k: i for i, k in enumerate(cells.get(nxt, []))}
+        images[nxt], kern = column_kernel(
+            [rational_coords(d({k: 1}), index) for k in keys])
+        img = images.get(cell, Echelon())
         dim = len(kern) - len(img.rows)
         reps = []
+        # the image is tagged by positions in the previous cell, so the
+        # kernel vectors take tags apart from those
         for j, vec in enumerate(kern):
-            if img.add(vec, j) is None and len(reps) < dim:
+            if img.add(vec, ("kernel", j)) is None and len(reps) < dim:
                 reps.append(as_vector({keys[i]: q
                                        for i, q in vec.items()}))
-        out[(spin, deg, fl)] = (dim, reps)
+        out[cell] = (dim, reps)
     return out
 
 

@@ -8,7 +8,8 @@ aliases converted to this convention.
 """
 
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, floor, lcm
+from operator import add
 
 from .scalars import Grading, binom, as_vector, vadd, vscale, vsub
 
@@ -219,37 +220,43 @@ def vac_induce(gens, spin_cap, word_cap, flavor_window=None):
         if g.grading.spin == 0 and not g.grading.tot and flavor_window is None:
             raise InfiniteGradedPiece(g.name)
 
-    vacuum = Grading(0, 0, 0)
-    out = [((), vacuum)]
-    frontier = [((), vacuum)]
+    # spins scaled by D, the lcm of their denominators, are ints, so a
+    # partial key carries (cohdeg, D*spin, parity, flavor) as ints, with
+    # every flavor padded to one width, against the cap floor(D*spin_cap)
+    D = lcm(*(g.grading.spin.denominator for g in gens))
+    cap = floor(spin_cap * D)
+    width = max((len(g.grading.flavor) for g in gens), default=0)
+    steps = [(g.grading.cohdeg, int(g.grading.spin * D), g.grading.parity,
+              g.grading.flavor + (0,) * (width - len(g.grading.flavor)),
+              g.grading.tot) for g in gens]
+    out = [((), 0, 0, 0, (0,) * width)]
+    frontier = out[:]
     while frontier:
         nxt = []
-        for key, grading in frontier:
+        for key, deg, spin, par, fl in frontier:
             if len(key) >= word_cap:
                 continue
-            last = key[-1] if key else None
-            for gi, g in enumerate(gens):
-                if last is not None and gi < last[0]:
-                    continue
-                for n in range(-1, -depth, -1):
-                    if last is not None and gi == last[0] and n < last[1]:
-                        continue  # keep (gi asc, n asc) sorted keys
-                    mg = g.mode_grading(n)
-                    if last is not None and (gi, n) == last and \
-                            g.mode_parity(n):
-                        continue  # odd repeat
-                    ng = grading + mg
-                    if ng.spin > spin_cap:
-                        if mg.spin > 0:
+            g0, n0 = key[-1] if key else (0, 0)
+            for gi in range(g0, len(gens)):
+                gdeg, gspin, gpar, gfl, odd = steps[gi]
+                # keys stay sorted by (gi, n): after (g0, n0) the same
+                # generator takes n0 <= n <= -1, and n0 again only if
+                # even; after the vacuum (n0 = 0) every n is open
+                stop = n0 - 1 + odd if gi == g0 and n0 else -depth
+                for n in range(-1, stop, -1):
+                    mspin = gspin - (n + 1) * D
+                    if spin + mspin > cap:
+                        if mspin > 0:
                             break  # more negative n only raises spin
                         continue
-                    nxt.append((key + ((gi, n),), ng))
+                    nxt.append((key + ((gi, n),), deg + gdeg, spin + mspin,
+                                par + gpar, tuple(map(add, fl, gfl))))
         out.extend(nxt)
         frontier = nxt
     # flavor is filtered only on the final monomials: intermediate sorted
     # prefixes may leave and re-enter the window
     if flavor_window is not None:
-        out = [(k, gr) for k, gr in out
-               if all(abs(f) <= flavor_window for f in gr.flavor)]
-    return sorted(out, key=lambda kv: (len(kv[0]),
-                                       tuple((gi, -n) for gi, n in kv[0])))
+        out = [e for e in out if all(abs(f) <= flavor_window for f in e[4])]
+    out.sort(key=lambda e: (len(e[0]), tuple((gi, -n) for gi, n in e[0])))
+    return [(key, Grading(deg, Fraction(spin, D), par, fl))
+            for key, deg, spin, par, fl in out]

@@ -15,7 +15,7 @@ from math import ceil, factorial, floor
 import pytest
 
 from raviolo.scalars import (Scalar, Grading, KAPPA_PARAM, XI_PARAM,
-                             rational_of, twist, vadd, veq)
+                             as_vector, rational_of, twist, vadd, veq)
 from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
 from raviolo.series import BiDist
@@ -25,8 +25,8 @@ from raviolo.engine import (
     default_samples, check_locality, check_associativity,
     check_composite_fields, superpotential_check, differential_map,
     check_square_zero, dg_cohomology, cell_basis, state_coords,
-    in_translation_image,
 )
+from raviolo.linalg import Echelon, column_kernel, rational_coords
 
 from test_modes import (fc_gens, fc_table, h_gens, h_table, vir_gen,
                         vir_table, sl2_gens, sl2_table, ALL_PRESENTATIONS,
@@ -917,50 +917,129 @@ def test_superpotential_differential():
         differential_map(F, F.gen_state("nu"))
 
 
-def _sympy_cell_dim(M, d, cell, cells):
-    """Independent cohomology dimension of one cell via sympy ranks."""
+def _chiral_complex(spin_cap, word_cap):
+    """The chiral pair at K = 1 with d = W_(0), W = :XX:."""
+    M = PBWModule(_chiral_pair(), spin_cap=spin_cap, word_cap=word_cap,
+                  specialize={"K": 1})
+    return M, differential_map(M, M.nop(M.gen_state("X"), M.gen_state("X")))
+
+
+def _gauged_chiral():
+    """fc(1/2) gauged by the U(1) that rotates it: ghosts c (deg 1,
+    spin 0) and bg (deg 0, spin 1) with bg c ~ 1, and d = Q_(0) for
+    Q = :c J:, J = :X psi: the moment map; K = 1, spin 2, word 6,
+    flavor window 2."""
+    pres = fc(Fraction(1, 2)).extend(
+        [GeneratorInfo("c", Grading(1, 0, 0)),
+         GeneratorInfo("bg", Grading(0, 1, 0))],
+        {("bg", "c", 0): FieldExpr.const(1),
+         ("c", "bg", 0): FieldExpr.const(1)})
+    M = PBWModule(pres, spin_cap=2, word_cap=6, flavor_window=2,
+                  specialize={"K": 1})
+    J = M.nop(M.gen_state("X"), M.gen_state("psi"))
+    return M, differential_map(M, M.nop(M.gen_state("c"), J))
+
+
+def _cells(M, spin_cap):
+    cells = {}
+    for k, g in M.basis():
+        if g.spin <= spin_cap:
+            cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
+    return cells
+
+
+def _sympy_cell_ranks(M, d, cell, cells, reps):
+    """Independent ranks of one cell via sympy: (dim H, rank of the
+    incoming image, rank of the incoming image with reps beside it)."""
     from sympy import Matrix, Rational
 
-    def mat(src, dst):
-        if not src or not dst:
-            return Matrix.zeros(max(len(dst), 1), max(len(src), 1))
-        rows = []
-        for k in src:
-            rows.append([Rational(q) for q in
-                         state_coords(d({k: Scalar.one()}), dst)])
-        return Matrix(rows).T
+    def rank(states, dst):
+        if not states or not dst:
+            return 0
+        return Matrix([[Rational(q) for q in state_coords(s, dst)]
+                       for s in states]).rank()
 
     spin, deg, fl = cell
     keys = cells[cell]
     nxt = cells.get((spin, deg + 1, fl), [])
     prv = cells.get((spin, deg - 1, fl), [])
-    rank_out = mat(keys, nxt).rank() if nxt else 0
-    rank_in = mat(prv, keys).rank() if prv else 0
-    return len(keys) - rank_out - rank_in
+    images = [d({k: Scalar.one()}) for k in prv]
+    rank_out = rank([d({k: Scalar.one()}) for k in keys], nxt)
+    rank_in = rank(images, keys)
+    return len(keys) - rank_out - rank_in, rank_in, rank(images + reps, keys)
 
 
 def test_dg_cohomology_against_sympy_ranks():
-    M = PBWModule(_chiral_pair(), spin_cap=2, word_cap=6,
-                  specialize={"K": 1})
-    w = M.nop(M.gen_state("X"), M.gen_state("X"))
-    d = differential_map(M, w)
-    coh = dg_cohomology(M, d, spin_cap=2)
-    cells = {}
-    for k, g in M.basis():
-        if g.spin <= 2:
-            cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
-    for cell, (dim, reps) in coh.items():
-        assert dim == _sympy_cell_dim(M, d, cell, cells), cell
-        assert len(reps) == dim
-        for r in reps:
-            assert not d(r), cell
-    # the representatives must not be coboundaries: spot check via the
-    # translation-image machinery on the same exactness question
-    st = M.nop(M.gen_state("X"), M.gen_state("psi"))
-    dd = d(st)
-    if dd:
-        ok, _ = in_translation_image(M, dd)
-        assert isinstance(ok, bool)
+    # the chiral pair has no cell where both H and the incoming image are
+    # nonzero; the gauged chiral has four, where the representatives
+    # must be independent modulo coboundaries
+    for (M, d), mixed in [(_chiral_complex(2, 6), 0), (_gauged_chiral(), 4)]:
+        coh = dg_cohomology(M, d, spin_cap=2)
+        cells = _cells(M, 2)
+        assert set(coh) == set(cells)
+        seen = 0
+        for cell, (dim, reps) in coh.items():
+            h, rank_in, rank_with_reps = _sympy_cell_ranks(M, d, cell, cells,
+                                                           reps)
+            assert dim == h, cell
+            assert len(reps) == dim
+            for r in reps:
+                assert not d(r), cell
+            assert rank_with_reps == rank_in + dim, cell
+            seen += bool(dim and rank_in)
+        assert seen == mixed
+
+
+def _dg_cohomology_per_cell(mod, d, spin_cap):
+    """Reference: each cell's kernel by column_kernel and its incoming
+    image by a second Echelon of the previous cell's images."""
+    cells = _cells(mod, spin_cap)
+
+    def images(src_keys, dst_keys):
+        index = {k: i for i, k in enumerate(dst_keys)}
+        return [rational_coords(d({k: 1}), index) for k in src_keys]
+
+    out = {}
+    for (spin, deg, fl), keys in sorted(cells.items()):
+        nxt = cells.get((spin, deg + 1, fl), [])
+        prv = cells.get((spin, deg - 1, fl), [])
+        _, kern = column_kernel(images(keys, nxt))
+        img = Echelon()
+        for k, v in zip(prv, images(prv, keys)):
+            img.add(v, k)
+        dim = len(kern) - len(img.rows)
+        reps = []
+        for j, vec in enumerate(kern):
+            if img.add(vec, j) is None and len(reps) < dim:
+                reps.append(as_vector({keys[i]: q for i, q in vec.items()}))
+        out[(spin, deg, fl)] = (dim, reps)
+    return out
+
+
+def test_dg_cohomology_matches_per_cell_reference(monkeypatch):
+    # the bench window of the chiral pair, and the gauged chiral; each
+    # cell is eliminated once, so Echelon.add runs once per basis key
+    # and kernel vector instead of also once per incoming image
+    calls = []
+    add = Echelon.add
+
+    def counted(self, vec, tag):
+        calls.append(tag)
+        return add(self, vec, tag)
+    monkeypatch.setattr(Echelon, "add", counted)
+    dims = {}
+    for name, (M, d), counts in [
+            ("chiral", _chiral_complex(5, 12), (215, 347)),
+            ("gauged", _gauged_chiral(), (85, 126))]:
+        calls.clear()
+        got = dg_cohomology(M, d, M.spin_cap)
+        n_got = len(calls)
+        calls.clear()
+        want = _dg_cohomology_per_cell(M, d, M.spin_cap)
+        assert got == want, name
+        assert (n_got, len(calls)) == counts, name
+        dims[name] = [dim for _, (dim, _) in sorted(got.items()) if dim]
+    assert dims == {"chiral": [1], "gauged": [1, 1, 1, 1, 2, 2]}
 
 
 # ------------------------------------------------- the derivation rule

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil
 
 from raviolo.scalars import Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import (
@@ -404,3 +405,73 @@ def test_vac_induce_order_independent_dimensions():
         return out
 
     assert dims(b1) == dims(b2)
+
+
+def _vac_induce_by_grading_sums(gens, spin_cap, word_cap,
+                                flavor_window=None):
+    """The Grading-sum enumeration: one Fraction-valued Grading per
+    candidate mode, compared with the exact cap."""
+    depth = ceil(spin_cap) * 4 + word_cap + 4
+    vacuum = Grading(0, 0, 0)
+    out = [((), vacuum)]
+    frontier = [((), vacuum)]
+    while frontier:
+        nxt = []
+        for key, grading in frontier:
+            if len(key) >= word_cap:
+                continue
+            last = key[-1] if key else None
+            for gi, g in enumerate(gens):
+                if last is not None and gi < last[0]:
+                    continue
+                for n in range(-1, -depth, -1):
+                    if last is not None and gi == last[0] and n < last[1]:
+                        continue
+                    mg = g.mode_grading(n)
+                    if last is not None and (gi, n) == last and \
+                            g.mode_parity(n):
+                        continue
+                    ng = grading + mg
+                    if ng.spin > spin_cap:
+                        if mg.spin > 0:
+                            break
+                        continue
+                    nxt.append((key + ((gi, n),), ng))
+        out.extend(nxt)
+        frontier = nxt
+    if flavor_window is not None:
+        out = [(k, gr) for k, gr in out
+               if all(abs(f) <= flavor_window for f in gr.flavor)]
+    return sorted(out, key=lambda kv: (len(kv[0]),
+                                       tuple((gi, -n) for gi, n in kv[0])))
+
+
+def test_vac_induce_matches_grading_reference():
+    # the caps 9/2 (vir) and 5/2 (fc(1/3), spin denominator 3) are not
+    # integers once scaled, so they tell a floor from a ceil; sl2 has
+    # flavor on e and f only, so a flavor sum must pad h's
+    from raviolo.catalog import sl2
+    from raviolo.engine import ghost_extension
+    half, third = fc_gens(Fraction(1, 2)), fc_gens(Fraction(1, 3))
+    sl2_gens = sl2().gens
+    ghosts = ghost_extension(sl2(), [g.name for g in sl2_gens]).gens
+    cases = [
+        ([vir_gen()], 9, 4, None),
+        ([vir_gen()], Fraction(9, 2), 4, None),
+        (list(h_gens()), 3, 8, None),
+        (half, 4, 6, 2),
+        (half, Fraction(9, 2), 6, 2),
+        (third, Fraction(7, 3), 6, 2),
+        (third, Fraction(5, 2), 6, 2),
+        (sl2_gens, 3, 4, 8),
+        (ghosts, 2, 4, None),
+        (fc_gens(0, 0), 2, 4, 2),
+        ([], 5, 5, None),
+    ]
+    assert len({len(g.grading.flavor) for g in sl2_gens}) > 1
+    for gens, cap, word, fw in cases:
+        got = vac_induce(gens, cap, word, flavor_window=fw)
+        want = _vac_induce_by_grading_sums(gens, cap, word, fw)
+        assert got == want, ([g.name for g in gens], cap, word, fw)
+        assert [type(gr.spin) for _, gr in got] == \
+            [type(gr.spin) for _, gr in want]
