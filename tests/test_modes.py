@@ -1,6 +1,8 @@
 from fractions import Fraction
 from math import ceil
 
+from raviolo import catalog
+from raviolo.engine import ghost_extension
 from raviolo.scalars import Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM
 from raviolo.modes import (
     GeneratorInfo, FieldExpr, OpeTable,
@@ -448,13 +450,12 @@ def _vac_induce_by_grading_sums(gens, spin_cap, word_cap,
 
 def test_vac_induce_matches_grading_reference():
     # the caps 9/2 (vir) and 5/2 (fc(1/3), spin denominator 3) are not
-    # integers once scaled, so they tell a floor from a ceil; sl2 has
-    # flavor on e and f only, so a flavor sum must pad h's
-    from raviolo.catalog import sl2
-    from raviolo.engine import ghost_extension
+    # integers once scaled, so they tell a floor from a ceil; of the sl2
+    # currents only mu_e and mu_f carry flavor, so a flavor sum must pad
+    # mu_h's
     half, third = fc_gens(Fraction(1, 2)), fc_gens(Fraction(1, 3))
-    sl2_gens = sl2().gens
-    ghosts = ghost_extension(sl2(), [g.name for g in sl2_gens]).gens
+    currents = catalog.sl2().gens
+    ghosts = ghost_extension(catalog.sl2(), [g.name for g in currents]).gens
     cases = [
         ([vir_gen()], 9, 4, None),
         ([vir_gen()], Fraction(9, 2), 4, None),
@@ -463,12 +464,12 @@ def test_vac_induce_matches_grading_reference():
         (half, Fraction(9, 2), 6, 2),
         (third, Fraction(7, 3), 6, 2),
         (third, Fraction(5, 2), 6, 2),
-        (sl2_gens, 3, 4, 8),
+        (currents, 3, 4, 8),
         (ghosts, 2, 4, None),
         (fc_gens(0, 0), 2, 4, 2),
         ([], 5, 5, None),
     ]
-    assert len({len(g.grading.flavor) for g in sl2_gens}) > 1
+    assert len({len(g.grading.flavor) for g in currents}) > 1
     for gens, cap, word, fw in cases:
         got = vac_induce(gens, cap, word, flavor_window=fw)
         want = _vac_induce_by_grading_sums(gens, cap, word, fw)
