@@ -306,6 +306,24 @@ class LatticeModule:
 LATTICE_TAY = 3
 
 
+def _sector_free_rows(lat, m, mst, ts, ls):
+    """The rows of one sample state that read only b modes and the
+    vertex tables: the vertex images V^m_t of the state by t, and the
+    graded commutators b_l V^m_t - (+-) V^m_t b_l on it by (t, l)."""
+    b_on = {l: lat.act("b", l, mst) for l in ls}
+    vert, commute = {}, {}
+    for t in ts:
+        base = lat.vertex_mode(m, t, mst)
+        vert[t] = base[1]
+        for l in ls:
+            # b_l and V_t are both odd when l, t >= 0
+            ks = -1 if (l >= 0 and t >= 0) else 1
+            commute[t, l] = vsub(lat.act("b", l, base)[1],
+                                 vscale(lat.vertex_mode(m, t, b_on[l])[1],
+                                        ks))
+    return vert, commute
+
+
 @identity_check
 def check_lattice_relations(lat, mrange, spin_cap):
     """The defining relations of the sector-shift fields, verified
@@ -316,26 +334,37 @@ def check_lattice_relations(lat, mrange, spin_cap):
          index-combination rule;
       3) the normal-ordered product of the weight-1 field with the
          derivative of the weight-(-1) field has the modes of b.
-    A witness ends with the sample state, printed by its sector."""
+    A witness ends with the sample state, printed by its sector.
+
+    Every sector holds the same sample keys, and b modes and the vertex
+    tables act alike in all of them (LatticeModule), so for each weight
+    m the rows that read only those, V^m_t|key> and the b-commute
+    differences of relation 1, are computed in the first sector that
+    holds the key and read again in the others (a table of one call,
+    reset at each m).  The nu rows stay per sector: nu_(0) acts through
+    each sector's own module.  Instances and their order are those of
+    the per-sector loop."""
     win = lat.window
     for m in range(-mrange, mrange + 1):
+        shared = {}  # sample key -> _sector_free_rows at this m
         for m2 in range(-win + abs(m), win - abs(m) + 1):
             for mst in lat.samples(m2, spin_cap):
                 spin = int(lat.state_spin(mst))
                 label = lat.sectors[m2].state_str(mst[1])
                 ls = range(-(LATTICE_TAY + 1), spin + 2)
-                b_on = {l: lat.act("b", l, mst) for l in ls}
+                ts = range(-(LATTICE_TAY + 1), spin + 1)
+                (key,) = mst[1]
+                if key not in shared:
+                    shared[key] = _sector_free_rows(lat, m, mst, ts, ls)
+                vert, commute = shared[key]
                 nu_on = {l: lat.act("nu", l, mst) for l in ls}
-                for t in range(-(LATTICE_TAY + 1), spin + 1):
+                for t in ts:
                     pv = 1 if t >= 0 else 0  # tower-mode parity of V_t
-                    base = lat.vertex_mode(m, t, mst)
+                    base = (m + m2, vert[t])
                     for l in ls:
                         # 1) graded [b_l, V_t] = 0
-                        ks = -1 if (l >= 0 and pv) else 1
-                        lhs = vsub(lat.act("b", l, base)[1],
-                                   vscale(lat.vertex_mode(
-                                       m, t, b_on[l])[1], ks))
-                        yield ("b-commute", m, l, t, m2, label), lhs, {}
+                        yield (("b-commute", m, l, t, m2, label),
+                               commute[t, l], {})
                         # 2) the nu bracket gives the weight times the
                         # delta kernel: in mode components, with the
                         # canonical-ordering signs (creation nu modes

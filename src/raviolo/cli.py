@@ -710,10 +710,21 @@ def _load(path):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     ap = argparse.ArgumentParser(
         prog="rav", description="raviolo vertex algebra workbench")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, text, positional, options) in _COMMANDS.items():
+    # A call that names its command first builds that subparser alone
+    # (the others cost more than the parse); the metavar keeps every
+    # command in the top-level usage line its errors print.  Any other
+    # argv (help, no or an unknown command) builds all of them.
+    names = list(_COMMANDS)
+    extra = {}
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        extra["metavar"] = "{%s}" % ",".join(_COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, **extra)
+    for name in names:
+        _, text, positional, options = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
         for arg in positional + _SHARED + options:
             p.add_argument(arg, **_ARGUMENTS.get(arg, {}))

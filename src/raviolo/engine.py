@@ -1128,33 +1128,45 @@ def differential_map(mod, w):
     with the coefficients of v, passed by the odd operator."""
     if mod.cyclic_rule is not None:
         raise ValueError("differential_map takes a vacuum module")
-    pd = (mod.state_parity(w) + 1) % 2
-    dgen = {}   # gi -> w_(0) x_gi in the vacuum module
-    table = {}  # pbwkey -> d|pbwkey>
+    return _Differential(mod, w)
 
-    def row(key):
-        out = table.get(key)
+
+class _Differential:
+    """The map differential_map returns.  It recurses on a key's tail
+    through a method, not through a closure that names itself, so the
+    map is no reference cycle: dropping it frees the module and the
+    table at once, without waiting for the cyclic collector."""
+
+    def __init__(self, mod, w):
+        self.mod, self.w = mod, w
+        self.pd = (mod.state_parity(w) + 1) % 2
+        self.dgen = {}   # gi -> w_(0) x_gi in the vacuum module
+        self.table = {}  # pbwkey -> d|pbwkey>
+
+    def row(self, key):
+        out = self.table.get(key)
         if out is not None:
             return out
+        mod = self.mod
         if not key:
-            out = mod.field_mode(w, 0, {(): 1})
+            out = mod.field_mode(self.w, 0, {(): 1})
         else:
             (gi, n), rest = key[0], key[1:]
-            dx = dgen.get(gi)
+            dx = self.dgen.get(gi)
             if dx is None:
-                dx = dgen[gi] = mod.field_mode(w, 0, {((gi, -1),): 1})
+                dx = self.dgen[gi] = mod.field_mode(self.w, 0,
+                                                    {((gi, -1),): 1})
             out = mod.field_mode(dx, n, {rest: 1})
-            vadd(out, mod.act(gi, n, row(rest)),
-                 -1 if pd and mod.gens[gi].mode_parity(n) else 1)
-        table[key] = out
+            vadd(out, mod.act(gi, n, self.row(rest)),
+                 -1 if self.pd and mod.gens[gi].mode_parity(n) else 1)
+        self.table[key] = out
         return out
 
-    def d(v):
+    def __call__(self, v):
         out = {}
         for k, c in v.items():
-            vadd(out, row(k), twist(c, pd))
+            vadd(out, self.row(k), twist(c, self.pd))
         return out
-    return d
 
 
 @identity_check
@@ -1179,7 +1191,8 @@ def dg_cohomology(mod, d, spin_cap):
         cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
 
     # column_kernel's echelon of d out of a cell is the image of d in
-    # the next cell, which reads it from here: images[cell]
+    # the next cell, which takes it from here (images[cell]) and so
+    # releases it: each echelon has that one reader
     out, images = {}, {}
     for cell, keys in sorted(cells.items()):
         spin, deg, fl = cell
@@ -1187,7 +1200,7 @@ def dg_cohomology(mod, d, spin_cap):
         index = {k: i for i, k in enumerate(cells.get(nxt, []))}
         images[nxt], kern = column_kernel(
             [rational_coords(d({k: 1}), index) for k in keys])
-        img = images.get(cell, Echelon())
+        img = images.pop(cell) if cell in images else Echelon()
         dim = len(kern) - len(img.rows)
         reps = []
         # the image is tagged by positions in the previous cell, so the

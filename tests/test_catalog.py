@@ -5,17 +5,19 @@ expansions; the current-algebra and module facts are checked against
 hand values.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from raviolo import catalog
 from raviolo.engine import PBWModule, verify_axioms, conformal_check
 from raviolo.scalars import (Scalar, XI_PARAM, rational_of, vadd, vscale,
                              vsub, veq)
 from raviolo.catalog import (
     fc, heisenberg, virasoro, sl2, current, fc_multi, stress_tensor,
     fock, highest_weight_kernel, LatticeModule, check_lattice_relations,
-    QSeries, character, lattice_character, pochhammer_expand,
+    LATTICE_TAY, QSeries, character, lattice_character, pochhammer_expand,
 )
 
 
@@ -262,6 +264,124 @@ def test_lattice_relations_fail_on_broken_vertex_modes(cls, prefix):
     assert check_lattice_relations(
         LatticeModule(window=3, spin_cap=2, word_cap=2),
         mrange=2, spin_cap=1) == (True, None)
+
+
+def _lattice_rows_per_sector(lat, mrange, spin_cap):
+    """Reference: the rows of check_lattice_relations with every row
+    evaluated in its own sector, b-commute rows included."""
+    win = lat.window
+    for m in range(-mrange, mrange + 1):
+        for m2 in range(-win + abs(m), win - abs(m) + 1):
+            for mst in lat.samples(m2, spin_cap):
+                spin = int(lat.state_spin(mst))
+                label = lat.sectors[m2].state_str(mst[1])
+                ls = range(-(LATTICE_TAY + 1), spin + 2)
+                b_on = {l: lat.act("b", l, mst) for l in ls}
+                nu_on = {l: lat.act("nu", l, mst) for l in ls}
+                for t in range(-(LATTICE_TAY + 1), spin + 1):
+                    pv = 1 if t >= 0 else 0
+                    base = lat.vertex_mode(m, t, mst)
+                    for l in ls:
+                        ks = -1 if (l >= 0 and pv) else 1
+                        lhs = vsub(lat.act("b", l, base)[1],
+                                   vscale(lat.vertex_mode(
+                                       m, t, b_on[l])[1], ks))
+                        yield ("b-commute", m, l, t, m2, label), lhs, {}
+                        ks = -1 if (l < 0 and pv) else 1
+                        lhs = vsub(lat.act("nu", l, base)[1],
+                                   vscale(lat.vertex_mode(
+                                       m, t, nu_on[l])[1], ks))
+                        comb = l + t + 1
+                        if l < 0 and t < 0:
+                            expect = {}
+                        elif comb <= 0 or (l >= 0 and t >= 0):
+                            sgn = -m if (l < 0 and t >= 0) else m
+                            expect = vscale(
+                                lat.vertex_mode(m, l + t, mst)[1], sgn)
+                        else:
+                            expect = {}
+                        yield (("nu-delta", m, l, t, m2, label), lhs,
+                               expect)
+    for m2 in range(-win + 1, win):
+        for mst in lat.samples(m2, spin_cap):
+            spin = int(lat.state_spin(mst))
+            label = lat.sectors[m2].state_str(mst[1])
+            for t in range(-(LATTICE_TAY + 1), spin + 1):
+                rhs = {}
+                if t < 0:
+                    for n in range(t, 0):
+                        inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
+                        vadd(rhs, lat.vertex_mode(1, n, inner)[1])
+                else:
+                    for n in range(t - spin - 1, 0):
+                        inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
+                        vadd(rhs, lat.vertex_mode(1, n, inner)[1], -1)
+                    for n in range(t - spin, 0):
+                        inner = lat.vertex_mode(1, t - n - 1, mst)
+                        vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1],
+                             -1)
+                yield (("nop-b", t, m2, label), lat.act("b", t, mst)[1],
+                       rhs)
+
+
+class _FlippedVertexKey(LatticeModule):
+    """One V^{m1}_t|key> table entry negated: (-1, -2, |0>)."""
+
+    def _vertex_key(self, m1, t, key):
+        out = super()._vertex_key(m1, t, key)
+        return vscale(out, -1) if (m1, t, key) == (-1, -2, ()) else out
+
+
+class _FlippedExpPart(LatticeModule):
+    """One E_p|key> table entry negated: strength -2, b_(-1)|0>, p = 2."""
+
+    def _exp_part(self, strength, key, p):
+        out = super()._exp_part(strength, key, p)
+        return vscale(out, -1) if (strength, key, p) == (-2, ((0, -1),), 2) \
+            else out
+
+
+@pytest.mark.parametrize("cls, first", [
+    (LatticeModule, None),
+    (_FlippedVertexKey, ("nu-delta", -1, 1, -3, -2, "|0>")),
+    (_FlippedExpPart, ("b-commute", -2, -1, -3, -1, "|0>")),
+])
+def test_lattice_rows_match_per_sector_reference(cls, first):
+    # the window of `rav lattice --order 1 --spin 1 --word 2`, then a
+    # wider one; the sector-free rows are shared across sectors, so every
+    # row, and the first failing one, must be the per-sector loop's
+    rows = check_lattice_relations.__wrapped__
+    for window, cap, word, mrange, spin in [(3, 2, 2, 2, 1),
+                                            (3, 4, 4, 2, 3)]:
+        got = list(rows(cls(window, cap, word), mrange, spin))
+        want = list(_lattice_rows_per_sector(cls(window, cap, word),
+                                             mrange, spin))
+        assert len(got) == len(want)
+        for (wg, lg, rg), (ww, lw, rw) in zip(got, want):
+            assert wg == ww and veq(lg, lw) and veq(rg, rw), ww
+        bad = next((w for w, lhs, rhs in want if not veq(lhs, rhs)), None)
+        if window == 3 and spin == 1:
+            assert bad == first
+        assert check_lattice_relations(cls(window, cap, word), mrange,
+                                       spin) == (bad is None, bad)
+
+
+def test_lattice_b_commute_rows_computed_once_per_weight(monkeypatch):
+    # at the CLI window each sample key meets 5 weights m across 23
+    # (m, sector) pairs; its b-commute rows are computed once per m
+    calls = Counter()
+    sector_free = catalog._sector_free_rows
+
+    def counted(lat, m, mst, ts, ls):
+        calls[tuple(mst[1])] += 1
+        return sector_free(lat, m, mst, ts, ls)
+    monkeypatch.setattr(catalog, "_sector_free_rows", counted)
+    lat = LatticeModule(window=3, spin_cap=2, word_cap=2)
+    rows = Counter((w[2], w[3], w[5]) for w, _, _ in
+                   check_lattice_relations.__wrapped__(lat, 2, 1)
+                   if w[0] == "b-commute")
+    assert set(rows.values()) == {23}
+    assert len(calls) == 3 and set(calls.values()) == {5}
 
 
 # ------------------------------------------------------ characters

@@ -497,3 +497,39 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["module", "fock", "--lambda", lam]) == 2, lam
         assert capsys.readouterr().err == (
             "error: bad rational %r\n" % lam), lam
+
+
+# stdout, stderr and exit code of 22 argvs, recorded when every call
+# built all seven subparsers: help, no or an unknown command, option
+# errors that print the top-level or the subcommand usage line, "--",
+# an abbreviated option, and commands that run
+PARSER_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                             "cli_parser_golden.json")
+
+
+def test_parser_output_matches_golden(monkeypatch, capsys):
+    import argparse
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    # usage lines wrap at the terminal width; the paths are relative
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    with open(PARSER_GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 22
+    for case in cases:
+        argv = case["argv"]
+        built.clear()
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == \
+            (case["exit"], case["stdout"], case["stderr"]), argv
+        # a call that names its command first builds that subparser only
+        named = bool(argv) and argv[0] in COMMAND_OPTIONS
+        assert built == ([argv[0]] if named else list(COMMAND_OPTIONS)), \
+            argv
