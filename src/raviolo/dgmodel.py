@@ -11,6 +11,16 @@ claims stop one step inside the cap.
 H^0 = C[z]; H^1 = C[lam]*omega with distinguished classes
 Om^m = ((2m+1)!! / (2^m m!)) lam^m omega satisfying z*Om^(m+1) = Om^m
 up to exact terms.
+
+The torus of the sl2 action (h = 2(a - b)) grades R by the weight
+w = a - b; the rewrite x^2 -> 1 - z*lam keeps it, and d' raises it by
+one.  So d' is block diagonal: the block of weight w takes the weight-w
+monomials of total degree <= cap to the weight-(w + 1) ones, and every
+elimination reads only the blocks it needs.  `is_exact` eliminates the
+block below each weight its target has, `cohomology_basis` reads the
+kernel of every block, and `check_cohomology_window` reads z^n from the
+weight-n block's kernel and each lam^n omega and each monomial of
+weight t from the weight-(t - 1) block's image.
 """
 
 from fractions import Fraction
@@ -126,32 +136,56 @@ def monomial_basis(cap):
     return out
 
 
-def _d_echelon(cap):
-    """The monomials of total degree <= cap, their index, and the
-    column_kernel (echelon basis, kernel) of d' on them, tagged by
-    index."""
-    basis = monomial_basis(cap)
-    index = {k: i for i, k in enumerate(basis)}
-    return (basis, index) + column_kernel(
-        [rational_coords(d_poly({k: 1}), index) for k in basis])
+def _weight_monomials(cap, w):
+    """The monomials of monomial_basis(cap) of weight a - b = w, in
+    basis order."""
+    return [(a, a - w, e) for a in range(max(w, 0), cap + 1)
+            for e in (0, 1) if 2 * a - w + e <= cap]
+
+
+def _d_block(cap, w):
+    """d' on the weight-w monomials of total degree <= cap, which it
+    sends into weight w + 1: (sources, index of the weight-(w + 1)
+    monomials of total degree <= cap, and the column_kernel (echelon
+    basis, kernel) of d' on the sources, tagged by position)."""
+    sources = _weight_monomials(cap, w)
+    index = {k: i for i, k in enumerate(_weight_monomials(cap, w + 1))}
+    return (sources, index) + column_kernel(
+        [rational_coords(d_poly({k: 1}), index) for k in sources])
 
 
 def cohomology_basis(cap):
     """Representatives of H^0 (the kernel of d') on the
     filtration-by-total-degree piece <= cap; reliable one step inside the
-    cap."""
-    basis, _, _, kernel = _d_echelon(cap)
-    return [apoly({basis[i]: q for i, q in v.items()}) for v in kernel]
+    cap.  The blocks run in increasing weight, and each one's kernel is
+    z^w alone (w >= 0), so this is the basis order of the window."""
+    reps = []
+    for w in range(-cap, cap + 1):
+        sources, _, _, kernel = _d_block(cap, w)
+        reps += [apoly({sources[i]: q for i, q in v.items()})
+                 for v in kernel]
+    return reps
 
 
 def is_exact(poly, cap):
     """Is the omega-coefficient poly in the image of d' (sources <= cap)?
-    Returns a primitive APoly or None."""
-    basis, index, image, _ = _d_echelon(cap)
-    res, comb = image.reduce(rational_coords(poly, index))
-    if res:
-        return None
-    return apoly({basis[j]: q for j, q in sorted(comb.items())})
+    Returns a primitive APoly or None.  Each weight of poly is solved
+    in its own block; CoordinateError if poly leaves the window."""
+    blocks, coords = {}, {}
+    for k, c in poly.items():
+        w = k[0] - k[1] - 1
+        if w not in blocks:
+            blocks[w] = _d_block(cap, w)
+        coords.setdefault(w, {}).update(
+            rational_coords({k: c}, blocks[w][1]))
+    prim = {}
+    for w, vec in coords.items():
+        sources, _, image, _ = blocks[w]
+        res, comb = image.reduce(vec)
+        if res:
+            return None
+        prim.update((sources[j], q) for j, q in comb.items())
+    return apoly(dict(sorted(prim.items())))
 
 
 def exactness_witness(m):
@@ -163,31 +197,36 @@ def exactness_witness(m):
 def check_cohomology_window(cap):
     """Verify H^0 = span{z^n}, H^1 = span{lam^n omega} for total degree
     <= cap-1.  Returns (ok, failure witness or None)."""
-    basis, index, image, _ = _d_echelon(cap)
+    blocks = {w: _d_block(cap, w) for w in range(-cap, cap)}
     # degree 0: representatives supported inside the window lie in C[z],
-    # and they span every z^n there
-    reps = cohomology_basis(cap)
-    for rep in reps:
+    # and they span every z^n there; z^n has weight n, so the kernel of
+    # the weight-n block is the part of H^0 it can lie in
+    for rep in cohomology_basis(cap):
         if any(a + b + e > cap - 1 for (a, b, e) in rep):
             continue
         if any(b or e for (a, b, e) in rep):
             return False, ("H0", rep)
-    vecs = [rational_coords(rep, index) for rep in reps]
     for n in range(cap):
-        if not in_span(vecs, {index[(n, 0, 0)]: 1}):
+        sources, _, _, kernel = blocks[n]
+        if not in_span(kernel, {sources.index((n, 0, 0)): 1}):
             return False, ("H0-missing", n)
     # degree 1: each lam^n omega is non-exact, and every monomial inside
-    # the window is congruent to C[lam]omega modulo the image
-    lams = [{index[(0, n, 0)]: 1} for n in range(cap)]
-    for n in range(cap):
-        if not image.reduce(lams[n])[0]:
+    # the window is congruent to C[lam]omega modulo the image; a
+    # weight-t monomial is a target of the weight-(t - 1) block
+    def target(k):
+        _, index, image, _ = blocks[k[0] - k[1] - 1]
+        return image, {index[k]: 1}
+    lams = [target((0, n, 0)) for n in range(cap)]
+    for n, (image, vec) in enumerate(lams):
+        if not image.reduce(vec)[0]:
             return False, ("H1-collapse", n)
-    for n in range(cap):
-        image.add(lams[n], ("lam", n))
-    for k in basis:
+    for n, (image, vec) in enumerate(lams):
+        image.add(vec, ("lam", n))
+    for k in monomial_basis(cap):
         if sum(k) > cap - 1:
             continue
-        if image.reduce({index[k]: 1})[0]:
+        image, vec = target(k)
+        if image.reduce(vec)[0]:
             return False, ("H1-extra", k)
     return True, None
 

@@ -117,6 +117,7 @@ class PBWModule:
                     "generator %s of negative spin %s"
                     % (g.name, g.grading.spin))
         self._basis = None
+        self._cells = None     # grading -> basis keys of that cell
         self._act_memo = {}
         self._mono_memo = {}
         self._kg_memo = {}
@@ -1064,8 +1065,13 @@ def verify_axioms(mod, states=None, tay=2, deep_states=None, checks=None):
 # ------------------------------------------------------ linear algebra
 
 def cell_basis(mod, grading):
-    """Basis monomials of one (cohdeg, spin, parity, flavor) cell."""
-    return [k for k, g in mod.basis() if g == grading]
+    """Basis monomials of one (cohdeg, spin, parity, flavor) cell, in
+    basis order, read from an index the module builds once."""
+    if mod._cells is None:
+        mod._cells = {}
+        for k, g in mod.basis():
+            mod._cells.setdefault(g, []).append(k)
+    return list(mod._cells.get(grading, ()))
 
 
 def state_coords(state, keys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import sympy
 
+from raviolo.linalg import CoordinateError, column_kernel, in_span, \
+    rational_coords
 from raviolo.scalars import Scalar, vadd
 from raviolo.dgmodel import (
     AElement, a_mul, apoly, apoly_mul, apoly_sub, d_poly,
@@ -168,3 +170,103 @@ def test_monomial_basis_count():
     basis = monomial_basis(2)
     # (a,b,e) with a+b+e <= 2: degree 0:1, degree 1:3, degree 2:5
     assert len(basis) == 9
+
+
+def test_d_raises_weight_by_one():
+    # the torus of the sl2 action grades R by w = a - b (h = 2w), and d'
+    # maps weight w into weight w + 1, x^2 -> 1 - z lam included; the
+    # eliminations rest on this, one weight block at a time
+    rewritten = 0
+    for k in monomial_basis(11):
+        w = k[0] - k[1]
+        assert sl2_action("h", {k: 1}) == ({k: 2 * w} if w else {}), k
+        assert all(a - b == w + 1 for (a, b, e) in d_poly({k: 1})), k
+        assert all(a - b == w for (a, b, e)
+                   in apoly_mul({k: 1}, {(0, 0, 1): 1})), k
+        # d'(lam^b x) passes through lam^(b-1) x^2
+        rewritten += k[1] > 0 and k[2] == 1
+    assert rewritten
+    assert d_poly({(0, 1, 1): 1}) == {(0, 0, 0): 1, (1, 1, 0): Fraction(-3, 2)}
+
+
+# ------------------------------------ the whole-basis elimination (reference)
+
+def _whole_echelon(cap):
+    """d' eliminated on every monomial of total degree <= cap at once."""
+    basis = monomial_basis(cap)
+    index = {k: i for i, k in enumerate(basis)}
+    return (basis, index) + column_kernel(
+        [rational_coords(d_poly({k: 1}), index) for k in basis])
+
+
+def _whole_cohomology_basis(cap):
+    basis, _, _, kernel = _whole_echelon(cap)
+    return [apoly({basis[i]: q for i, q in v.items()}) for v in kernel]
+
+
+def _whole_is_exact(poly, cap):
+    basis, index, image, _ = _whole_echelon(cap)
+    res, comb = image.reduce(rational_coords(poly, index))
+    if res:
+        return None
+    return apoly({basis[j]: q for j, q in sorted(comb.items())})
+
+
+def _whole_window(cap):
+    basis, index, image, _ = _whole_echelon(cap)
+    reps = _whole_cohomology_basis(cap)
+    for rep in reps:
+        if any(a + b + e > cap - 1 for (a, b, e) in rep):
+            continue
+        if any(b or e for (a, b, e) in rep):
+            return False, ("H0", rep)
+    vecs = [rational_coords(rep, index) for rep in reps]
+    for n in range(cap):
+        if not in_span(vecs, {index[(n, 0, 0)]: 1}):
+            return False, ("H0-missing", n)
+    lams = [{index[(0, n, 0)]: 1} for n in range(cap)]
+    for n in range(cap):
+        if not image.reduce(lams[n])[0]:
+            return False, ("H1-collapse", n)
+    for n in range(cap):
+        image.add(lams[n], ("lam", n))
+    for k in basis:
+        if sum(k) > cap - 1:
+            continue
+        if image.reduce({index[k]: 1})[0]:
+            return False, ("H1-extra", k)
+    return True, None
+
+
+def _outcome(f, *args):
+    """f's result with dict and list order, or its error and message."""
+    try:
+        out = f(*args)
+    except CoordinateError as e:
+        return "CoordinateError", str(e)
+    return None if out is None else list(out.items())
+
+
+def test_blocks_match_whole_basis_elimination():
+    # per-weight blocks give the whole-basis results in the same order
+    exact = vadd(d_poly({(0, 3, 1): 1, (2, 0, 1): Fraction(1, 3),
+                         (1, 1, 0): 5}), d_poly({(4, 1, 1): -2}))
+    assert len({a - b for (a, b, e) in exact}) == 4
+    above = vadd(dict(exact), {(7, 0, 0): 1})       # above cap 6
+    targets = [exact, {}, {(0, 0, 0): 1},
+               vadd(dict(exact), {(0, 5, 0): 1}),
+               {(0, 6, 0): 2, (1, 0, 0): 1},          # lam^cap: no sources
+               above]
+    for m in range(5):
+        targets.append((a_mul(Z, omega_class(m + 1))
+                        - omega_class(m)).odd)
+    got = [_outcome(is_exact, t, 6) for t in targets]
+    assert got == [_outcome(_whole_is_exact, t, 6) for t in targets]
+    assert got[0] and got[1] == [] and got[2:5] == [None] * 3
+    assert got[5] == ("CoordinateError",
+                      "state leaves the enumerated window: (7, 0, 0)")
+    for cap in range(1, 12):
+        assert [list(r.items()) for r in cohomology_basis(cap)] == \
+            [list(r.items()) for r in _whole_cohomology_basis(cap)], cap
+        assert check_cohomology_window(cap) == _whole_window(cap) \
+            == (True, None), cap
