@@ -439,8 +439,8 @@ class PBWModule:
 # turns it into a function returning (ok, witness).  Every check reads the
 # products of its states from one index-keyed table (_Products), which
 # verify_axioms builds once per run and passes to each check: no check
-# recomputes a product, an instance or an operator order that an earlier
-# check of the run computed.
+# recomputes a product, a derivation instance, the descent-jacobi row or
+# an operator order that an earlier check of the run computed.
 
 
 def identity_check(instances):
@@ -463,10 +463,10 @@ class _Products:
     computed on first use: the states xs (the samples first, then the
     vacuum and pair states that index() adds), their parities, spins
     times mod._spin_den and translates d^k x, the products
-    (d^k x_i)_(n) x_j, the Jacobi instances (n, m, ia, ib, ic), the
-    derivation instances (n, ia, ib, ic), and the raw operator-order
-    products y_(j) x_(i) v of the pair checks.  Callers must not mutate
-    what it returns.
+    (d^k x_i)_(n) x_j, the derivation instances (n, ia, ib, ic), the
+    descent-jacobi row (ok, witness) once check_descent_jacobi has
+    computed it, and the raw operator-order products y_(j) x_(i) v of
+    the pair checks.  Callers must not mutate what it returns.
 
     Lifetime and plumbing:
     - A table lives for one verify_axioms call (or one check called
@@ -489,19 +489,20 @@ class _Products:
         self.n = len(states)
         self.xs, self.par, self.spin, self._ders = [], [], [], []
         self._mode = {}   # (i, k, n, j) -> (d^k x_i)_(n) x_j
-        # instances by (ia, ib, ic), then n (and m), in lists: most are
-        # zero on both sides and kept as ()
-        self._jacobi, self._derivation = {}, {}
-        self._tower = (None, {})  # ((ia, ib, ic), {(l, k): (a_(l)b)_(k) c})
+        # instances by (ia, ib, ic), then n, in lists: most are zero on
+        # both sides and kept as ()
+        self._derivation = {}
+        self.jacobi_row = None
         self._raw = {}    # (ix, iy, iv) -> (lo, {(i, j, key): c})
         for x in states:
             self._add(x)
         self.vac = self.index(mod.vacuum())
 
     def _add(self, x):
+        g = self.mod.state_grading(x) or Grading()  # zero: even, spin 0
         self.xs.append(x)
-        self.par.append(self.mod.state_parity(x))
-        self.spin.append(int(self.mod.state_spin(x) * self.mod._spin_den))
+        self.par.append(g.tot)
+        self.spin.append(int(g.spin * self.mod._spin_den))
         self._ders.append([x])
         return len(self.xs) - 1
 
@@ -528,47 +529,11 @@ class _Products:
                                                         self.xs[j])
         return out
 
-    @staticmethod
-    def _row(rows, key, i):
-        """rows[key], a list padded with None (not yet computed) past i."""
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = []
-        if len(row) <= i:
-            row.extend([None] * (i + 1 - len(row)))
-        return row
-
-    def jacobi(self, n, m, ia, ib, ic):
-        """(lhs, rhs) of [a_(n), b_(m)] c = (-1)^(|a|+1) sum_l C(n,l)
-        (a_(l)b)_(m+n-l) c, the commutator's second term moved right."""
-        row = self._row(self._jacobi, (ia, ib, ic, n), m)
-        if row[m] is None:
-            xs, mode, fm = self.xs, self.mode, self.mod.field_mode
-            pa, pb = self.par[ia], self.par[ib]
-            bc, ac = mode(ib, m, ic), mode(ia, n, ic)
-            lhs = fm(xs[ia], n, bc) if bc else {}
-            rhs = vscale(fm(xs[ib], m, ac), (-1) ** ((pa + 1) * (pb + 1))) \
-                if ac else {}
-            # (a_(l)b)_(k) c is shared by the (n, m) with m + n - l = k;
-            # the instances come triple by triple, so one triple's are kept
-            if self._tower[0] != (ia, ib, ic):
-                self._tower = ((ia, ib, ic), {})
-            tower = self._tower[1]
-            for l in range(0, n + 1):
-                k = m + n - l
-                t = tower.get((l, k))
-                if t is None:
-                    ab = mode(ia, l, ib)
-                    t = tower[l, k] = fm(ab, k, xs[ic]) if ab else {}
-                if t:
-                    vadd(rhs, t, (-1) ** (pa + 1) * binom(n, l))
-            row[m] = (lhs, rhs) if lhs or rhs else ()
-        return row[m] or ({}, {})
-
     def derivation(self, n, ia, ib, ic):
         """(lhs, rhs) of a_(n)(b_(-1)c) = (a_(n)b)_(-1)c
         + (-1)^((|a|+1)|b|) b_(-1)(a_(n)c)."""
-        row = self._row(self._derivation, (ia, ib, ic), n)
+        row = self._derivation.setdefault((ia, ib, ic), [])
+        row.extend([None] * (n + 1 - len(row)))  # None: not yet computed
         if row[n] is None:
             nop, mode = self.mod.nop, self.mode
             bc, ab, ac = mode(ib, -1, ic), mode(ia, n, ib), mode(ia, n, ic)
@@ -700,23 +665,42 @@ def check_descent_derivation(mod, states, nmax=None):
 JACOBI_NMAX = 3
 
 
-def _jacobi_instances(P):
-    """The Jacobi instances (P.jacobi) of the table's samples for n, m in
-    0..JACOBI_NMAX, as ((n, m, a, b, c), lhs, rhs)."""
-    xs = P.xs
-    for ia, ib, ic in product(range(P.n), repeat=3):
-        for n, m in product(range(JACOBI_NMAX + 1), repeat=2):
-            yield ((n, m, xs[ia], xs[ib], xs[ic]),) + \
-                P.jacobi(n, m, ia, ib, ic)
-
-
 @identity_check
+def _jacobi_walk(mod, states):
+    """The descent-jacobi instances ((n, m, a, b, c), lhs, rhs) of
+    [a_(n), b_(m)] c = (-1)^(|a|+1) sum_l C(n,l) (a_(l)b)_(m+n-l) c, the
+    commutator's second term moved right, for n, m in 0..JACOBI_NMAX."""
+    P = _products(mod, states)
+    xs, mode, fm = P.xs, P.mode, mod.field_mode
+    for ia, ib, ic in product(range(P.n), repeat=3):
+        pa, pb = P.par[ia], P.par[ib]
+        tower = {}  # (l, k) -> (a_(l)b)_(k) c, shared by m + n - l = k
+        for n, m in product(range(JACOBI_NMAX + 1), repeat=2):
+            bc, ac = mode(ib, m, ic), mode(ia, n, ic)
+            lhs = fm(xs[ia], n, bc) if bc else {}
+            rhs = vscale(fm(xs[ib], m, ac), (-1) ** ((pa + 1) * (pb + 1))) \
+                if ac else {}
+            for l in range(0, n + 1):
+                k = m + n - l
+                t = tower.get((l, k))
+                if t is None:
+                    ab = mode(ia, l, ib)
+                    t = tower[l, k] = fm(ab, k, xs[ic]) if ab else {}
+                if t:
+                    vadd(rhs, t, (-1) ** (pa + 1) * binom(n, l))
+            yield (n, m, xs[ia], xs[ib], xs[ic]), lhs, rhs
+
+
 def check_descent_jacobi(mod, states):
     """{{a,{{b,c}}^(m)}}^(n) = (-1)^(|a|+1) sum_l C(n,l)
     {{{{a,b}}^(l),c}}^(m+n-l) + (-1)^((|a|+1)(|b|+1)) {{b,{{a,c}}^(n)}}^(m),
     all brackets being the annihilation-mode products, for n, m up to
-    JACOBI_NMAX."""
-    yield from _jacobi_instances(_products(mod, states))
+    JACOBI_NMAX.  The row is computed once per table: a second call, as
+    from the lie half of poisson-split, reads it."""
+    P = _products(mod, states)
+    if P.jacobi_row is None:
+        P.jacobi_row = _jacobi_walk(mod, P)
+    return P.jacobi_row
 
 
 def check_zero_mode_derivation(mod, states):
@@ -961,27 +945,35 @@ def check_commutative_half(mod, states, tay=3):
 
 
 @identity_check
-def check_lie_half(mod, states):
-    """The annihilation halves form a vertex-Lie tower: translation
-    compatibility, skew-symmetry, and the mode commutation rule, for
-    modes up to JACOBI_NMAX."""
+def _lie_translation(mod, states):
+    """(da)_(m) = -m a_(m-1) for 0 <= m <= JACOBI_NMAX."""
     P = _products(mod, states)
-    # translation: (da)_(m) = -m a_(m-1) for m >= 0
     for i, j, m in product(range(P.n), range(P.n),
                            range(JACOBI_NMAX + 1)):
         yield (("translation", m, P.xs[i]), P.mode(i, m, j, 1),
                vscale(P.mode(i, m - 1, j), -m))
-    # commutator of annihilation modes against singular products
-    for (n, m, a, b, _), lhs, rhs in _jacobi_instances(P):
-        yield ("commutator", n, m, a, b), lhs, rhs
+
+
+def check_lie_half(mod, states):
+    """The annihilation halves form a vertex-Lie tower: translation
+    compatibility, then the commutation rule of annihilation modes up to
+    JACOBI_NMAX, which is the descent-jacobi row, read from the table.
+    Skew-symmetry of the tower is the skew-symmetry row's identity."""
+    P = _products(mod, states)
+    ok, wit = _lie_translation(mod, P)
+    if ok:
+        ok, wit = check_descent_jacobi(mod, P)
+        if not ok:
+            wit = ("commutator",) + wit[:4]
+    return ok, wit
 
 
 def check_poisson_split(mod, states=None, tay=3):
     """Commutative creation half + vertex-Lie annihilation half, with the
     annihilation modes acting as derivations of the product.  The halves
-    read one table, so with modes up to JACOBI_NMAX the commutator and
-    derivation rows are the instances descent-jacobi and
-    descent-derivation compute."""
+    read one table, so with modes up to JACOBI_NMAX the commutator rows
+    are the descent-jacobi row and the derivation rows the instances
+    descent-derivation computes."""
     P = _products(mod, states)
     for label, check, args in (
             ("commutative-half", check_commutative_half, (tay,)),

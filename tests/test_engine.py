@@ -677,7 +677,7 @@ def _naive_commutative(mod, states, tay):
 _TABLED = (
     ("descent-derivation", engine.check_descent_derivation,
      _naive_derivation, (None,), (None,)),
-    ("descent-jacobi", engine.check_descent_jacobi, _naive_jacobi, (),
+    ("descent-jacobi", engine._jacobi_walk, _naive_jacobi, (),
      (engine.JACOBI_NMAX,)),
     ("composite-fields", engine.check_composite_fields, _naive_composite,
      (), (2, 2, 2)),
@@ -785,8 +785,8 @@ def test_tabled_checks_field_mode_calls():
 # --------------------------------------------- one product table per run
 #
 # verify_axioms builds one product table and every check reads it, so a
-# check reuses the products, instances and operator orders of the checks
-# before it.  Sharing must change no row.
+# check reuses the products, derivation instances, descent-jacobi row and
+# operator orders of the checks before it.  Sharing must change no row.
 
 _SHARING = {
     "sl2-doubled": lambda: PBWModule(
@@ -826,8 +826,8 @@ def _rows_alone(make, tay):
 @pytest.mark.parametrize("name", list(_SHARING))
 def test_shared_table_changes_no_row(name):
     """Every suite row equals the row of its check run alone; after a
-    failing descent-jacobi, poisson-split's lie half reads the Jacobi
-    instances descent-jacobi computed and finds the same witness."""
+    failing descent-jacobi, poisson-split's lie half reads the
+    descent-jacobi row and reports its witness as a commutator."""
     M = _SHARING[name]()
     rows = verify_axioms(M, _table_samples(M), tay=2)
     assert rows == _rows_alone(_SHARING[name], 2)
@@ -844,7 +844,7 @@ _FAILING_JACOBI_CALLS = {"sl2-doubled": 2904, "vir-dropped": 1213}
 
 
 def test_failing_jacobi_stays_lazy():
-    """The shared instances are filled one at a time: a failing
+    """The Jacobi instances are walked one at a time: a failing
     descent-jacobi stops at its first failing instance and makes no more
     field_mode calls than before the table."""
     for name, before in _FAILING_JACOBI_CALLS.items():
@@ -853,6 +853,54 @@ def test_failing_jacobi_stays_lazy():
         calls = _counted_field_mode(M)
         assert not engine.check_descent_jacobi(M, states)[0]
         assert len(calls) <= before, (name, len(calls))
+
+
+def test_poisson_split_reads_the_jacobi_row(monkeypatch):
+    """Once descent-jacobi has run on a table, poisson-split makes no
+    Jacobi comparison: every run walks the Jacobi instances once, and on
+    a passing table a suite with descent-jacobi makes no more veq calls
+    than the same suite without it."""
+    counts = {"veq": 0, "_jacobi_walk": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(engine, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, counted)
+
+    def run(call, *args, **kwargs):
+        M = PBWModule(sl2(), spin_cap=3, word_cap=2)
+        counts.update(veq=0, _jacobi_walk=0)
+        out = call(M, _table_samples(M), *args, **kwargs)
+        assert counts["_jacobi_walk"] == 1, (call.__name__, args, kwargs)
+        return out, counts["veq"]
+
+    every = [name for name in IDENTITIES if name != "descent-jacobi"]
+    rows, with_jacobi = run(verify_axioms)
+    assert all(ok for _, ok, _ in rows)
+    assert run(verify_axioms, checks=every)[1] == with_jacobi
+    alone = run(engine.check_poisson_split, tay=2)
+    assert alone[0] == (True, None)
+    assert run(verify_axioms, checks=["poisson-split"])[1] == alone[1]
+    assert run(verify_axioms, checks=["descent-jacobi",
+                                      "poisson-split"])[1] == alone[1]
+
+
+def test_suite_keeps_no_jacobi_instance():
+    # the run table keeps the descent-jacobi row, not its instances; kept
+    # until verify_axioms returned, the 3,456 instances raised a warm
+    # run's peak above start from about 359 KB to 600 KB (a first run
+    # fills the module's memos, so only the run table counts)
+    M = PBWModule(sl2(), spin_cap=3, word_cap=2)
+    want = verify_axioms(M, _table_samples(M), tay=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = verify_axioms(M, _table_samples(M), tay=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 480_000, peak
 
 
 # field_mode calls of one verify_axioms per preset at the axiom-suite

@@ -9,7 +9,12 @@ generators (g, T g), the pair set of `rav check`, at (spin 3, word 3,
 tay 2), where the top singular index N reaches 5; its failing rows must
 equal tests/data/locality_translate_rows.json.
 
-A change that moves a witness on purpose regenerates both files with
+Every other verify_axioms row, passing ones included, runs on the same
+52 tables at (spin 3, word 2, tay 2) with default_samples(M,
+max_word=1) as the samples; the rows and witnesses must equal
+tests/data/suite_rows.json.
+
+A change that moves a witness on purpose regenerates the three files with
 
     PYTHONPATH=src python tests/test_pair_rows.py
 
@@ -20,13 +25,17 @@ import json
 import os
 
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
-from raviolo.engine import PBWModule, check_locality, check_associativity
+from raviolo.engine import (IDENTITIES, PBWModule, check_locality,
+                            check_associativity, default_samples,
+                            verify_axioms)
 
 from test_engine import _edited
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "pair_rows.json")
 TRANSLATE_DATA = os.path.join(os.path.dirname(__file__), "data",
                               "locality_translate_rows.json")
+SUITE_DATA = os.path.join(os.path.dirname(__file__), "data",
+                          "suite_rows.json")
 # (spin_cap, word_cap, tay)
 WINDOWS = [(4, 3, 1), (3, 2, 2)]
 EDITS = {"drop": None, "flip": -1, "double": 2}
@@ -81,6 +90,19 @@ def locality_translate_rows(spin=3, word=3, tay=2):
     return out
 
 
+def suite_rows(spin=3, word=2, tay=2):
+    """Every verify_axioms row but the pair checks', as [table, edit,
+    identity, ok, witness repr]."""
+    checks = [n for n in IDENTITIES if n not in ("locality", "associativity")]
+    out = []
+    for name, edit, pres in _tables():
+        M = PBWModule(pres, spin_cap=spin, word_cap=word)
+        for ident, ok, wit in verify_axioms(
+                M, default_samples(M, max_word=1), tay=tay, checks=checks):
+            out.append([name, edit, ident, ok, repr(wit)])
+    return out
+
+
 def _match(path, got):
     with open(path) as fh:
         want = json.load(fh)
@@ -97,10 +119,15 @@ def test_locality_translate_rows_match_golden_file():
     _match(TRANSLATE_DATA, locality_translate_rows())
 
 
+def test_suite_rows_match_golden_file():
+    _match(SUITE_DATA, suite_rows())
+
+
 if __name__ == "__main__":
     for path, rows in ((DATA, pair_rows()),
-                       (TRANSLATE_DATA, locality_translate_rows())):
+                       (TRANSLATE_DATA, locality_translate_rows()),
+                       (SUITE_DATA, suite_rows())):
         with open(path, "w") as fh:
             fh.write("[\n" + ",\n".join(json.dumps(r) for r in rows) +
                      "\n]\n")
-        print("%d failing rows written to %s" % (len(rows), path))
+        print("%d rows written to %s" % (len(rows), path))
