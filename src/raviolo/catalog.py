@@ -10,7 +10,7 @@ q-Pochhammer products that serve as the independent oracle.
 from fractions import Fraction
 
 from .scalars import (Scalar, Grading, K_PARAM, KAPPA_PARAM, XI_PARAM,
-                      as_vector, twist, vadd, vscale, vsub)
+                      as_vector, sum_str, twist, vadd, vscale, vsub)
 from .modes import GeneratorInfo, FieldExpr, OpeTable
 from .engine import (Presentation, PBWModule, default_samples,
                      identity_check)
@@ -308,13 +308,16 @@ LATTICE_TAY = 3
 
 def _sector_free_rows(lat, m, mst, ts, ls):
     """The rows of one sample state that read only b modes and the
-    vertex tables: the vertex images V^m_t of the state by t, and the
-    graded commutators b_l V^m_t - (+-) V^m_t b_l on it by (t, l)."""
+    vertex tables: the vertex images V^m_s of the state by s, from the
+    lowest t to the highest l + t (the nu-delta right sides read l + t,
+    and none reads one below the lowest t), and the graded commutators
+    b_l V^m_t - (+-) V^m_t b_l on it by (t, l)."""
     b_on = {l: lat.act("b", l, mst) for l in ls}
-    vert, commute = {}, {}
+    vert = {s: lat.vertex_mode(m, s, mst)[1]
+            for s in range(ts[0], ts[-1] + ls[-1] + 1)}
+    commute = {}
     for t in ts:
-        base = lat.vertex_mode(m, t, mst)
-        vert[t] = base[1]
+        base = (m + mst[0], vert[t])
         for l in ls:
             # b_l and V_t are both odd when l, t >= 0
             ks = -1 if (l >= 0 and t >= 0) else 1
@@ -338,7 +341,8 @@ def check_lattice_relations(lat, mrange, spin_cap):
 
     Every sector holds the same sample keys, and b modes and the vertex
     tables act alike in all of them (LatticeModule), so for each weight
-    m the rows that read only those, V^m_t|key> and the b-commute
+    m the rows that read only those, V^m_s|key> (relation 2 reads it at
+    s = t and, on its right side, at s = l + t) and the b-commute
     differences of relation 1, are computed in the first sector that
     holds the key and read again in the others (a table of one call,
     reset at each m).  The nu rows stay per sector: nu_(0) acts through
@@ -385,8 +389,7 @@ def check_lattice_relations(lat, mrange, spin_cap):
                             expect = {}
                         elif comb <= 0 or (l >= 0 and t >= 0):
                             sgn = -m if (l < 0 and t >= 0) else m
-                            expect = vscale(
-                                lat.vertex_mode(m, l + t, mst)[1], sgn)
+                            expect = vscale(vert[l + t], sgn)
                         else:
                             expect = {}
                         yield (("nu-delta", m, l, t, m2, label), lhs,
@@ -468,7 +471,7 @@ class QSeries:
         return self.terms.get((Fraction(s), ()), 0)
 
     def __str__(self):
-        def fmt(s, f, c):
+        def mono(s, f):
             bits = []
             for nm, p in f:
                 bits.append(nm if p == 1 else "%s^%s" % (nm, p))
@@ -476,24 +479,10 @@ class QSeries:
                 bits.append("q" if s == 1 else
                             ("q^%s" % s if s.denominator == 1
                              else "q^(%s)" % s))
-            body = "*".join(bits)
-            if not body:
-                return str(c)
-            if c == 1:
-                return body
-            if c == -1:
-                return "-" + body
-            return "%s*%s" % (c, body)
+            return "*".join(bits)
 
         keys = sorted(self.terms, key=lambda k: (k[0], k[1]))
-        if not keys:
-            out = "0"
-        else:
-            bits = [fmt(s, f, self.terms[(s, f)]) for s, f in keys]
-            out = bits[0]
-            for b in bits[1:]:
-                out += (" - " + b[1:]) if b.startswith("-") \
-                    else (" + " + b)
+        out = sum_str((self.terms[k], mono(*k)) for k in keys)
         tail = ("q^%s" % self.order if self.order.denominator == 1
                 else "q^(%s)" % self.order)
         return out + " + O(%s)" % tail

@@ -25,7 +25,7 @@ weight t from the weight-(t - 1) block's image.
 
 from fractions import Fraction
 
-from .scalars import as_vector, vadd, vsub
+from .scalars import as_vector, sum_str, vadd, vsub
 from .linalg import column_kernel, rational_coords, in_span
 
 
@@ -232,16 +232,9 @@ def check_cohomology_window(cap):
 
 
 def apoly_str(u):
-    if not u:
-        return "0"
-    bits = []
-    for (a, b, e) in sorted(u):
-        c = u[(a, b, e)]
+    terms = []
+    for a, b, e in sorted(u):
         mono = "*".join(["z^%d" % a] * (a > 0) + ["lam^%d" % b] * (b > 0)
                         + ["x"] * e)
-        if not mono:
-            bits.append(str(c))
-        else:
-            cs = str(c)
-            bits.append(mono if cs == "1" else "%s*%s" % (cs, mono))
-    return " + ".join(bits)
+        terms.append((u[a, b, e], mono))
+    return sum_str(terms)

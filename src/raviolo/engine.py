@@ -29,8 +29,8 @@ from itertools import product
 from math import factorial, floor as _floor, lcm
 
 from .scalars import (Scalar, Grading, binom, as_vector, canonical,
-                      degrees_of, rational_of, twist, vadd, vscale, vsub,
-                      veq)
+                      degrees_of, rational_of, sum_str, twist, vadd, vscale,
+                      vsub, veq)
 from .modes import (GeneratorInfo, FieldExpr, OpeTable, bracket_from_ope,
                     vac_induce)
 from .series import (BiDist, combine_indices, delta_decompose, delta_expand,
@@ -411,26 +411,11 @@ class PBWModule:
         return self.expr_mode(expr, -1, self.vacuum())
 
     def state_str(self, state):
-        if not state:
-            return "0"
-        bits = []
-        for key in sorted(state, key=lambda k: (len(k), k)):
-            c = state[key]
-            mono = "".join("%s_(%d)" % (self.gens[gi].name, n)
-                           for gi, n in key) + "|0>"
-            cs = str(c)
-            if cs == "1":
-                bits.append(mono)
-            elif cs == "-1":
-                bits.append("-" + mono)
-            else:
-                if " + " in cs or " - " in cs:
-                    cs = "(%s)" % cs
-                bits.append("%s*%s" % (cs, mono))
-        out = bits[0]
-        for b in bits[1:]:
-            out += (" - " + b[1:]) if b.startswith("-") else (" + " + b)
-        return out
+        keys = sorted(state, key=lambda k: (len(k), k))
+        return sum_str(
+            (state[key], "".join("%s_(%d)" % (self.gens[gi].name, n)
+                                 for gi, n in key) + "|0>")
+            for key in keys)
 
 
 # ================================================================ checks

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import ceil, factorial, floor, lcm
 from operator import add
 
-from .scalars import Grading, binom, as_vector, vadd, vscale, vsub
+from .scalars import Grading, binom, as_vector, sum_str, vadd, vscale, vsub
 
 
 class GeneratorInfo:
@@ -79,27 +79,16 @@ class FieldExpr:
         return self.terms == other.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for mono in sorted(self.terms):
-            c = self.terms[mono]
             fac = []
             for name, k in mono:
                 fac.append(name if k == 0 else
                            ("D %s" % name if k == 1 else "D^%d %s" % (k, name)))
             body = "NO[%s]" % ", ".join(fac) if len(fac) > 1 else \
-                   (fac[0] if fac else "1")
-            cs = str(c)
-            if body == "1":
-                bits.append(cs)
-            elif cs == "1":
-                bits.append(body)
-            else:
-                if " + " in cs or " - " in cs:
-                    cs = "(%s)" % cs
-                bits.append("%s*%s" % (cs, body))
-        return " + ".join(bits)
+                   "".join(fac)
+            bits.append((self.terms[mono], body))
+        return sum_str(bits)
 
     __repr__ = __str__
 

@@ -260,25 +260,10 @@ class Scalar:
     # -- display -----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), [p.name for p in m])):
-            c = self.terms[mono]
-            names = "*".join(p.name for p in mono)
-            if not mono:
-                s = str(c)
-            elif c == 1:
-                s = names
-            elif c == -1:
-                s = "-" + names
-            else:
-                s = "%s*%s" % (c, names)
-            bits.append(s)
-        out = bits[0]
-        for s in bits[1:]:
-            out += (" - " + s[1:]) if s.startswith("-") else (" + " + s)
-        return out
+        monos = sorted(self.terms,
+                       key=lambda m: (len(m), [p.name for p in m]))
+        return sum_str((self.terms[m], "*".join(p.name for p in m))
+                       for m in monos)
 
     __repr__ = __str__
 
@@ -449,6 +434,34 @@ def vsub(a, b):
 
 def veq(a, b):
     return a == b or not vsub(a, b)
+
+
+def sum_str(terms):
+    """The text of a linear combination, from (coefficient, monomial
+    text) pairs in the order given.  A compound coefficient is
+    parenthesized, an empty monomial prints as its coefficient, a
+    coefficient 1 is dropped and -1 leaves a leading "-", which joins
+    its term as " - "; no terms print as "0"."""
+    out = ""
+    for c, mono in terms:
+        cs = str(c)
+        if " + " in cs or " - " in cs:
+            cs = "(%s)" % cs
+        if not mono:
+            term = cs
+        elif cs == "1":
+            term = mono
+        elif cs == "-1":
+            term = "-" + mono
+        else:
+            term = "%s*%s" % (cs, mono)
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"
 
 
 ZERO = Scalar.zero()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .scalars import binom, as_vector, vadd, vscale, vsub
+from .scalars import binom, as_vector, sum_str, vadd, vscale, vsub
 
 
 def combine_indices(i, j):
@@ -55,38 +55,15 @@ class RavSeries:
 # ---------------------------------------------------------------- text
 
 def format_series(f):
-    if not f.terms:
-        return "0"
-
     def monostr(i):
         if i == -1:
-            return None
+            return ""
         if i < 0:
             return "z" if i == -2 else "z^%d" % (-i - 1)
         return "O[%d]" % i
 
-    bits = []
-    for i in sorted(f.terms, key=lambda i: (0, -i - 1) if i < 0 else (1, i)):
-        c = f.terms[i]
-        mono = monostr(i)
-        if mono is None:
-            cs = str(c)
-            piece = "(%s)" % cs if (" + " in cs or " - " in cs) else cs
-        else:
-            if c == 1:
-                piece = mono
-            elif c == -1:
-                piece = "-" + mono
-            else:
-                cs = str(c)
-                if " + " in cs or " - " in cs:
-                    cs = "(%s)" % cs
-                piece = "%s*%s" % (cs, mono)
-        bits.append(piece)
-    out = bits[0]
-    for p in bits[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    keys = sorted(f.terms, key=lambda i: (0, -i - 1) if i < 0 else (1, i))
+    return sum_str((f.terms[i], monostr(i)) for i in keys)
 
 
 # ---------------------------------------------------------------- BiDist

@@ -368,20 +368,28 @@ def test_lattice_rows_match_per_sector_reference(cls, first):
 
 def test_lattice_b_commute_rows_computed_once_per_weight(monkeypatch):
     # at the CLI window each sample key meets 5 weights m across 23
-    # (m, sector) pairs; its b-commute rows are computed once per m
-    calls = Counter()
+    # (m, sector) pairs; its b-commute rows are computed once per m, and
+    # so are the nu-delta right sides V^m_(l+t)
+    calls, mode_calls = Counter(), Counter()
     sector_free = catalog._sector_free_rows
+    vertex_mode = LatticeModule.vertex_mode
 
     def counted(lat, m, mst, ts, ls):
         calls[tuple(mst[1])] += 1
         return sector_free(lat, m, mst, ts, ls)
+
+    def counted_mode(lat, m1, t, mst):
+        mode_calls[m1] += 1
+        return vertex_mode(lat, m1, t, mst)
     monkeypatch.setattr(catalog, "_sector_free_rows", counted)
+    monkeypatch.setattr(LatticeModule, "vertex_mode", counted_mode)
     lat = LatticeModule(window=3, spin_cap=2, word_cap=2)
     rows = Counter((w[2], w[3], w[5]) for w, _, _ in
                    check_lattice_relations.__wrapped__(lat, 2, 1)
                    if w[0] == "b-commute")
     assert set(rows.values()) == {23}
     assert len(calls) == 3 and set(calls.values()) == {5}
+    assert sum(mode_calls.values()) <= 3677
 
 
 # ------------------------------------------------------ characters

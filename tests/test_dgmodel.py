@@ -7,7 +7,7 @@ from raviolo.linalg import CoordinateError, column_kernel, in_span, \
     rational_coords
 from raviolo.scalars import Scalar, vadd
 from raviolo.dgmodel import (
-    AElement, a_mul, apoly, apoly_mul, apoly_sub, d_poly,
+    AElement, a_mul, apoly, apoly_mul, apoly_str, apoly_sub, d_poly,
     sl2_action, omega_class, cohomology_basis, is_exact,
     exactness_witness, check_cohomology_window, monomial_basis,
 )
@@ -148,6 +148,12 @@ def test_exactness_witnesses():
         assert p is not None, m
         target = a_mul(Z, omega_class(m + 1)) - omega_class(m)
         assert apoly_sub(d_poly(p), target.odd) == {}
+
+
+def test_apoly_text():
+    assert apoly_str(exactness_witness(0)) == "-lam^1*x"
+    assert apoly_str(apoly({(0, 0, 0): 1, (1, 1, 0): -1})) == "1 - z^1*lam^1"
+    assert apoly_str({}) == "0"
 
 
 def test_witness_matches_hand_primitive():

@@ -93,6 +93,19 @@ ALL_PRESENTATIONS = [
 ]
 
 
+# ------------------------------------------------------------ text
+
+def test_field_expr_text():
+    # a compound constant is parenthesized, and -1 and a negative
+    # coefficient fold into " - "
+    e = FieldExpr({(): K + KAP, (("X", 0),): 1,
+                   (("X", 0), ("Y", 0)): Fraction(-1, 2), (("Y", 1),): -1})
+    assert str(e) == "(K + kappa) + X - 1/2*NO[X, Y] - D Y"
+    assert str(FieldExpr.gen("X", 2).scale(-K)) == "-K*D^2 X"
+    assert str(FieldExpr.const(3)) == "3"
+    assert str(FieldExpr.zero()) == "0"
+
+
 # ------------------------------------------------------------ gradings
 
 def test_mode_gradings():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from raviolo.scalars import (
     Param, Scalar, Grading, binom, ZERO,
     K_PARAM, KAPPA_PARAM, XI_PARAM, vadd, vscale, vsub, veq,
-    degrees_of, rational_of, twist,
+    degrees_of, rational_of, sum_str, twist,
 )
 
 
@@ -48,6 +48,32 @@ def test_subs():
 def test_str_roundtrip_sanity():
     assert str(Scalar.zero()) == "0"
     assert "K" in str(K)
+
+
+def test_sum_str_rules():
+    # no terms
+    assert sum_str([]) == "0"
+    # an empty monomial prints its coefficient, parenthesized if compound
+    assert sum_str([(3, "")]) == "3"
+    assert sum_str([(Fraction(-1, 2), "")]) == "-1/2"
+    assert sum_str([(K + kap, "")]) == "(K + kappa)"
+    # 1 is dropped, -1 leaves a leading "-"
+    assert sum_str([(1, "X")]) == "X"
+    assert sum_str([(-1, "X")]) == "-X"
+    assert sum_str([(Fraction(1), "X"), (Fraction(-1), "Y")]) == "X - Y"
+    # any other coefficient prints as c*mono, a compound one parenthesized
+    assert sum_str([(2, "X")]) == "2*X"
+    assert sum_str([(Fraction(3, 4), "X")]) == "3/4*X"
+    assert sum_str([(-K, "X")]) == "-K*X"
+    assert sum_str([(K + 1, "X")]) == "(1 + K)*X"
+    assert sum_str([(-K + 1, "X")]) == "(1 - K)*X"
+    assert sum_str([(-K - 1, "X")]) == "(-1 - K)*X"
+    # a term starting with "-" joins as " - ", every other one as " + ",
+    # in the order given
+    assert sum_str([(2, "X"), (-3, "Y"), (Fraction(-1, 2), ""), (-1, "Z"),
+                    (K - 2, "W")]) == "2*X - 3*Y - 1/2 - Z + (-2 + K)*W"
+    assert sum_str([(-1, "X"), (1, "Y")]) == "-X + Y"
+    assert sum_str((c, "X") for c in (1, -1)) == "X - X"
 
 
 # random scalars built from the three builtin parameters, with integer

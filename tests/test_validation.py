@@ -186,6 +186,21 @@ def test_only_the_vector_primitive_drops_entries():
     assert not bad, "add and drop through scalars.vadd/vsub: %s" % bad
 
 
+def test_only_the_one_printer_folds_signs():
+    # a hand-written linear-combination printer folds a negative term
+    # into " - "; every one goes through scalars.sum_str
+    pkg = os.path.join(SRC, "raviolo")
+    bad = []
+    for fn in sorted(os.listdir(pkg)):
+        if not fn.endswith(".py") or fn == "scalars.py":
+            continue
+        tree = ast.parse(open(os.path.join(pkg, fn)).read(), fn)
+        bad.extend("%s:%d" % (fn, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value == " - ")
+    assert not bad, "print linear combinations with scalars.sum_str: %s" \
+        % bad
+
+
 # ------------------------------------------------------- reached code
 #
 # Every def and method in src/ must run under a claim: the acceptance
