@@ -589,10 +589,16 @@ def cmd_cohomology(doc, args):
         raise SpecError("document has no superpotential")
     mod = _build_module(doc.presentation(), args, specialize={"K": 1})
     w = mod.expr_to_state(doc.superpotential)
+    try:
+        mod.state_grading(w)
+    except ValueError:
+        raise SpecError("superpotential %s is not homogeneous"
+                        % expr_str(doc.superpotential))
     rep = Report(doc.name, args.spin, args.word)
     try:
         sp = superpotential_check(mod, w)
-        rep.add("superpotential-grading", sp["grading"])
+        rep.add("superpotential-grading", sp["grading"],
+                None if w else "zero superpotential")
         rep.add("self-bracket-exact", sp["self-bracket-exact"])
         d = differential_map(mod, w)
         ok, wit = check_square_zero(mod, d)

@@ -25,7 +25,7 @@ generator of (witness, lhs, rhs) instances, judged by identity_check.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import product
+from itertools import product, zip_longest
 from math import factorial, floor as _floor, lcm
 
 from .scalars import (Scalar, Grading, binom, as_vector, canonical,
@@ -118,6 +118,7 @@ class PBWModule:
                     % (g.name, g.grading.spin))
         self._basis = None
         self._cells = None     # grading -> basis keys of that cell
+        self._images = {}      # grading -> (source keys, index, echelon)
         self._act_memo = {}
         self._mono_memo = {}
         self._kg_memo = {}
@@ -143,12 +144,20 @@ class PBWModule:
         return {((self.index[name], -1),): 1}
 
     def key_grading(self, key):
+        """Grading of a PBW key: the cyclic vector's plus, for each
+        creation mode (gi, n < 0), its generator's cohdeg, parity and
+        flavor and the spin s - n - 1.  The parts sum as ints (the spin
+        scaled by _spin_den, from _key_info) into one Grading."""
         g = self._kg_memo.get(key)
         if g is None:
-            g = self.cyclic_grading
-            for gi, n in key:
-                g = g + self.gens[gi].mode_grading(n)
-            self._kg_memo[key] = g
+            cyc = self.cyclic_grading
+            gs = [self.gens[gi].grading for gi, _ in key]
+            g = self._kg_memo[key] = Grading(
+                cyc.cohdeg + sum(x.cohdeg for x in gs),
+                cyc.spin + Fraction(self._key_info(key)[1], self._spin_den),
+                cyc.parity + sum(x.parity for x in gs),
+                map(sum, zip_longest(cyc.flavor, *(x.flavor for x in gs),
+                                     fillvalue=0)))
         return g
 
     def _key_info(self, key):
@@ -171,17 +180,18 @@ class PBWModule:
         """Grading of a homogeneous state, scalar coefficients included
         (odd central parameters carry cohomological degree and parity);
         None for zero."""
-        gs = set()
+        g = None
         for k, c in state.items():
             kg = self.key_grading(k)
             cd, cp = degrees_of(c)
-            gs.add(Grading(kg.cohdeg + cd, kg.spin,
-                           (kg.parity + cp) % 2, kg.flavor))
-        if not gs:
-            return None
-        if len(gs) != 1:
-            raise ValueError("state not homogeneous: %s" % gs)
-        return gs.pop()
+            if cd or cp:
+                kg = Grading(kg.cohdeg + cd, kg.spin, kg.parity + cp,
+                             kg.flavor)
+            if g is None:
+                g = kg
+            elif kg != g:
+                raise ValueError("state not homogeneous: %s" % {g, kg})
+        return g
 
     def state_spin(self, state):
         g = self.state_grading(state)
@@ -1060,17 +1070,29 @@ def state_coords(state, keys):
 
 
 def in_translation_image(mod, state):
-    """Is the state a total derivative?  Returns (ok, primitive_or_None)."""
+    """Is the state a total derivative?  Returns (ok, primitive_or_None).
+
+    The first question about a cell eliminates T of every key of the
+    cell one spin below it, and the module keeps (source keys, index of
+    the cell, echelon) under the cell's grading; every later question
+    about the cell is one reduction.  A question that raises
+    CoordinateError stores nothing."""
     if not state:
         return True, {}
     g = mod.state_grading(state)
-    src = Grading(g.cohdeg, g.spin - 1, g.parity, g.flavor)
-    skeys = cell_basis(mod, src)
-    if not skeys:
-        return False, None
-    index = {k: i for i, k in enumerate(cell_basis(mod, g))}
-    cols = [rational_coords(mod.translate({k: 1}), index) for k in skeys]
-    x = solve(cols, rational_coords(state, index))
+    cell = mod._images.get(g)
+    if cell is None:
+        skeys = cell_basis(mod, Grading(g.cohdeg, g.spin - 1, g.parity,
+                                        g.flavor))
+        if not skeys:
+            return False, None
+        index = {k: i for i, k in enumerate(cell_basis(mod, g))}
+        cols = [rational_coords(mod.translate({k: 1}), index)
+                for k in skeys]
+        cell = skeys, index, column_kernel(cols)[0]
+    skeys, index, ech = cell
+    x = solve(ech, rational_coords(state, index))
+    mod._images[g] = cell  # stored once the target has coordinates
     if x is None:
         return False, None
     return True, as_vector({skeys[j]: q for j, q in x.items()})
@@ -1084,7 +1106,8 @@ def superpotential_check(mod, w):
     a total derivative."""
     g = mod.state_grading(w)
     report = {}
-    report["grading"] = (g.cohdeg == 2 and g.spin == 1 and g.tot == 0)
+    report["grading"] = (g is not None and g.cohdeg == 2 and g.spin == 1
+                         and g.tot == 0)
     ww = mod.field_mode(w, 0, w)
     ok, prim = in_translation_image(mod, ww)
     report["self-bracket-exact"] = ok

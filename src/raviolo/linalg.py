@@ -11,11 +11,13 @@ operation beyond the vector primitive.  Each row also carries its
 combination of the tagged vectors that were added, which answers
 dependency and solution questions without a second elimination.
 
-`kernel_basis`, `solve` and `in_span` take sparse vectors, such as the
+`kernel_basis` and `in_span` take sparse vectors, such as the
 coordinates `rational_coords` returns, and read their answers off such a
-basis; a caller with one question uses them, and a caller with many
-questions against one span holds an `Echelon`.  `rref` is the one
-function on dense lists.  Sizes are desk scale, exactness is the point.
+basis; a caller with one question uses them.  A caller with many
+questions against one span holds an `Echelon` (`column_kernel` builds
+one from columns) and asks each with `solve`, one reduction.  `rref` is
+the one function on dense lists.  Sizes are desk scale, exactness is
+the point.
 """
 
 from fractions import Fraction
@@ -119,12 +121,13 @@ def kernel_basis(columns):
     return column_kernel(columns)[1]
 
 
-def solve(columns, target):
+def solve(ech, target):
     """One solution {j: x_j} (index order, zeros dropped) of
-    sum_j x_j columns[j] = target, or None if target is not in their
-    span; every free variable is 0, so only the leftmost independent
-    columns are used."""
-    res, comb = column_kernel(columns)[0].reduce(target)
+    sum_j x_j columns[j] = target, where ech is column_kernel(columns)'s
+    echelon, or None if target is not in their span; every free
+    variable is 0, so only the leftmost independent columns are used.
+    The echelon is not changed."""
+    res, comb = ech.reduce(target)
     return None if res else dict(sorted(comb.items()))
 
 

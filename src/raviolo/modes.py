@@ -19,13 +19,8 @@ class GeneratorInfo:
         self.name = name
         self.grading = grading  # grading of the state a
 
-    def mode_grading(self, n):
-        g = self.grading
-        drop = 1 if n >= 0 else 0
-        return Grading(g.cohdeg - drop, g.spin - n - 1, g.parity, g.flavor)
-
     def mode_parity(self, n):
-        # the tot of mode_grading(n), without building it
+        # a_(n) has the parity of a, flipped for n >= 0 (cohdeg |a| - 1)
         return (self.grading.tot + (n >= 0)) % 2
 
     def __repr__(self):

@@ -442,6 +442,23 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["cohomology", str(param), "--spin", "2",
                  "--word", "4"]) == 2
     assert "non-rational coefficient" in capsys.readouterr().err
+    # a zero superpotential (0, or NO[psi, psi] of an odd psi) fails its
+    # grading row with a witness, as a zero BRST charge does; an
+    # inhomogeneous one is an input error
+    chiral = open(_doc_path("chiral.rav")).read()
+    assert "superpotential NO[X, X]\n" in chiral
+    for sp in ("0", "NO[psi, psi]", "NO[X, X] + X"):
+        doc = tmp_path / "w.rav"
+        doc.write_text(chiral.replace("NO[X, X]", sp))
+        code = main(["cohomology", str(doc), "--spin", "2", "--word", "4"])
+        out, err = capsys.readouterr()
+        if sp == "NO[X, X] + X":
+            assert (code, out, err) == (2, "", "error: superpotential "
+                                        "X + NO[X, X] is not homogeneous\n")
+        else:
+            assert code == 1 and err == "", sp
+            assert "superpotential-grading   fail  [zero superpotential]" \
+                in out.splitlines(), sp
     # 1: a verified-false identity (structure constants violate the
     # triple-bracket identity; skew-consistent, so it parses)
     wrong = tmp_path / "wrong.rav"

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from raviolo.linalg import rref, kernel_basis, solve, in_span
+from raviolo.linalg import (CoordinateError, column_kernel, rref,
+                            kernel_basis, solve, in_span)
 from raviolo.catalog import fc
 from raviolo.dgmodel import (AElement, a_mul, d_poly, is_exact,
                              monomial_basis, omega_class)
+from raviolo import engine
 from raviolo.engine import (PBWModule, Presentation, cell_basis,
                             in_translation_image, state_coords)
 from raviolo.modes import GeneratorInfo
@@ -86,18 +89,21 @@ def test_solve_consistent():
         a = _rand_matrix(rng, m, n)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         rhs = [sum(r[j] * x0[j] for j in range(n)) for r in a]
-        x = solve(_columns(a, n), _sparse(rhs))
+        ech = column_kernel(_columns(a, n))[0]
+        x = solve(ech, _sparse(rhs))
         assert x is not None and _in_index_order(x)
         assert _dense(x, n) == _sympy_solution(a, rhs)  # free vars 0
         for r, b in zip(a, rhs):
             assert sum(r[j] * q for j, q in x.items()) == b
+        # a question leaves the echelon as it was
+        assert solve(ech, _sparse(rhs)) == x
 
 
 def test_solve_inconsistent():
-    assert solve([{0: Fraction(1), 1: Fraction(1)}, {}],
-                 {0: Fraction(1), 1: Fraction(2)}) is None
-    assert solve([], {0: 1}) is None
-    assert solve([], {}) == {}
+    ech = column_kernel([{0: Fraction(1), 1: Fraction(1)}, {}])[0]
+    assert solve(ech, {0: Fraction(1), 1: Fraction(2)}) is None
+    assert solve(column_kernel([])[0], {0: 1}) is None
+    assert solve(column_kernel([])[0], {}) == {}
 
 
 def test_in_span():
@@ -130,14 +136,20 @@ def _oracle_primitive(image, src_keys, dst_keys, target):
     return None if x is None else {k: q for k, q in zip(src_keys, x) if q}
 
 
-def test_translation_primitives_match_sympy():
-    # the chiral weight pair at K = 1; targets are every spin-4 state, T of
-    # each, and T of one combination of each spin-4 cell
+def _chiral(spin_cap=5, word_cap=12):
+    # the chiral weight pair at K = 1
     half = Fraction(1, 2)
     pres = Presentation("chiral", [GeneratorInfo("X", Grading(1, half, 1)),
                                    GeneratorInfo("psi", Grading(0, half, 1))],
                         fc().table)
-    mod = PBWModule(pres, spin_cap=5, word_cap=12, specialize={"K": 1})
+    return PBWModule(pres, spin_cap=spin_cap, word_cap=word_cap,
+                     specialize={"K": 1})
+
+
+def test_translation_primitives_match_sympy():
+    # targets are every spin-4 state, T of each, and T of one combination
+    # of each spin-4 cell
+    mod = _chiral()
     cells = {}
     for k, g in mod.basis():
         if g.spin == 4:
@@ -178,3 +190,49 @@ def test_exactness_primitives_match_sympy():
     assert is_exact({(0, 0, 0): 1}, 4) is None
     assert _oracle_primitive(d_poly, monomial_basis(4), monomial_basis(4),
                              {(0, 0, 0): 1}) is None
+
+
+def test_one_elimination_per_translation_cell(monkeypatch):
+    # the benchmark's questions: T of every spin-4 state of the chiral
+    # module at (spin 5, word 12) lies in one of 9 cells, and each cell's
+    # translates are eliminated on the first question about it
+    eliminated = []
+
+    def counted(cols):
+        eliminated.append(len(cols))
+        return column_kernel(cols)
+    monkeypatch.setattr(engine, "column_kernel", counted)
+    mod = _chiral()
+    targets = [mod.translate({k: 1}) for k, g in mod.basis() if g.spin == 4]
+    cells = {mod.state_grading(t) for t in targets}
+    assert (len(targets), len(cells)) == (22, 9)
+    first = [in_translation_image(mod, t) for t in targets]
+    assert len(eliminated) == 9 and len(mod._images) == 9
+    assert all(ok for ok, _ in first)
+    # asked again, the cells interleaved in the other order: the stored
+    # echelons answer alike and no question eliminates again
+    for t, want in reversed(list(zip(targets, first))):
+        ok, prim = in_translation_image(mod, t)
+        assert ok == want[0] and list(prim.items()) == list(want[1].items())
+    assert len(eliminated) == 9
+    # T of a spin-5 state leaves the window (spin 6 is not enumerated):
+    # each ask raises and stores nothing
+    top = mod.translate({next(k for k, g in mod.basis() if g.spin == 5): 1})
+    for _ in range(2):
+        with pytest.raises(CoordinateError):
+            in_translation_image(mod, top)
+    assert len(eliminated) == 9 and len(mod._images) == 9
+
+
+def test_translation_target_outside_the_window_stores_nothing():
+    # at word 2 the cell of X_(-1) psi_(-2) psi_(-1) holds X_(-3) alone:
+    # the translate T X_(-2) stays in the window, the word-3 target
+    # leaves it
+    mod = _chiral(spin_cap=5, word_cap=2)
+    target = {((0, -1), (1, -2), (1, -1)): 1}
+    g = mod.state_grading(target)
+    assert cell_basis(mod, g) == [((0, -3),)]
+    for _ in range(2):
+        with pytest.raises(CoordinateError, match="leaves the enumerated"):
+            in_translation_image(mod, target)
+    assert mod._images == {}

