@@ -434,8 +434,9 @@ class PBWModule:
 # turns it into a function returning (ok, witness).  Every check reads the
 # products of its states from one index-keyed table (_Products), which
 # verify_axioms builds once per run and passes to each check: no check
-# recomputes a product, a derivation instance, the descent-jacobi row or
-# an operator order that an earlier check of the run computed.
+# recomputes a product, the descent-jacobi row, an operator order or a
+# triple's derivation record (grown lazily in n, no instance kept) that
+# an earlier check of the run computed.
 
 
 def identity_check(instances):
@@ -458,10 +459,11 @@ class _Products:
     computed on first use: the states xs (the samples first, then the
     vacuum and pair states that index() adds), their parities, spins
     times mod._spin_den and translates d^k x, the products
-    (d^k x_i)_(n) x_j, the derivation instances (n, ia, ib, ic), the
-    descent-jacobi row (ok, witness) once check_descent_jacobi has
-    computed it, and the raw operator-order products y_(j) x_(i) v of
-    the pair checks.  Callers must not mutate what it returns.
+    (d^k x_i)_(n) x_j, a record [next n, first failing n or None] per
+    derivation triple (ia, ib, ic) but no instance, the descent-jacobi
+    row (ok, witness) once check_descent_jacobi has computed it, and the
+    raw operator-order products y_(j) x_(i) v of the pair checks.
+    Callers must not mutate what it returns.
 
     Lifetime and plumbing:
     - A table lives for one verify_axioms call (or one check called
@@ -484,9 +486,7 @@ class _Products:
         self.n = len(states)
         self.xs, self.par, self.spin, self._ders = [], [], [], []
         self._mode = {}   # (i, k, n, j) -> (d^k x_i)_(n) x_j
-        # instances by (ia, ib, ic), then n, in lists: most are zero on
-        # both sides and kept as ()
-        self._derivation = {}
+        self._derivation = {}  # (ia, ib, ic) -> [next n, failing n]
         self.jacobi_row = None
         self._raw = {}    # (ix, iy, iv) -> (lo, {(i, j, key): c})
         for x in states:
@@ -526,19 +526,24 @@ class _Products:
 
     def derivation(self, n, ia, ib, ic):
         """(lhs, rhs) of a_(n)(b_(-1)c) = (a_(n)b)_(-1)c
-        + (-1)^((|a|+1)|b|) b_(-1)(a_(n)c)."""
-        row = self._derivation.setdefault((ia, ib, ic), [])
-        row.extend([None] * (n + 1 - len(row)))  # None: not yet computed
-        if row[n] is None:
-            nop, mode = self.mod.nop, self.mode
-            bc, ab, ac = mode(ib, -1, ic), mode(ia, n, ib), mode(ia, n, ic)
-            lhs = self.mod.field_mode(self.xs[ia], n, bc) if bc else {}
-            rhs = nop(ab, self.xs[ic]) if ab else {}
-            if ac:
-                vadd(rhs, nop(self.xs[ib], ac),
-                     (-1) ** ((self.par[ia] + 1) * self.par[ib]))
-            row[n] = (lhs, rhs) if lhs or rhs else ()
-        return row[n] or ({}, {})
+        + (-1)^((|a|+1)|b|) b_(-1)(a_(n)c), computed on each call."""
+        mode, nop, xs, par = self.mode, self.mod.nop, self.xs, self.par
+        bc, ab, ac = mode(ib, -1, ic), mode(ia, n, ib), mode(ia, n, ic)
+        lhs = self.mod.field_mode(xs[ia], n, bc) if bc else {}
+        rhs = nop(ab, xs[ic]) if ab else {}
+        if ac:
+            vadd(rhs, nop(xs[ib], ac), (-1) ** ((par[ia] + 1) * par[ib]))
+        return lhs, rhs
+
+    def derivation_failure(self, ia, ib, ic, hi):
+        """The first n <= hi whose instance fails, or None; the record
+        grows in increasing n and stops at the triple's first failure."""
+        rec = self._derivation.setdefault((ia, ib, ic), [0, None])
+        while rec[1] is None and rec[0] <= hi:
+            if not veq(*self.derivation(rec[0], ia, ib, ic)):
+                rec[1] = rec[0]
+            rec[0] += 1
+        return rec[1] if rec[1] is not None and rec[1] <= hi else None
 
     def raw(self, ix, iy, iv, lo):
         """{(i, j, key): c} of y_(j) x_(i) v for i, j from lo up, computed
@@ -642,17 +647,18 @@ def check_nop_associative(mod, states):
                mod.nop(P.mode(ia, -1, ib), xs[ic]))
 
 
-@identity_check
 def check_descent_derivation(mod, states, nmax=None):
-    """a_(n), n >= 0, is an (appropriately signed) derivation of the
-    normal-ordered product."""
+    """a_(n), 0 <= n <= nmax (default the triple's spin sum), is a signed
+    derivation of the normal-ordered product; the witness (n, a, b, c) is
+    the first triple, in product order, failing within the bound."""
     P = _products(mod, states)
-    xs = P.xs
-    for ia, ib, ic in product(range(P.n), repeat=3):
+    for t in product(range(P.n), repeat=3):
         hi = nmax if nmax is not None else \
-            (P.spin[ia] + P.spin[ib] + P.spin[ic]) // mod._spin_den
-        for n in range(0, hi + 1):
-            yield ((n, xs[ia], xs[ib], xs[ic]),) + P.derivation(n, ia, ib, ic)
+            sum(P.spin[i] for i in t) // mod._spin_den
+        n = P.derivation_failure(*t, hi)
+        if n is not None:
+            return False, (n,) + tuple(mod.state_str(P.xs[i]) for i in t)
+    return True, None
 
 
 # the annihilation modes n, m <= JACOBI_NMAX that the Jacobi identity
@@ -967,8 +973,8 @@ def check_poisson_split(mod, states=None, tay=3):
     """Commutative creation half + vertex-Lie annihilation half, with the
     annihilation modes acting as derivations of the product.  The halves
     read one table, so with modes up to JACOBI_NMAX the commutator rows
-    are the descent-jacobi row and the derivation rows the instances
-    descent-derivation computes."""
+    are the descent-jacobi row and the derivation row reads the
+    per-triple records descent-derivation extends."""
     P = _products(mod, states)
     for label, check, args in (
             ("commutative-half", check_commutative_half, (tay,)),
@@ -1105,15 +1111,11 @@ def superpotential_check(mod, w):
     via its annihilation zero mode: gradings, and the self-bracket being
     a total derivative."""
     g = mod.state_grading(w)
-    report = {}
-    report["grading"] = (g is not None and g.cohdeg == 2 and g.spin == 1
-                         and g.tot == 0)
     ww = mod.field_mode(w, 0, w)
     ok, prim = in_translation_image(mod, ww)
-    report["self-bracket-exact"] = ok
-    report["self-bracket"] = ww
-    report["primitive"] = prim
-    return report
+    return {"grading": (g is not None and g.cohdeg == 2 and g.spin == 1
+                        and g.tot == 0),
+            "self-bracket-exact": ok, "self-bracket": ww, "primitive": prim}
 
 
 def differential_map(mod, w):
@@ -1177,9 +1179,9 @@ class _Differential:
 
 @identity_check
 def check_square_zero(mod, d):
-    """d(d(k)) = 0 on every basis key; the witness is the failing key."""
+    """d(d(k)) = 0 on every basis key; the witness is the failing state."""
     for k, _ in mod.basis():
-        yield k, d(d({k: 1})), {}
+        yield ({k: 1},), d(d({k: 1})), {}
 
 
 def dg_cohomology(mod, d, spin_cap):
@@ -1224,8 +1226,7 @@ def ghost_extension(pres, current_names):
     antighost for each listed generator, with the diagonal pairing.
     The ghost carries the opposite flavor of its current and the
     antighost the same one, so every charge term is flavor-neutral."""
-    extra = []
-    entries = {}
+    extra, entries = [], {}
     for nm in current_names:
         c, bg = "c_" + nm, "b_" + nm
         fl = pres.grading(nm).flavor
@@ -1255,8 +1256,7 @@ def brst_charge(mod, current_names, structure, pairing):
         # relative sign against the trilinear term that squares to zero
         vadd(total, mod.nop(cs[nm], mod.gen_state(nm)))
     for (a, b), c in pairing.items():
-        term = mod.nop(cs[a], mod.translate(cs[b]))
-        vadd(total, term, Fraction(1, 2) * c)
+        vadd(total, mod.nop(cs[a], mod.translate(cs[b])), Fraction(1, 2) * c)
     for (a, b), val in structure.items():
         for cnm, f in val.items():
             term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))

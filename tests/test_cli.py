@@ -361,7 +361,7 @@ def test_brst_neutral_flavor_mix(tmp_path, capsys):
     assert main(["brst", str(path), "--spin", "2", "--word", "3"]) == 1
     assert capsys.readouterr().out.splitlines()[1:] == [
         "charge-grading           pass",
-        "square-zero              fail  [((4, -1),)]"]
+        "square-zero              fail  [('b_mu_e_(-1)|0>',)]"]
 
 
 def test_module_and_lattice_commands(capsys):

@@ -201,6 +201,26 @@ def test_only_the_one_printer_folds_signs():
         % bad
 
 
+# defaulted parameters of every def in src/: a ratchet, lowered as options
+# go and never raised
+_DEFAULTED_PARAMETERS = 50
+
+
+def test_defaulted_parameters_do_not_grow():
+    pkg = os.path.join(SRC, "raviolo")
+    count = 0
+    for fn in sorted(os.listdir(pkg)):
+        if not fn.endswith(".py"):
+            continue
+        for node in ast.walk(ast.parse(open(os.path.join(pkg, fn)).read())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert count <= _DEFAULTED_PARAMETERS, \
+        "%d defaulted parameters in src/, at most %d" % (
+            count, _DEFAULTED_PARAMETERS)
+
+
 # ------------------------------------------------------- reached code
 #
 # Every def and method in src/ must run under a claim: the acceptance
