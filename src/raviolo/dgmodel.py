@@ -17,10 +17,10 @@ w = a - b; the rewrite x^2 -> 1 - z*lam keeps it, and d' raises it by
 one.  So d' is block diagonal: the block of weight w takes the weight-w
 monomials of total degree <= cap to the weight-(w + 1) ones, and every
 elimination reads only the blocks it needs.  `is_exact` eliminates the
-block below each weight its target has, `cohomology_basis` reads the
-kernel of every block, and `check_cohomology_window` reads z^n from the
-weight-n block's kernel and each lam^n omega and each monomial of
-weight t from the weight-(t - 1) block's image.
+block below each weight its target has.  `check_cohomology_window`
+eliminates every block once (`d_blocks`), lets `cohomology_basis` read
+their kernels, and reads z^n from the weight-n block's kernel and each
+lam^n omega and weight-t monomial from the weight-(t - 1) block's image.
 """
 
 from fractions import Fraction
@@ -154,14 +154,18 @@ def _d_block(cap, w):
         [rational_coords(d_poly({k: 1}), index) for k in sources])
 
 
-def cohomology_basis(cap):
+def d_blocks(cap):
+    """{w: _d_block(cap, w)} for the weights w = -cap..cap, in order."""
+    return {w: _d_block(cap, w) for w in range(-cap, cap + 1)}
+
+
+def cohomology_basis(blocks):
     """Representatives of H^0 (the kernel of d') on the
-    filtration-by-total-degree piece <= cap; reliable one step inside the
-    cap.  The blocks run in increasing weight, and each one's kernel is
-    z^w alone (w >= 0), so this is the basis order of the window."""
+    filtration-by-total-degree piece <= cap, read off the kernels of
+    blocks = d_blocks(cap); reliable one step inside the cap.  Each
+    kernel is z^w alone (w >= 0), so this is the basis order."""
     reps = []
-    for w in range(-cap, cap + 1):
-        sources, _, _, kernel = _d_block(cap, w)
+    for sources, _, _, kernel in blocks.values():
         reps += [apoly({sources[i]: q for i, q in v.items()})
                  for v in kernel]
     return reps
@@ -197,11 +201,11 @@ def exactness_witness(m):
 def check_cohomology_window(cap):
     """Verify H^0 = span{z^n}, H^1 = span{lam^n omega} for total degree
     <= cap-1.  Returns (ok, failure witness or None)."""
-    blocks = {w: _d_block(cap, w) for w in range(-cap, cap)}
+    blocks = d_blocks(cap)
     # degree 0: representatives supported inside the window lie in C[z],
     # and they span every z^n there; z^n has weight n, so the kernel of
     # the weight-n block is the part of H^0 it can lie in
-    for rep in cohomology_basis(cap):
+    for rep in cohomology_basis(blocks):
         if any(a + b + e > cap - 1 for (a, b, e) in rep):
             continue
         if any(b or e for (a, b, e) in rep):

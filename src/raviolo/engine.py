@@ -35,7 +35,7 @@ from .modes import (GeneratorInfo, FieldExpr, OpeTable, bracket_from_ope,
                     vac_induce)
 from .series import (BiDist, combine_indices, delta_decompose, delta_expand,
                      mon_u_expand)
-from .linalg import Echelon, column_kernel, rational_coords, solve
+from .linalg import column_kernel, rank, rational_coords, solve
 
 
 def _is_one(c):
@@ -1192,32 +1192,36 @@ def dg_cohomology(mod, d, spin_cap):
     every cell; CoordinateError when the differential of a cell's state
     leaves the enumerated window.
     """
+    # cells are keyed by D*spin, an int (_key_info), against an int cap
+    D = mod._spin_den
+    cap = _floor(spin_cap * D)
     cells = {}
     for k, g in mod.basis():
-        if g.spin > spin_cap:
-            continue
-        cells.setdefault((g.spin, g.cohdeg, g.flavor), []).append(k)
+        if (s := mod._key_info(k)[1]) <= cap:
+            cells.setdefault((s, g.cohdeg, g.flavor), []).append(k)
 
-    # column_kernel's echelon of d out of a cell is the image of d in
-    # the next cell, which takes it from here (images[cell]) and so
-    # releases it: each echelon has that one reader
+    # dim H = |cell| - rank(d out) - rank(d in); only a cell with H != 0
+    # builds tagged echelons.  The columns of d out of a cell and their
+    # rank have one reader, the next cell, which takes them (images[cell])
     out, images = {}, {}
     for cell, keys in sorted(cells.items()):
-        spin, deg, fl = cell
-        nxt = (spin, deg + 1, fl)
+        s, deg, fl = cell
+        nxt = (s, deg + 1, fl)
         index = {k: i for i, k in enumerate(cells.get(nxt, []))}
-        images[nxt], kern = column_kernel(
-            [rational_coords(d({k: 1}), index) for k in keys])
-        img = images.pop(cell) if cell in images else Echelon()
-        dim = len(kern) - len(img.rows)
+        cols = [rational_coords(d({k: 1}), index) for k in keys]
+        images[nxt] = cols, rank(cols)
+        incoming, rank_in = images.pop(cell) if cell in images else ([], 0)
+        dim = len(keys) - images[nxt][1] - rank_in
         reps = []
-        # the image is tagged by positions in the previous cell, so the
-        # kernel vectors take tags apart from those
-        for j, vec in enumerate(kern):
-            if img.add(vec, ("kernel", j)) is None and len(reps) < dim:
-                reps.append(as_vector({keys[i]: q
-                                       for i, q in vec.items()}))
-        out[cell] = (dim, reps)
+        if dim:
+            # the image is tagged by positions in the previous cell, so
+            # the kernel vectors take tags apart from those
+            img, kern = column_kernel(incoming)[0], column_kernel(cols)[1]
+            for j, vec in enumerate(kern):
+                if img.add(vec, ("kernel", j)) is None and len(reps) < dim:
+                    reps.append(as_vector({keys[i]: q
+                                           for i, q in vec.items()}))
+        out[Fraction(s, D), deg, fl] = (dim, reps)
     return out
 
 

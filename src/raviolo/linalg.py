@@ -1,15 +1,15 @@
 """Exact linear algebra on one kernel.
 
-Every elimination in the package goes through `Echelon`, one incremental
-sparse echelon basis whose rows are vectors of the scalars layer
-({column: coefficient} dicts, canonical rational entries, no zeros) and
-sum through vadd/vscale like every other vector.  Each stored row has
-its least column as pivot, is scaled to 1 there and is zero in every
-other row's pivot column, so the stored rows are the reduced row
-echelon form of everything added; the pivot inverse is the one ring
-operation beyond the vector primitive.  Each row also carries its
-combination of the tagged vectors that were added, which answers
-dependency and solution questions without a second elimination.
+Eliminations run on vectors of the scalars layer ({column: coefficient}
+dicts, canonical rational entries, no zeros) and sum through vadd/vscale
+like every other vector; a pivot inverse is the one ring operation
+beyond that primitive.  `Echelon` is the incremental basis: each stored
+row has its least column as pivot, is scaled to 1 there and is zero in
+every other row's pivot column (the reduced row echelon form of all
+added), and carries its combination of the tagged vectors added, which
+answers dependency and solution questions without a second elimination.
+`rank` answers only a dimension, by the same pivots without tags or
+back-reduction, so a caller that needs no kernel pays for none.
 
 `kernel_basis` and `in_span` take sparse vectors, such as the
 coordinates `rational_coords` returns, and read their answers off such a
@@ -60,6 +60,18 @@ class Echelon:
                 vadd(ocomb, rcomb, -c)
         self.rows[p] = (row, rcomb)
         return None
+
+
+def rank(vectors):
+    """Rank of sparse vectors: semi-echelon, untagged, no back-reduction."""
+    rows = {}
+    for vec in vectors:
+        res = as_vector(vec)
+        while res and (p := min(res)) in rows:
+            vadd(res, rows[p], -res[p])
+        if res:
+            rows[p] = vscale(res, 1 / Fraction(res[p]))
+    return len(rows)
 
 
 def column_kernel(columns):

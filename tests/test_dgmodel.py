@@ -8,9 +8,10 @@ from raviolo.linalg import CoordinateError, column_kernel, in_span, \
 from raviolo.scalars import Scalar, vadd
 from raviolo.dgmodel import (
     AElement, a_mul, apoly, apoly_mul, apoly_str, apoly_sub, d_poly,
-    sl2_action, omega_class, cohomology_basis, is_exact,
+    sl2_action, omega_class, cohomology_basis, d_blocks, is_exact,
     exactness_witness, check_cohomology_window, monomial_basis,
 )
+from raviolo import dgmodel
 
 Z = AElement.gen("z")
 LAM = AElement.gen("lam")
@@ -122,11 +123,24 @@ def test_sl2_examples():
 
 
 def test_cohomology_small_window():
-    reps0 = cohomology_basis(4)
+    reps0 = cohomology_basis(d_blocks(4))
     # degree 0 should contain 1, z, z^2, z^3 up to the filtration edge
     ok, witness = check_cohomology_window(4)
     assert ok, witness
     assert len(reps0) >= 4
+
+
+def test_window_check_eliminates_each_block_once(monkeypatch):
+    # the H^0 representatives are read off the blocks the window check
+    # already built, so each weight's block is eliminated once
+    weights, block = [], dgmodel._d_block
+
+    def counted(cap, w):
+        weights.append(w)
+        return block(cap, w)
+    monkeypatch.setattr(dgmodel, "_d_block", counted)
+    assert check_cohomology_window(8) == (True, None)
+    assert weights == list(range(-8, 9))
 
 
 def test_cohomology_all_windows():
@@ -272,7 +286,7 @@ def test_blocks_match_whole_basis_elimination():
     assert got[5] == ("CoordinateError",
                       "state leaves the enumerated window: (7, 0, 0)")
     for cap in range(1, 12):
-        assert [list(r.items()) for r in cohomology_basis(cap)] == \
-            [list(r.items()) for r in _whole_cohomology_basis(cap)], cap
+        assert [list(r.items()) for r in cohomology_basis(d_blocks(cap))] \
+            == [list(r.items()) for r in _whole_cohomology_basis(cap)], cap
         assert check_cohomology_window(cap) == _whole_window(cap) \
             == (True, None), cap

@@ -20,7 +20,7 @@ import pytest
 
 from raviolo.scalars import (Scalar, Grading, KAPPA_PARAM, XI_PARAM,
                              as_vector, rational_of, twist, vadd, veq)
-from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr
+from raviolo.modes import GeneratorInfo, OpeTable, FieldExpr, vac_induce
 from raviolo.catalog import fc, sl2, virasoro, heisenberg
 from raviolo.series import BiDist
 from raviolo import catalog, cli, engine
@@ -1166,10 +1166,23 @@ def _dg_cohomology_per_cell(mod, d, spin_cap):
     return out
 
 
+def _sl2_brst_complex(monkeypatch, spin, word):
+    """The sl2 BRST complex as `rav brst` builds it from the sl2 document
+    (one ghost pair per current, K = 1, kappa = 0), with d = Q_(0)."""
+    path = os.path.join(_EXAMPLES, "sl2.rav")
+    M, q = _brst_module_and_charge(monkeypatch, path, spin, word)
+    return M, differential_map(M, q)
+
+
 def test_dg_cohomology_matches_per_cell_reference(monkeypatch):
-    # the bench window of the chiral pair, and the gauged chiral; each
-    # cell is eliminated once, so Echelon.add runs once per basis key
-    # and kernel vector instead of also once per incoming image
+    # the bench window of the chiral pair, the gauged chiral and
+    # criterion 10's sl2 BRST complex.  Ranks decide every dimension, so
+    # Echelon.add runs only in the cells with H != 0: once per basis key
+    # and incoming image there, and once per kernel vector
+    complexes = [("chiral", _chiral_complex(5, 12), (2, 347)),
+                 ("gauged", _gauged_chiral(), (49, 126)),
+                 ("sl2-brst", _sl2_brst_complex(monkeypatch, 2, 14),
+                  (5, 1131))]
     calls = []
     add = Echelon.add
 
@@ -1178,9 +1191,7 @@ def test_dg_cohomology_matches_per_cell_reference(monkeypatch):
         return add(self, vec, tag)
     monkeypatch.setattr(Echelon, "add", counted)
     dims = {}
-    for name, (M, d), counts in [
-            ("chiral", _chiral_complex(5, 12), (215, 347)),
-            ("gauged", _gauged_chiral(), (85, 126))]:
+    for name, (M, d), counts in complexes:
         calls.clear()
         got = dg_cohomology(M, d, M.spin_cap)
         n_got = len(calls)
@@ -1189,7 +1200,42 @@ def test_dg_cohomology_matches_per_cell_reference(monkeypatch):
         assert got == want, name
         assert (n_got, len(calls)) == counts, name
         dims[name] = [dim for _, (dim, _) in sorted(got.items()) if dim]
-    assert dims == {"chiral": [1], "gauged": [1, 1, 1, 1, 2, 2]}
+    assert dims == {"chiral": [1], "gauged": [1, 1, 1, 1, 2, 2],
+                    "sl2-brst": [1, 1]}
+
+
+def test_dg_cohomology_below_the_module_cap():
+    # a cap below the module's: the chiral pair has spins in (1/2)Z, so
+    # the cells are keyed by 2*spin against floor(2*cap)
+    M, d = _chiral_complex(3, 8)
+    full = dg_cohomology(M, d, M.spin_cap)
+    assert any(spin.denominator == 2 for spin, _, _ in full)
+    for cap in (2, Fraction(5, 2)):
+        got = dg_cohomology(M, d, cap)
+        want = [(cell, h) for cell, h in full.items() if cell[0] <= cap]
+        assert list(got.items()) == want, cap
+        assert len(want) < len(full), cap
+
+
+def test_sl2_brst_cohomology_is_h_of_sl2(monkeypatch):
+    # H^*(sl2) = Lambda[x_3]: C at spin 0 in degrees 0 and 3, zero in
+    # every other cell, read off the Poincare polynomial prod_e
+    # (1 + t^(2e+1)) over the exponents e of sl2 (the single exponent 1).
+    # At spin <= 3 the word cap 6 completes every cell: word 7 adds no key
+    M, d = _sl2_brst_complex(monkeypatch, 3, 6)
+    assert len(vac_induce(M.gens, 3, 7, M.flavor_window)) == len(M.basis())
+    poincare = {0: 1}
+    for e in (1,):
+        step = Counter()
+        for deg, c in poincare.items():
+            step[deg] += c
+            step[deg + 2 * e + 1] += c
+        poincare = step
+    coh = dg_cohomology(M, d, M.spin_cap)
+    assert len(coh) > 1
+    got = {(spin, deg): dim for (spin, deg, _), (dim, _) in coh.items()
+           if dim}
+    assert got == {(0, deg): c for deg, c in poincare.items()}
 
 
 def _euler_characteristics(dims):
@@ -1219,10 +1265,10 @@ def test_dg_cohomology_euler_poincare():
 
 
 def test_dg_cohomology_releases_each_image_echelon():
-    # each cell's image echelon has one reader, the next cell, which
-    # drops it; kept to the end, the echelons raise the peak above the
-    # start from about 29 KB to 66 KB on the bench's chiral window (a
-    # first call fills the map's table, so only the elimination counts)
+    # each cell's outgoing columns have one reader, the next cell, which
+    # drops them; kept to the end, they raise the peak above the start
+    # from about 25 KB to 48 KB on the bench's chiral window (a first
+    # call fills the map's table, so only the elimination counts)
     M, d = _chiral_complex(5, 12)
     want = dg_cohomology(M, d, M.spin_cap)
     tracemalloc.start()
@@ -1274,20 +1320,21 @@ def _derivation_rule_mismatches(mod, w, twice=False):
     return bad
 
 
-def _brst_module_and_charge(monkeypatch, path):
-    """The module and charge `rav brst path --spin 2 --word 3` builds."""
+def _brst_module_and_charge(monkeypatch, path, spin=2, word=3):
+    """The module and charge `rav brst path --spin S --word W` builds."""
     seen = []
 
     def recording(mod, w):
         seen.append((mod, w))
         return differential_map(mod, w)
     monkeypatch.setattr(cli, "differential_map", recording)
-    cli.main(["brst", path, "--spin", "2", "--word", "3"])
+    cli.main(["brst", path, "--spin", str(spin), "--word", str(word)])
     (mod, w), = seen
     return mod, w
 
 
 _CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus")
+_EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "dsl")
 
 
 @pytest.mark.parametrize("doc", ["sl2.rav", "notjacobi.rav"])

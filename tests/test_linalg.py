@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from raviolo.linalg import (CoordinateError, column_kernel, rref,
+from raviolo.linalg import (CoordinateError, column_kernel, rank, rref,
                             kernel_basis, solve, in_span)
 from raviolo.catalog import fc
 from raviolo.dgmodel import (AElement, a_mul, d_poly, is_exact,
@@ -51,7 +51,13 @@ def test_rank_against_sympy():
     for _ in range(25):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = _rand_matrix(rng, m, n)
-        assert len(rref(a)[1]) == sympy.Matrix(a).rank()
+        r = sympy.Matrix(a).rank()
+        assert len(rref(a)[1]) == r
+        # the untagged rank, on columns and on rows, leaves them as given
+        cols, rows = _columns(a, n), [_sparse(row) for row in a]
+        assert rank(cols) == rank(rows) == r
+        assert cols == _columns(a, n) and rows == [_sparse(x) for x in a]
+    assert rank([]) == rank([{}, {}]) == 0
 
 
 def test_kernel_against_sympy():
