@@ -205,17 +205,24 @@ class LatticeModule:
     1).  States are (sector, state-dict) pairs; the sector index is also
     the flavor weight of the cyclic vector.
 
+    Every generator mode acts through one sector's module (_b, sector
+    0).  The Heisenberg table has b-nu products only at index 1 and no
+    nu-nu product, so nu_(0) commutes with every mode, and the cyclic
+    vector is the only place a sector shows: sector m's rule answers
+    nu_(0) with m and every other annihilation mode with zero
+    (_fock_rule).  So nu_(0) acts on sector m as on sector 0 plus m
+    times the state, and every other mode acts alike in all sectors.
+    The per-sector modules (sectors) give the bases, labels, spins and
+    the character.
+
     The vertex operators are linear, so vertex_mode sums per-key values
     read from two index-keyed tables, each entry computed once:
     - _exp[(strength, key)] lists E_p|key>, p = 0, 1, ..., grown p by p
       (E_p is the z^p coefficient of the creation-half exponential);
     - _vertex[(m1, t, key)] is V^{m1}_t|key>.
-    Both are built from b modes alone, and b modes act identically in
-    every sector: sectors differ only in nu_(0) on the cyclic vector
-    (_fock_rule), which no b mode reaches.  So one sector's module (_b)
-    serves every sector, and the tables hold no sector.  The tables grow
-    with the keys, modes and weights asked for and are never trimmed
-    (ROADMAP item 9)."""
+    Both are built from b modes alone, so the tables hold no sector.
+    They, and _b's action memo, grow with the keys, modes and weights
+    asked for and are never trimmed (ROADMAP item 9)."""
 
     def __init__(self, window, spin_cap, word_cap):
         self.window = window
@@ -228,8 +235,11 @@ class LatticeModule:
 
     def act(self, name, n, mst):
         m, st = mst
-        mod = self._b if name == "b" else self.sectors[m]
-        return (m, mod.act(name, n, st))
+        out = self._b.act(name, n, st)
+        if m and n == 0 and name == "nu":
+            # nu_(0) is even: the sector's eigenvalue passes every mode
+            vadd(out, st, m)
+        return (m, out)
 
     def _exp_part(self, strength, key, p):
         """E_p|key>, with E_p the z^p coefficient of the creation-half
@@ -306,25 +316,75 @@ class LatticeModule:
 LATTICE_TAY = 3
 
 
+def _nu_expect(vert, m, l, t):
+    """The right side of the nu-delta row (l, t): the weight times the
+    delta kernel.  In mode components, with the canonical-ordering signs
+    (creation nu modes are odd and anticommute with the tower symbols,
+    flipping both the bracket and the right-hand side),
+      l <  0, t >= 0:  {nu_l, V_t} = -m V_(l+t)
+      l >= 0:          [nu_l, V_t] = +m V_(l+t)
+    and zero whenever the z/tower index combination l + t + 1 dies (both
+    creation, or mixed with l + t + 1 > 0)."""
+    if l < 0 and t < 0:
+        return {}
+    if l + t + 1 <= 0 or (l >= 0 and t >= 0):
+        return vscale(vert[l + t], -m if (l < 0 and t >= 0) else m)
+    return {}
+
+
+def _commutator(lat, name, l, m, t, base, gen_on):
+    """g_l V^m_t - (+-) V^m_t g_l on a sample state, given V^m_t of it
+    (base) and g_l of it (gen_on); the sign is the Koszul sign of the
+    two modes: b_l is odd for l >= 0, nu_l for l < 0, V_t for t >= 0."""
+    odd = l >= 0 if name == "b" else l < 0
+    ks = -1 if (odd and t >= 0) else 1
+    return vsub(lat.act(name, l, base)[1],
+                vscale(lat.vertex_mode(m, t, gen_on)[1], ks))
+
+
 def _sector_free_rows(lat, m, mst, ts, ls):
-    """The rows of one sample state that read only b modes and the
-    vertex tables: the vertex images V^m_s of the state by s, from the
-    lowest t to the highest l + t (the nu-delta right sides read l + t,
-    and none reads one below the lowest t), and the graded commutators
-    b_l V^m_t - (+-) V^m_t b_l on it by (t, l)."""
+    """The rows of one sample state that read no sector: the vertex
+    images V^m_s of the state by s, from the lowest t to the highest
+    l + t (the nu-delta right sides read l + t, and none reads one below
+    the lowest t); the b-commute rows by (t, l); and the nu-delta rows
+    with l != 0, as (lhs, rhs) by (t, l)."""
     b_on = {l: lat.act("b", l, mst) for l in ls}
+    nu_on = {l: lat.act("nu", l, mst) for l in ls if l}
     vert = {s: lat.vertex_mode(m, s, mst)[1]
             for s in range(ts[0], ts[-1] + ls[-1] + 1)}
-    commute = {}
+    commute, nu_rows = {}, {}
     for t in ts:
         base = (m + mst[0], vert[t])
         for l in ls:
-            # b_l and V_t are both odd when l, t >= 0
-            ks = -1 if (l >= 0 and t >= 0) else 1
-            commute[t, l] = vsub(lat.act("b", l, base)[1],
-                                 vscale(lat.vertex_mode(m, t, b_on[l])[1],
-                                        ks))
-    return vert, commute
+            commute[t, l] = _commutator(lat, "b", l, m, t, base, b_on[l])
+            if l:
+                nu_rows[t, l] = (
+                    _commutator(lat, "nu", l, m, t, base, nu_on[l]),
+                    _nu_expect(vert, m, l, t))
+    return vert, commute, nu_rows
+
+
+def _nop_b_rows(lat, mst, spin):
+    """(t, b_t|sample>, the two-block mode sum of :V_1 dV_(-1): on it)
+    for every t of relation 3; the vertex modes read no sector."""
+    rows = []
+    for t in range(-(LATTICE_TAY + 1), spin + 1):
+        rhs = {}
+        if t < 0:
+            for n in range(t, 0):
+                inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
+                vadd(rhs, lat.vertex_mode(1, n, inner)[1])
+        else:
+            # bounds from the factor spins (0 and 1) as in the
+            # normal-ordered mode recursion
+            for n in range(t - spin - 1, 0):
+                inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
+                vadd(rhs, lat.vertex_mode(1, n, inner)[1], -1)
+            for n in range(t - spin, 0):
+                inner = lat.vertex_mode(1, t - n - 1, mst)
+                vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1], -1)
+        rows.append((t, lat.act("b", t, mst)[1], rhs))
+    return rows
 
 
 @identity_check
@@ -339,15 +399,14 @@ def check_lattice_relations(lat, mrange, spin_cap):
          derivative of the weight-(-1) field has the modes of b.
     A witness ends with the sample state, printed by its sector.
 
-    Every sector holds the same sample keys, and b modes and the vertex
-    tables act alike in all of them (LatticeModule), so for each weight
-    m the rows that read only those, V^m_s|key> (relation 2 reads it at
-    s = t and, on its right side, at s = l + t) and the b-commute
-    differences of relation 1, are computed in the first sector that
-    holds the key and read again in the others (a table of one call,
-    reset at each m).  The nu rows stay per sector: nu_(0) acts through
-    each sector's own module.  Instances and their order are those of
-    the per-sector loop."""
+    Every sector holds the same sample keys, and only nu_(0) reads the
+    sector (LatticeModule).  So the rows that do not read it are
+    computed in the first sector that holds the key and read again in
+    the others: for each weight m, the vertex images, the b-commute rows
+    and the nu-delta rows with l != 0 (_sector_free_rows, a table reset
+    at each m); and the nop-b rows once per key (_nop_b_rows).  Only the
+    l = 0 nu-delta row is evaluated in each sector.  Instances and their
+    order are those of the per-sector loop."""
     win = lat.window
     for m in range(-mrange, mrange + 1):
         shared = {}  # sample key -> _sector_free_rows at this m
@@ -360,66 +419,36 @@ def check_lattice_relations(lat, mrange, spin_cap):
                 (key,) = mst[1]
                 if key not in shared:
                     shared[key] = _sector_free_rows(lat, m, mst, ts, ls)
-                vert, commute = shared[key]
-                nu_on = {l: lat.act("nu", l, mst) for l in ls}
+                vert, commute, nu_rows = shared[key]
+                nu_zero = lat.act("nu", 0, mst)
                 for t in ts:
-                    pv = 1 if t >= 0 else 0  # tower-mode parity of V_t
-                    base = (m + m2, vert[t])
                     for l in ls:
                         # 1) graded [b_l, V_t] = 0
                         yield (("b-commute", m, l, t, m2, label),
                                commute[t, l], {})
-                        # 2) the nu bracket gives the weight times the
-                        # delta kernel: in mode components, with the
-                        # canonical-ordering signs (creation nu modes
-                        # are odd and anticommute with the tower
-                        # symbols, flipping both the bracket and the
-                        # right-hand side),
-                        #   l <  0, t >= 0:  {nu_l, V_t} = -m V_(l+t)
-                        #   l >= 0:          [nu_l, V_t] = +m V_(l+t)
-                        # and zero whenever the z/tower index
-                        # combination l + t + 1 dies (both creation, or
-                        # mixed with l + t + 1 > 0)
-                        ks = -1 if (l < 0 and pv) else 1
-                        lhs = vsub(lat.act("nu", l, base)[1],
-                                   vscale(lat.vertex_mode(
-                                       m, t, nu_on[l])[1], ks))
-                        comb = l + t + 1
-                        if l < 0 and t < 0:
-                            expect = {}
-                        elif comb <= 0 or (l >= 0 and t >= 0):
-                            sgn = -m if (l < 0 and t >= 0) else m
-                            expect = vscale(vert[l + t], sgn)
+                        # 2) the nu bracket: the weight times the delta
+                        # kernel, nu_(0) read in this sector
+                        if l:
+                            lhs, expect = nu_rows[t, l]
                         else:
-                            expect = {}
+                            lhs = _commutator(lat, "nu", 0, m, t,
+                                              (m + m2, vert[t]), nu_zero)
+                            expect = _nu_expect(vert, m, 0, t)
                         yield (("nu-delta", m, l, t, m2, label), lhs,
                                expect)
     # 3) :V_1 dV_(-1): reproduces b, via the two-block mode sums.  For
     # t >= 0 the inner factor sits in an annihilation mode (odd), and
     # putting it right of the outer tower symbol costs one Koszul sign,
     # so both annihilation-range blocks carry -1.
+    nop = {}  # sample key -> _nop_b_rows
     for m2 in range(-win + 1, win):
         for mst in lat.samples(m2, spin_cap):
-            spin = int(lat.state_spin(mst))
             label = lat.sectors[m2].state_str(mst[1])
-            for t in range(-(LATTICE_TAY + 1), spin + 1):
-                rhs = {}
-                if t < 0:
-                    for n in range(t, 0):
-                        inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
-                        vadd(rhs, lat.vertex_mode(1, n, inner)[1])
-                else:
-                    # bounds from the factor spins (0 and 1) as in the
-                    # normal-ordered mode recursion
-                    for n in range(t - spin - 1, 0):
-                        inner = lat.vertex_deriv_mode(-1, t - n - 1, mst)
-                        vadd(rhs, lat.vertex_mode(1, n, inner)[1], -1)
-                    for n in range(t - spin, 0):
-                        inner = lat.vertex_mode(1, t - n - 1, mst)
-                        vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1],
-                             -1)
-                yield (("nop-b", t, m2, label), lat.act("b", t, mst)[1],
-                       rhs)
+            (key,) = mst[1]
+            if key not in nop:
+                nop[key] = _nop_b_rows(lat, mst, int(lat.state_spin(mst)))
+            for t, lhs, rhs in nop[key]:
+                yield ("nop-b", t, m2, label), lhs, rhs
 
 
 # ------------------------------------------------------------ characters

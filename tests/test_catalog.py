@@ -204,15 +204,8 @@ def _direct_vertex_mode(lat, m1, t, mst, strength=None):
 def test_lattice_vertex_modes_match_direct_evaluation():
     win = 2
     lat = LatticeModule(window=win, spin_cap=3, word_cap=4)
-    # an odd parameter in a coefficient feels the parity of the mode
-    xi = Scalar.param(XI_PARAM)
-    coeffs = (1, -2, Fraction(1, 3), xi, 1 + xi)
     for m2, mod in lat.sectors.items():
-        keys = [k for k, g in mod.basis() if g.spin <= 3]
-        # three-key states of mixed spins, plus each single key
-        states = [{k: 1} for k in keys] + [
-            {k: c for k, c in zip(keys[i:i + 3], coeffs[i % 3:])}
-            for i in range(0, len(keys) - 2, 2)]
+        states = _lattice_test_states(mod, 3)
         assert any(len({sum(-n for _, n in k) for k in st}) > 1
                    for st in states)
         for m1 in range(-win - m2, win - m2 + 1):
@@ -233,6 +226,31 @@ def test_lattice_b_modes_act_as_in_sector_zero():
             for n in range(-6, 7):
                 assert mod.act("b", n, {k: 1}) == \
                     zero.act("b", n, {k: 1}), (m, k, n)
+
+
+def _lattice_test_states(mod, spin_cap=None):
+    """Each basis key of a sector (within the spin cap), plus three-key
+    states of mixed spins whose coefficients include the odd parameter
+    xi, which feels the parity of a mode."""
+    xi = Scalar.param(XI_PARAM)
+    coeffs = (1, -2, Fraction(1, 3), xi, 1 + xi)
+    keys = [k for k, g in mod.basis()
+            if spin_cap is None or g.spin <= spin_cap]
+    return [{k: 1} for k in keys] + [
+        {k: c for k, c in zip(keys[i:i + 3], coeffs[i % 3:])}
+        for i in range(0, len(keys) - 2, 2)]
+
+
+def test_lattice_act_matches_each_sector():
+    # act reads both generators through sector 0's module and adds the
+    # sector only at nu_(0); each sector's own module is the oracle
+    lat = LatticeModule(window=3, spin_cap=4, word_cap=6)
+    for m, mod in lat.sectors.items():
+        for st in _lattice_test_states(mod):
+            for name in ("b", "nu"):
+                for n in range(-6, 7):
+                    assert lat.act(name, n, (m, st)) == \
+                        (m, mod.act(name, n, st)), (m, st, name, n)
 
 
 class _SignFlippedLattice(LatticeModule):
@@ -268,7 +286,11 @@ def test_lattice_relations_fail_on_broken_vertex_modes(cls, prefix):
 
 def _lattice_rows_per_sector(lat, mrange, spin_cap):
     """Reference: the rows of check_lattice_relations with every row
-    evaluated in its own sector, b-commute rows included."""
+    evaluated in its own sector, b-commute rows included, and every b
+    and nu mode read through that sector's own module."""
+    def act(name, n, mst):
+        return (mst[0], lat.sectors[mst[0]].act(name, n, mst[1]))
+
     win = lat.window
     for m in range(-mrange, mrange + 1):
         for m2 in range(-win + abs(m), win - abs(m) + 1):
@@ -276,19 +298,19 @@ def _lattice_rows_per_sector(lat, mrange, spin_cap):
                 spin = int(lat.state_spin(mst))
                 label = lat.sectors[m2].state_str(mst[1])
                 ls = range(-(LATTICE_TAY + 1), spin + 2)
-                b_on = {l: lat.act("b", l, mst) for l in ls}
-                nu_on = {l: lat.act("nu", l, mst) for l in ls}
+                b_on = {l: act("b", l, mst) for l in ls}
+                nu_on = {l: act("nu", l, mst) for l in ls}
                 for t in range(-(LATTICE_TAY + 1), spin + 1):
                     pv = 1 if t >= 0 else 0
                     base = lat.vertex_mode(m, t, mst)
                     for l in ls:
                         ks = -1 if (l >= 0 and pv) else 1
-                        lhs = vsub(lat.act("b", l, base)[1],
+                        lhs = vsub(act("b", l, base)[1],
                                    vscale(lat.vertex_mode(
                                        m, t, b_on[l])[1], ks))
                         yield ("b-commute", m, l, t, m2, label), lhs, {}
                         ks = -1 if (l < 0 and pv) else 1
-                        lhs = vsub(lat.act("nu", l, base)[1],
+                        lhs = vsub(act("nu", l, base)[1],
                                    vscale(lat.vertex_mode(
                                        m, t, nu_on[l])[1], ks))
                         comb = l + t + 1
@@ -320,7 +342,7 @@ def _lattice_rows_per_sector(lat, mrange, spin_cap):
                         inner = lat.vertex_mode(1, t - n - 1, mst)
                         vadd(rhs, lat.vertex_deriv_mode(-1, n, inner)[1],
                              -1)
-                yield (("nop-b", t, m2, label), lat.act("b", t, mst)[1],
+                yield (("nop-b", t, m2, label), act("b", t, mst)[1],
                        rhs)
 
 
@@ -341,10 +363,58 @@ class _FlippedExpPart(LatticeModule):
             else out
 
 
+class _ChargedSectors(LatticeModule):
+    """Every mode read through its sector's own module, sector m built
+    with nu_(0) eigenvalue charge(m) instead of m."""
+
+    @staticmethod
+    def charge(m):
+        return m
+
+    def __init__(self, window, spin_cap, word_cap):
+        super().__init__(window, spin_cap, word_cap)
+        for m in self.sectors:
+            if self.charge(m) != m:
+                self.sectors[m] = fock(self.charge(m), spin_cap, word_cap,
+                                       sector_flavor=m)
+
+    def act(self, name, n, mst):
+        m, st = mst
+        return (m, self.sectors[m].act(name, n, st))
+
+
+class _DoubledCharge(_ChargedSectors):
+    """nu_(0) acts by 2m on sector m."""
+
+    @staticmethod
+    def charge(m):
+        return 2 * m
+
+
+class _SectorOneCharge(_ChargedSectors):
+    """nu_(0) acts by 2m on sector 1 only: no uniform shift of the
+    weights, so the l = 0 nu-delta rows differ from sector to sector."""
+
+    @staticmethod
+    def charge(m):
+        return 2 if m == 1 else m
+
+
+def test_lattice_relations_fail_on_a_wrong_sector_charge():
+    # the window of `rav lattice --order 1 --spin 1 --word 2`: nu_(0)
+    # reads the sector only in the l = 0 nu-delta rows
+    for cls, m2 in ((_DoubledCharge, -1), (_SectorOneCharge, 1)):
+        lat = cls(window=3, spin_cap=2, word_cap=2)
+        assert check_lattice_relations(lat, mrange=2, spin_cap=1) == \
+            (False, ("nu-delta", -2, 0, -4, m2, "|0>"))
+
+
 @pytest.mark.parametrize("cls, first", [
     (LatticeModule, None),
     (_FlippedVertexKey, ("nu-delta", -1, 1, -3, -2, "|0>")),
     (_FlippedExpPart, ("b-commute", -2, -1, -3, -1, "|0>")),
+    (_DoubledCharge, ("nu-delta", -2, 0, -4, -1, "|0>")),
+    (_SectorOneCharge, ("nu-delta", -2, 0, -4, 1, "|0>")),
 ])
 def test_lattice_rows_match_per_sector_reference(cls, first):
     # the window of `rav lattice --order 1 --spin 1 --word 2`, then a
@@ -368,28 +438,52 @@ def test_lattice_rows_match_per_sector_reference(cls, first):
 
 def test_lattice_b_commute_rows_computed_once_per_weight(monkeypatch):
     # at the CLI window each sample key meets 5 weights m across 23
-    # (m, sector) pairs; its b-commute rows are computed once per m, and
-    # so are the nu-delta right sides V^m_(l+t)
-    calls, mode_calls = Counter(), Counter()
+    # (m, sector) pairs; its b-commute rows and its nu-delta rows with
+    # l != 0 are computed once per m, and so are the nu-delta right sides
+    # V^m_(l+t); its nop-b rows, met in 5 sectors, are computed once
+    calls, nop_calls, mode_calls = Counter(), Counter(), Counter()
+    nu_outside = Counter()  # nu modes acting outside _sector_free_rows
+    inside = []
     sector_free = catalog._sector_free_rows
+    nop_b = catalog._nop_b_rows
     vertex_mode = LatticeModule.vertex_mode
+    act = LatticeModule.act
 
     def counted(lat, m, mst, ts, ls):
         calls[tuple(mst[1])] += 1
-        return sector_free(lat, m, mst, ts, ls)
+        inside.append(True)
+        try:
+            return sector_free(lat, m, mst, ts, ls)
+        finally:
+            inside.pop()
+
+    def counted_nop(lat, mst, spin):
+        nop_calls[tuple(mst[1])] += 1
+        return nop_b(lat, mst, spin)
 
     def counted_mode(lat, m1, t, mst):
         mode_calls[m1] += 1
         return vertex_mode(lat, m1, t, mst)
+
+    def counted_act(lat, name, n, mst):
+        if name == "nu" and not inside:
+            nu_outside[n] += 1
+        return act(lat, name, n, mst)
     monkeypatch.setattr(catalog, "_sector_free_rows", counted)
+    monkeypatch.setattr(catalog, "_nop_b_rows", counted_nop)
     monkeypatch.setattr(LatticeModule, "vertex_mode", counted_mode)
+    monkeypatch.setattr(LatticeModule, "act", counted_act)
     lat = LatticeModule(window=3, spin_cap=2, word_cap=2)
-    rows = Counter((w[2], w[3], w[5]) for w, _, _ in
+    rows = Counter((w[0], w[2], w[3], w[5]) for w, _, _ in
                    check_lattice_relations.__wrapped__(lat, 2, 1)
-                   if w[0] == "b-commute")
+                   if w[0] != "nop-b")
     assert set(rows.values()) == {23}
     assert len(calls) == 3 and set(calls.values()) == {5}
-    assert sum(mode_calls.values()) <= 3677
+    assert len(nop_calls) == 3 and set(nop_calls.values()) == {1}
+    # only nu_(0) reads the sector: on each of the 23 x 3 samples and on
+    # its V^m_t for every t (5 at spin 0, 6 at spin 1)
+    assert nu_outside == {0: 23 * ((1 + 5) + 2 * (1 + 6))}
+    assert sum(mode_calls.values()) <= 1631
 
 
 # ------------------------------------------------------ characters

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from raviolo import catalog
 from raviolo.cli import (
     parse_spec, print_doc, expr_str, parse_expr, SpecError, main,
 )
@@ -379,6 +380,22 @@ def test_lattice_window_zero_rejected(capsys):
         "error: lattice needs --flavor-window >= 1\n"
     assert main(["lattice", "--order", "1", "--flavor-window", "1"]) == 0
     assert "lattice(window=1)" in capsys.readouterr().out
+
+
+def test_lattice_checks_the_window_it_prints(capsys, monkeypatch):
+    # the relations run at the printed spin and at every weight whose
+    # shift keeps a sector inside the window
+    seen = []
+
+    def record(lat, mrange, spin_cap):
+        seen.append((lat.window, mrange, spin_cap))
+        return True, None
+    monkeypatch.setattr(catalog, "check_lattice_relations", record)
+    assert main(["lattice", "--order", "1", "--spin", "4"]) == 0
+    assert "lattice(window=3) (spin <= 4," in capsys.readouterr().out
+    assert main(["lattice", "--order", "1", "--flavor-window", "5"]) == 0
+    assert "lattice(window=5) (spin <= 3," in capsys.readouterr().out
+    assert seen == [(3, 2, 4), (5, 4, 3)]
 
 
 # each subcommand takes only the options it reads
