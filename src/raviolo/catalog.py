@@ -165,14 +165,11 @@ def _fock_rule(lam):
     return rule
 
 
-def fock(lam, spin_cap, word_cap=6, sector_flavor=None):
+def fock(lam, spin_cap, word_cap=6):
     """The induced weight-one-pair module with nu_(0) eigenvalue lam on
     the cyclic vector and K specialized to 1."""
-    fl = (sector_flavor,) if sector_flavor is not None else ()
     return PBWModule(heisenberg(), spin_cap=spin_cap, word_cap=word_cap,
-                     cyclic_rule=_fock_rule(lam),
-                     cyclic_grading=Grading(0, 0, 0, fl),
-                     specialize={"K": 1})
+                     cyclic_rule=_fock_rule(lam), specialize={"K": 1})
 
 
 def highest_weight_kernel(mod, spin_cap):
@@ -200,20 +197,18 @@ def highest_weight_kernel(mod, spin_cap):
 # ------------------------------------------------------ lattice module
 
 class LatticeModule:
-    """Direct sum of weight-one-pair Fock sectors indexed by integers in
-    a window, with the sector-shift vertex operators (all cocycle values
-    1).  States are (sector, state-dict) pairs; the sector index is also
-    the flavor weight of the cyclic vector.
+    """The lattice module of the weight-one pair: the direct sum of the
+    Fock sectors F_m, m in a window, with the sector-shift vertex
+    operators (all cocycle values 1).  States are (sector, state-dict)
+    pairs.
 
-    Every generator mode acts through one sector's module (_b, sector
-    0).  The Heisenberg table has b-nu products only at index 1 and no
-    nu-nu product, so nu_(0) commutes with every mode, and the cyclic
-    vector is the only place a sector shows: sector m's rule answers
-    nu_(0) with m and every other annihilation mode with zero
-    (_fock_rule).  So nu_(0) acts on sector m as on sector 0 plus m
-    times the state, and every other mode acts alike in all sectors.
-    The per-sector modules (sectors) give the bases, labels, spins and
-    the character.
+    Every sector is the same Fock space; only its cyclic vector's nu_(0)
+    eigenvalue, m, differs (_fock_rule answers every other annihilation
+    mode with zero).  The Heisenberg table has b-nu products only at
+    index 1 and no nu-nu product, so nu_(0) commutes with every mode.
+    So the module holds one Fock module, fock = fock(0), which gives
+    every sector's basis, labels and spins; every mode acts through it,
+    and act adds m times the state to nu_(0) on sector m.
 
     The vertex operators are linear, so vertex_mode sums per-key values
     read from two index-keyed tables, each entry computed once:
@@ -221,21 +216,18 @@ class LatticeModule:
       (E_p is the z^p coefficient of the creation-half exponential);
     - _vertex[(m1, t, key)] is V^{m1}_t|key>.
     Both are built from b modes alone, so the tables hold no sector.
-    They, and _b's action memo, grow with the keys, modes and weights
-    asked for and are never trimmed (ROADMAP item 9)."""
+    They, and the Fock module's action memo, grow with the keys, modes
+    and weights asked for and are never trimmed (ROADMAP item 9)."""
 
     def __init__(self, window, spin_cap, word_cap):
         self.window = window
-        self.spin_cap = spin_cap
-        self.sectors = {m: fock(m, spin_cap, word_cap, sector_flavor=m)
-                        for m in range(-window, window + 1)}
-        self._b = self.sectors[0]
+        self.fock = fock(0, spin_cap, word_cap)
         self._exp = {}
         self._vertex = {}
 
     def act(self, name, n, mst):
         m, st = mst
-        out = self._b.act(name, n, st)
+        out = self.fock.act(name, n, st)
         if m and n == 0 and name == "nu":
             # nu_(0) is even: the sector's eigenvalue passes every mode
             vadd(out, st, m)
@@ -251,7 +243,7 @@ class LatticeModule:
             n = len(parts)
             acc = {}
             for j in range(1, n + 1):
-                vadd(acc, self._b.act("b", -j, parts[n - j]), -strength)
+                vadd(acc, self.fock.act("b", -j, parts[n - j]), -strength)
             parts.append(vscale(acc, Fraction(1, n)))
         return parts[p]
 
@@ -269,7 +261,7 @@ class LatticeModule:
                 if m1:
                     for p in range(sum(-n for _, n in key) - t):
                         q = t + p + 1
-                        for k2, c in self._b.act("b", q, {key: 1}).items():
+                        for k2, c in self.fock.act("b", q, {key: 1}).items():
                             vadd(out, self._exp_part(m1, k2, p),
                                  Fraction(-m1, q) * c)
             self._vertex[(m1, t, key)] = out
@@ -301,15 +293,6 @@ class LatticeModule:
             return (m1 + mst[0], {})
         s, out = self.vertex_mode(m1, t - 1, mst)
         return (s, vscale(out, -t))
-
-    def state_spin(self, mst):
-        m, st = mst
-        return self.sectors[m].state_spin(st)
-
-    def samples(self, m, max_spin):
-        mod = self.sectors[m]
-        return [(m, {k: 1}) for k, g in mod.basis()
-                if g.spin <= max_spin]
 
 
 # the Taylor depth of the lattice relations: modes from -(LATTICE_TAY + 1)
@@ -397,26 +380,28 @@ def check_lattice_relations(lat, mrange, spin_cap):
          index-combination rule;
       3) the normal-ordered product of the weight-1 field with the
          derivative of the weight-(-1) field has the modes of b.
-    A witness ends with the sample state, printed by its sector.
+    A witness ends with the sample state's sector and label.
 
-    Every sector holds the same sample keys, and only nu_(0) reads the
-    sector (LatticeModule).  So the rows that do not read it are
-    computed in the first sector that holds the key and read again in
-    the others: for each weight m, the vertex images, the b-commute rows
-    and the nu-delta rows with l != 0 (_sector_free_rows, a table reset
-    at each m); and the nop-b rows once per key (_nop_b_rows).  Only the
-    l = 0 nu-delta row is evaluated in each sector.  Instances and their
-    order are those of the per-sector loop."""
+    Every sector holds the same sample keys, so their spins and labels
+    are read once, from the lattice's one Fock module.  Only nu_(0)
+    reads the sector (LatticeModule), so the rows that do not read it
+    are computed in the first sector that holds the key and read again
+    in the others: for each weight m, the vertex images, the b-commute
+    rows and the nu-delta rows with l != 0 (_sector_free_rows, a table
+    reset at each m); and the nop-b rows once per key (_nop_b_rows).
+    Only the l = 0 nu-delta row is evaluated, through lat.act, in each
+    sector.  Instances and their order are those of the per-sector
+    loop."""
     win = lat.window
+    samples = [(key, int(g.spin), lat.fock.state_str({key: 1}))
+               for key, g in lat.fock.basis() if g.spin <= spin_cap]
     for m in range(-mrange, mrange + 1):
         shared = {}  # sample key -> _sector_free_rows at this m
         for m2 in range(-win + abs(m), win - abs(m) + 1):
-            for mst in lat.samples(m2, spin_cap):
-                spin = int(lat.state_spin(mst))
-                label = lat.sectors[m2].state_str(mst[1])
+            for key, spin, label in samples:
+                mst = (m2, {key: 1})
                 ls = range(-(LATTICE_TAY + 1), spin + 2)
                 ts = range(-(LATTICE_TAY + 1), spin + 1)
-                (key,) = mst[1]
                 if key not in shared:
                     shared[key] = _sector_free_rows(lat, m, mst, ts, ls)
                 vert, commute, nu_rows = shared[key]
@@ -442,11 +427,9 @@ def check_lattice_relations(lat, mrange, spin_cap):
     # so both annihilation-range blocks carry -1.
     nop = {}  # sample key -> _nop_b_rows
     for m2 in range(-win + 1, win):
-        for mst in lat.samples(m2, spin_cap):
-            label = lat.sectors[m2].state_str(mst[1])
-            (key,) = mst[1]
+        for key, spin, label in samples:
             if key not in nop:
-                nop[key] = _nop_b_rows(lat, mst, int(lat.state_spin(mst)))
+                nop[key] = _nop_b_rows(lat, (m2, {key: 1}), spin)
             for t, lhs, rhs in nop[key]:
                 yield ("nop-b", t, m2, label), lhs, rhs
 
@@ -540,11 +523,14 @@ LATTICE_FUG = "x"
 
 
 def lattice_character(lat, order):
+    """Signed graded dimensions of the lattice module: each key of the
+    one Fock basis counted once per sector, sector m under the fugacity
+    LATTICE_FUG^m."""
     qs = QSeries({}, order)
-    for m, mod in lat.sectors.items():
-        for key, g in mod.basis():
-            if g.spin >= Fraction(order):
-                continue
+    for _, g in lat.fock.basis():
+        if g.spin >= Fraction(order):
+            continue
+        for m in range(-lat.window, lat.window + 1):
             f = ((LATTICE_FUG, m),) if m else ()
             qs.add_term(g.spin, f, -1 if g.tot else 1)
     return qs

@@ -1192,12 +1192,13 @@ def dg_cohomology(mod, d, spin_cap):
     every cell; CoordinateError when the differential of a cell's state
     leaves the enumerated window.
     """
-    # cells are keyed by D*spin, an int (_key_info), against an int cap
+    # cells are keyed by D*spin, an int read off the basis grading (whose
+    # spin denominator divides D), against an int cap
     D = mod._spin_den
     cap = _floor(spin_cap * D)
     cells = {}
     for k, g in mod.basis():
-        if (s := mod._key_info(k)[1]) <= cap:
+        if (s := g.spin.numerator * (D // g.spin.denominator)) <= cap:
             cells.setdefault((s, g.cohdeg, g.flavor), []).append(k)
 
     # dim H = |cell| - rank(d out) - rank(d in); only a cell with H != 0

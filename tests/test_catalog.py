@@ -5,12 +5,13 @@ expansions; the current-algebra and module facts are checked against
 hand values.
 """
 
+import inspect
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from raviolo import catalog
+from raviolo import catalog, cli, engine
 from raviolo.engine import PBWModule, verify_axioms, conformal_check
 from raviolo.scalars import (Scalar, XI_PARAM, rational_of, vadd, vscale,
                              vsub, veq)
@@ -145,6 +146,13 @@ def test_fock_zero_matches_vacuum_module():
 
 # ------------------------------------------------------ lattice module
 
+def _fock_sectors(window, spin_cap, word_cap, charge=lambda m: m):
+    """The per-sector oracle of a lattice window: each sector m its own
+    Fock module, with nu_(0) eigenvalue charge(m)."""
+    return {m: fock(charge(m), spin_cap, word_cap)
+            for m in range(-window, window + 1)}
+
+
 def test_lattice_defining_relations():
     lat = LatticeModule(window=4, spin_cap=4, word_cap=6)
     ok, wit = check_lattice_relations(lat, mrange=3, spin_cap=3)
@@ -155,7 +163,7 @@ def test_lattice_shift_and_sector_weight():
     lat = LatticeModule(window=3, spin_cap=3, word_cap=6)
 
     def bare(m):
-        return (m, lat.sectors[m].vacuum())
+        return (m, lat.fock.vacuum())
     for m1 in (-2, 0, 2):
         for m2 in (-1, 1):
             sector, st = lat.vertex_mode(m1, -1, bare(m2))
@@ -170,16 +178,17 @@ def test_lattice_shift_and_sector_weight():
                    vscale(bare(m)[1], Fraction(m)))
 
 
-def _direct_vertex_mode(lat, m1, t, mst, strength=None):
-    """V^{m1}_t on a whole state, evaluated in the state's own sector:
-    the creation exponential exp(-strength sum_j z^j b_(-j)/j) expanded
-    on the state p by p, with one p-range bound by the state's largest
-    key spin (strength defaults to the weight m1)."""
+def _direct_vertex_mode(sectors, m1, t, mst, strength=None):
+    """V^{m1}_t on a whole state, evaluated in the state's own sector
+    module (sectors[m2], from _fock_sectors): the creation exponential
+    exp(-strength sum_j z^j b_(-j)/j) expanded on the state p by p, with
+    one p-range bound by the state's largest key spin (strength defaults
+    to the weight m1)."""
     strength = m1 if strength is None else strength
     m2, st = mst
     if not st:
         return (m1 + m2, {})
-    mod = lat.sectors[m2]
+    mod = sectors[m2]
 
     def exp_part(state, p):
         parts = [state]
@@ -204,7 +213,8 @@ def _direct_vertex_mode(lat, m1, t, mst, strength=None):
 def test_lattice_vertex_modes_match_direct_evaluation():
     win = 2
     lat = LatticeModule(window=win, spin_cap=3, word_cap=4)
-    for m2, mod in lat.sectors.items():
+    sectors = _fock_sectors(win, 3, 4)
+    for m2, mod in sectors.items():
         states = _lattice_test_states(mod, 3)
         assert any(len({sum(-n for _, n in k) for k in st}) > 1
                    for st in states)
@@ -212,20 +222,20 @@ def test_lattice_vertex_modes_match_direct_evaluation():
             for t in range(-4, 4):
                 for st in states:
                     got = lat.vertex_mode(m1, t, (m2, st))
-                    want = _direct_vertex_mode(lat, m1, t, (m2, st))
+                    want = _direct_vertex_mode(sectors, m1, t, (m2, st))
                     assert got[0] == want[0] and veq(got[1], want[1]), \
                         (m1, t, m2, st)
 
 
 def test_lattice_b_modes_act_as_in_sector_zero():
-    # the shared vertex tables read b modes through sector 0 only
+    # the shared vertex tables read b modes through the one fock(0)
+    # module; each sector's own Fock module must agree with it
     lat = LatticeModule(window=3, spin_cap=4, word_cap=6)
-    zero = lat.sectors[0]
-    for m, mod in lat.sectors.items():
+    for m, mod in _fock_sectors(3, 4, 6).items():
         for k, _ in mod.basis():
             for n in range(-6, 7):
                 assert mod.act("b", n, {k: 1}) == \
-                    zero.act("b", n, {k: 1}), (m, k, n)
+                    lat.fock.act("b", n, {k: 1}), (m, k, n)
 
 
 def _lattice_test_states(mod, spin_cap=None):
@@ -242,10 +252,12 @@ def _lattice_test_states(mod, spin_cap=None):
 
 
 def test_lattice_act_matches_each_sector():
-    # act reads both generators through sector 0's module and adds the
-    # sector only at nu_(0); each sector's own module is the oracle
+    # act reads both generators through the lattice's one Fock module,
+    # fock(0), and adds the sector only at nu_(0); each sector's own Fock
+    # module is the oracle.  So every b mode acts on each basis key of
+    # sector m as on sector 0, which the shared vertex tables rely on
     lat = LatticeModule(window=3, spin_cap=4, word_cap=6)
-    for m, mod in lat.sectors.items():
+    for m, mod in _fock_sectors(3, 4, 6).items():
         for st in _lattice_test_states(mod):
             for name in ("b", "nu"):
                 for n in range(-6, 7):
@@ -261,11 +273,44 @@ class _SignFlippedLattice(LatticeModule):
         return (sector, vscale(out, -1) if t >= 0 else out)
 
 
+def test_lattice_builds_one_fock_module(monkeypatch, capsys):
+    # every sector is the same Fock space, so `rav lattice --order 1
+    # --spin 1 --word 2` builds one PBW module and enumerates its basis
+    # once
+    built, induced = [], []
+    init, induce = PBWModule.__init__, engine.vac_induce
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_induce(*args):
+        induced.append(args)
+        return induce(*args)
+    monkeypatch.setattr(PBWModule, "__init__", counted_init)
+    monkeypatch.setattr(engine, "vac_induce", counted_induce)
+    assert cli.main(["lattice", "--order", "1", "--spin", "1",
+                     "--word", "2"]) == 0
+    assert "defining-relations" in capsys.readouterr().out
+    assert len(built) == 1 and len(induced) == 1
+    # the module is one Fock module plus the window and its tables
+    lat = LatticeModule(window=3, spin_cap=2, word_cap=2)
+    assert set(vars(lat)) == {"window", "fock", "_exp", "_vertex"}
+    assert list(inspect.signature(fock).parameters) == \
+        ["lam", "spin_cap", "word_cap"]
+
+
 class _WrongStrengthLattice(LatticeModule):
-    """The creation exponential built with twice the weight."""
+    """The creation exponential built with twice the weight, evaluated
+    in per-sector Fock modules."""
+
+    def __init__(self, window, spin_cap, word_cap):
+        super().__init__(window, spin_cap, word_cap)
+        self.oracle = _fock_sectors(window, spin_cap, word_cap)
 
     def vertex_mode(self, m1, t, mst):
-        return _direct_vertex_mode(self, m1, t, mst, strength=2 * m1)
+        return _direct_vertex_mode(self.oracle, m1, t, mst,
+                                   strength=2 * m1)
 
 
 @pytest.mark.parametrize("cls, prefix", [
@@ -284,19 +329,26 @@ def test_lattice_relations_fail_on_broken_vertex_modes(cls, prefix):
         mrange=2, spin_cap=1) == (True, None)
 
 
-def _lattice_rows_per_sector(lat, mrange, spin_cap):
+def _lattice_rows_per_sector(lat, sectors, mrange, spin_cap):
     """Reference: the rows of check_lattice_relations with every row
-    evaluated in its own sector, b-commute rows included, and every b
-    and nu mode read through that sector's own module."""
+    evaluated in its own sector, b-commute rows included, and every
+    sample key, spin, label and b and nu mode read through that sector's
+    own Fock module (sectors[m], from _fock_sectors); lat gives only the
+    vertex modes."""
     def act(name, n, mst):
-        return (mst[0], lat.sectors[mst[0]].act(name, n, mst[1]))
+        return (mst[0], sectors[mst[0]].act(name, n, mst[1]))
+
+    def samples(m2):
+        mod = sectors[m2]
+        for k, g in mod.basis():
+            if g.spin <= spin_cap:
+                yield ((m2, {k: 1}), int(mod.state_spin({k: 1})),
+                       mod.state_str({k: 1}))
 
     win = lat.window
     for m in range(-mrange, mrange + 1):
         for m2 in range(-win + abs(m), win - abs(m) + 1):
-            for mst in lat.samples(m2, spin_cap):
-                spin = int(lat.state_spin(mst))
-                label = lat.sectors[m2].state_str(mst[1])
+            for mst, spin, label in samples(m2):
                 ls = range(-(LATTICE_TAY + 1), spin + 2)
                 b_on = {l: act("b", l, mst) for l in ls}
                 nu_on = {l: act("nu", l, mst) for l in ls}
@@ -325,9 +377,7 @@ def _lattice_rows_per_sector(lat, mrange, spin_cap):
                         yield (("nu-delta", m, l, t, m2, label), lhs,
                                expect)
     for m2 in range(-win + 1, win):
-        for mst in lat.samples(m2, spin_cap):
-            spin = int(lat.state_spin(mst))
-            label = lat.sectors[m2].state_str(mst[1])
+        for mst, spin, label in samples(m2):
             for t in range(-(LATTICE_TAY + 1), spin + 1):
                 rhs = {}
                 if t < 0:
@@ -364,8 +414,8 @@ class _FlippedExpPart(LatticeModule):
 
 
 class _ChargedSectors(LatticeModule):
-    """Every mode read through its sector's own module, sector m built
-    with nu_(0) eigenvalue charge(m) instead of m."""
+    """Every mode read through its sector's own Fock module, sector m
+    built with nu_(0) eigenvalue charge(m) instead of m."""
 
     @staticmethod
     def charge(m):
@@ -373,14 +423,12 @@ class _ChargedSectors(LatticeModule):
 
     def __init__(self, window, spin_cap, word_cap):
         super().__init__(window, spin_cap, word_cap)
-        for m in self.sectors:
-            if self.charge(m) != m:
-                self.sectors[m] = fock(self.charge(m), spin_cap, word_cap,
-                                       sector_flavor=m)
+        self.charged = _fock_sectors(window, spin_cap, word_cap,
+                                     self.charge)
 
     def act(self, name, n, mst):
         m, st = mst
-        return (m, self.sectors[m].act(name, n, st))
+        return (m, self.charged[m].act(name, n, st))
 
 
 class _DoubledCharge(_ChargedSectors):
@@ -419,13 +467,16 @@ def test_lattice_relations_fail_on_a_wrong_sector_charge():
 def test_lattice_rows_match_per_sector_reference(cls, first):
     # the window of `rav lattice --order 1 --spin 1 --word 2`, then a
     # wider one; the sector-free rows are shared across sectors, so every
-    # row, and the first failing one, must be the per-sector loop's
+    # row, and the first failing one, must be the per-sector loop's.  A
+    # charged subclass's reference sectors carry its charge
     rows = check_lattice_relations.__wrapped__
+    charge = getattr(cls, "charge", lambda m: m)
     for window, cap, word, mrange, spin in [(3, 2, 2, 2, 1),
                                             (3, 4, 4, 2, 3)]:
         got = list(rows(cls(window, cap, word), mrange, spin))
-        want = list(_lattice_rows_per_sector(cls(window, cap, word),
-                                             mrange, spin))
+        want = list(_lattice_rows_per_sector(
+            cls(window, cap, word),
+            _fock_sectors(window, cap, word, charge), mrange, spin))
         assert len(got) == len(want)
         for (wg, lg, rg), (ww, lw, rw) in zip(got, want):
             assert wg == ww and veq(lg, lw) and veq(rg, rw), ww

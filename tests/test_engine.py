@@ -29,7 +29,7 @@ from raviolo.engine import (
     default_samples, check_locality, check_associativity,
     check_composite_fields, superpotential_check, differential_map,
     check_square_zero, dg_cohomology, cell_basis, state_coords,
-    ghost_extension,
+    ghost_extension, brst_charge,
 )
 from raviolo.linalg import Echelon, column_kernel, rational_coords
 
@@ -244,14 +244,13 @@ def test_key_info_matches_the_grading_path():
     # Fraction-valued Grading per mode on top of the cyclic vector's.
     # The modules exercise every part of the sum: a half-integer spin,
     # flavor on some generators only (sl2's currents, its ghosts), a
-    # cyclic vector of nonzero flavor (a fock sector), and long keys (the
-    # chiral pair at word 12)
+    # cyclic vector of nonzero flavor (over the weight-one pair), and
+    # long keys (the chiral pair at word 12)
     mods = [PBWModule(pres, spin_cap=4, word_cap=3)
             for pres in (fc(Fraction(1, 2)), sl2(), virasoro())]
     mods.append(PBWModule(sl2(), spin_cap=3, word_cap=4, flavor_window=2))
-    mods.append(catalog.fock(Fraction(3, 2), spin_cap=4, word_cap=3,
-                             sector_flavor=2))
-    assert mods[-1].cyclic_grading.flavor == (2,)
+    mods.append(PBWModule(heisenberg(), spin_cap=4, word_cap=3,
+                          cyclic_grading=Grading(0, 0, 0, (2,))))
     mods.append(PBWModule(
         ghost_extension(sl2(), [g.name for g in sl2().gens]),
         spin_cap=2, word_cap=4))
@@ -1247,21 +1246,38 @@ def _euler_characteristics(dims):
     return out
 
 
-def test_dg_cohomology_euler_poincare():
+def test_dg_cohomology_euler_poincare(monkeypatch):
     # per (spin, flavor) the signed sum of the cohomology dimensions is
     # the signed sum of the cell sizes: criterion 7's complex, the bench's
-    # chiral window and the gauged chiral.  The cells are counted from
+    # chiral window, the gauged chiral, and the complexes `rav
+    # cohomology` and `rav brst` build.  The cells are counted from
     # basis(), not by catalog.character, which signs by totalized parity
     # where a dg cell merges intrinsic parities.  The identity holds for
     # any d, so it checks the cells' bookkeeping, not the elimination.
+    cli_mod, w = _recorded_differential(monkeypatch, [
+        "cohomology", os.path.join(_EXAMPLES, "chiral.rav"),
+        "--spin", "2", "--word", "6"])
     for M, d in (_chiral_complex(2, 6), _chiral_complex(5, 12),
-                 _gauged_chiral()):
+                 _gauged_chiral(), (cli_mod, differential_map(cli_mod, w)),
+                 _sl2_brst_complex(monkeypatch, 2, 14)):
         coh = dg_cohomology(M, d, M.spin_cap)
         sizes = Counter((g.spin, g.cohdeg, g.flavor) for _, g in M.basis()
                         if g.spin <= M.spin_cap)
         assert _euler_characteristics(
             {cell: dim for cell, (dim, _) in coh.items()}) == \
             _euler_characteristics(sizes), M.pres.name
+
+
+def test_dg_cohomology_reads_spins_off_the_basis():
+    # the cells take each key's scaled spin from its basis grading, so
+    # the key record's memo keeps only the keys the differential read
+    # (4 of the 143 on the bench's chiral window)
+    M, d = _chiral_complex(5, 12)
+    assert check_square_zero(M, d) == (True, None)
+    before = len(M._key_memo)
+    assert before < len(M.basis())
+    dg_cohomology(M, d, M.spin_cap)
+    assert len(M._key_memo) == before
 
 
 def test_dg_cohomology_releases_each_image_echelon():
@@ -1320,21 +1336,51 @@ def _derivation_rule_mismatches(mod, w, twice=False):
     return bad
 
 
-def _brst_module_and_charge(monkeypatch, path, spin=2, word=3):
-    """The module and charge `rav brst path --spin S --word W` builds."""
+def _recorded_differential(monkeypatch, argv):
+    """The module and odd state whose differential the `rav` command argv
+    builds (its one call of differential_map)."""
     seen = []
 
     def recording(mod, w):
         seen.append((mod, w))
         return differential_map(mod, w)
     monkeypatch.setattr(cli, "differential_map", recording)
-    cli.main(["brst", path, "--spin", str(spin), "--word", str(word)])
+    cli.main(argv)
     (mod, w), = seen
     return mod, w
 
 
+def _brst_module_and_charge(monkeypatch, path, spin=2, word=3):
+    """The module and charge `rav brst path --spin S --word W` builds."""
+    return _recorded_differential(
+        monkeypatch, ["brst", path, "--spin", str(spin), "--word", str(word)])
+
+
 _CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus")
 _EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "dsl")
+
+
+def test_brst_charge_with_a_halved_structure_term_fails_square_zero():
+    # sl2's ghost extension at (spin 2, word 3), K = 1, kappa = 0, as
+    # `rav brst` builds it: the canonical charge squares to zero, and
+    # with the (e, f) structure term halved it fails on mu_e
+    names = ["mu_" + a for a in catalog.SL2_NAMES]
+    M = PBWModule(ghost_extension(sl2(), names), spin_cap=2, word_cap=3,
+                  specialize={"K": 1, "kappa": 0})
+    structure = {("mu_" + a, "mu_" + b): {"mu_" + c: v
+                                          for c, v in f.items()}
+                 for (a, b), f in catalog.SL2_F.items()}
+    pairing = {("mu_" + a, "mu_" + b): v
+               for (a, b), v in catalog.SL2_KILLING.items()}
+
+    def square_zero(structure):
+        q = brst_charge(M, names, structure, pairing)
+        return check_square_zero(M, differential_map(M, q))
+    assert square_zero(structure) == (True, None)
+    halved = dict(structure)
+    halved[("mu_e", "mu_f")] = {
+        c: Fraction(1, 2) * v for c, v in structure[("mu_e", "mu_f")].items()}
+    assert square_zero(halved) == (False, ("mu_e_(-1)|0>",))
 
 
 @pytest.mark.parametrize("doc", ["sl2.rav", "notjacobi.rav"])
