@@ -522,18 +522,17 @@ def character(mod, order, fug_names=(), fug_window=None):
 LATTICE_FUG = "x"
 
 
+def lattice_sectors(window, order):
+    """The sector sum: LATTICE_FUG^m over the sectors |m| <= window."""
+    return QSeries({(0, ((LATTICE_FUG, m),) if m else ()): 1
+                    for m in range(-window, window + 1)}, order)
+
+
 def lattice_character(lat, order):
-    """Signed graded dimensions of the lattice module: each key of the
-    one Fock basis counted once per sector, sector m under the fugacity
-    LATTICE_FUG^m."""
-    qs = QSeries({}, order)
-    for _, g in lat.fock.basis():
-        if g.spin >= Fraction(order):
-            continue
-        for m in range(-lat.window, lat.window + 1):
-            f = ((LATTICE_FUG, m),) if m else ()
-            qs.add_term(g.spin, f, -1 if g.tot else 1)
-    return qs
+    """Signed graded dimensions of the lattice module: every sector is
+    the one Fock space, so this is its character times the sector
+    sum."""
+    return character(lat.fock, order) * lattice_sectors(lat.window, order)
 
 
 def pochhammer_expand(factors, order, fug_window=None):

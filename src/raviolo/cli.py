@@ -25,8 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import (Scalar, Param, Grading, K_PARAM, KAPPA_PARAM,
-                      XI_PARAM, as_scalar, degrees_of, rational_of, vadd,
-                      vscale, veq)
+                      XI_PARAM, degrees_of, rational_of, vadd, vscale, veq)
 from .modes import GeneratorInfo, OpeTable, FieldExpr, InfiniteGradedPiece
 from .linalg import CoordinateError
 from .engine import (
@@ -546,33 +545,9 @@ def cmd_brst(doc, args):
              and g.grading.parity == 0]
     if not names:
         raise SpecError("no degree-1 spin-1 current generators to gauge")
-    structure, pairing = {}, {}
-    for a in names:
-        for b in names:
-            e0 = doc.entries.get((a, b, 0))
-            if e0 is not None:
-                coeffs = {}
-                for mono, c in e0.terms.items():
-                    if len(mono) != 1 or mono[0][1] != 0:
-                        raise SpecError(
-                            "index-0 product (%s, %s) is not linear" % (a, b))
-                    q = rational_of(c)
-                    if q is None:
-                        raise SpecError(
-                            "index-0 product (%s, %s) has parameters" % (a, b))
-                    coeffs[mono[0][0]] = q
-                structure[(a, b)] = coeffs
-            e1 = doc.entries.get((a, b, 1))
-            if e1 is not None:
-                if set(e1.terms) != {()}:
-                    raise SpecError(
-                        "index-1 product (%s, %s) is not central" % (a, b))
-                # the invariant-form value, stripped of the level parameter
-                form = as_scalar(e1.terms[()])
-                pairing[(a, b)] = sum(form.terms.values())
     mod = _build_module(ghost_extension(doc.presentation(), names), args,
                         specialize={"K": 1, "kappa": 0})
-    q = brst_charge(mod, names, structure=structure, pairing=pairing)
+    q = brst_charge(mod, names)
     rep = Report(doc.name, args.spin, args.word)
     g = mod.state_grading(q) if q else None
     rep.add("charge-grading",
@@ -641,17 +616,17 @@ def cmd_lattice(args):
     if not win:
         # no sector pair: the defining relations would pass vacuously
         raise SpecError("lattice needs --flavor-window >= 1")
-    lat = catalog.LatticeModule(window=win, spin_cap=args.spin + 1,
+    # the window enumerates the relations' samples and the character's
+    # states, printed to q^--order
+    lat = catalog.LatticeModule(window=win,
+                                spin_cap=max(args.spin + 1, args.order),
                                 word_cap=args.word)
     rep = Report("lattice(window=%d)" % win, args.spin, args.word)
     ok, wit = catalog.check_lattice_relations(
         lat, mrange=win - 1, spin_cap=args.spin)
     rep.add("defining-relations", ok, wit)
-    qs = catalog.lattice_character(lat, 1)
-    want = catalog.QSeries({}, 1)
-    for m in range(-win, win + 1):
-        want.add_term(0, (((catalog.LATTICE_FUG, m),) if m else ()), 1)
-    rep.add("spin-zero-character", qs == want)
+    rep.add("spin-zero-character", catalog.lattice_character(lat, 1)
+            == catalog.lattice_sectors(win, 1))
     rep.series = str(catalog.lattice_character(lat, args.order + 1))
     return rep
 

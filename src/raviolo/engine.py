@@ -28,9 +28,9 @@ from functools import lru_cache, wraps
 from itertools import product, zip_longest
 from math import factorial, floor as _floor, lcm
 
-from .scalars import (Scalar, Grading, binom, as_vector, canonical,
-                      degrees_of, rational_of, sum_str, twist, vadd, vscale,
-                      vsub, veq)
+from .scalars import (Scalar, Grading, as_scalar, binom, as_vector,
+                      canonical, degrees_of, rational_of, sum_str, twist,
+                      vadd, vscale, vsub, veq)
 from .modes import (GeneratorInfo, FieldExpr, OpeTable, bracket_from_ope,
                     vac_induce)
 from .series import (BiDist, combine_indices, delta_decompose, delta_expand,
@@ -101,7 +101,7 @@ class PBWModule:
     """
 
     def __init__(self, pres, spin_cap=4, word_cap=4, flavor_window=None,
-                 cyclic_rule=None, cyclic_grading=None, specialize=None):
+                 cyclic_rule=None, specialize=None):
         self.pres = pres
         self.gens = pres.gens
         self.index = pres.index
@@ -109,7 +109,6 @@ class PBWModule:
         self.word_cap = word_cap
         self.flavor_window = flavor_window
         self.cyclic_rule = cyclic_rule
-        self.cyclic_grading = cyclic_grading or Grading(0, 0, 0)
         self.specialize = specialize
         for g in self.gens:
             if g.grading.spin < 0:
@@ -144,20 +143,19 @@ class PBWModule:
         return {((self.index[name], -1),): 1}
 
     def key_grading(self, key):
-        """Grading of a PBW key: the cyclic vector's plus, for each
-        creation mode (gi, n < 0), its generator's cohdeg, parity and
-        flavor and the spin s - n - 1.  The parts sum as ints (the spin
-        scaled by _spin_den, from _key_info) into one Grading."""
+        """Grading of a PBW key: the sum, over its creation modes
+        (gi, n < 0), of the generator's cohdeg, parity and flavor and the
+        spin s - n - 1 (the cyclic vector has grading zero).  The parts
+        sum as ints (the spin scaled by _spin_den, from _key_info) into
+        one Grading."""
         g = self._kg_memo.get(key)
         if g is None:
-            cyc = self.cyclic_grading
             gs = [self.gens[gi].grading for gi, _ in key]
             g = self._kg_memo[key] = Grading(
-                cyc.cohdeg + sum(x.cohdeg for x in gs),
-                cyc.spin + Fraction(self._key_info(key)[1], self._spin_den),
-                cyc.parity + sum(x.parity for x in gs),
-                map(sum, zip_longest(cyc.flavor, *(x.flavor for x in gs),
-                                     fillvalue=0)))
+                sum(x.cohdeg for x in gs),
+                Fraction(self._key_info(key)[1], self._spin_den),
+                sum(x.parity for x in gs),
+                map(sum, zip_longest(*(x.flavor for x in gs), fillvalue=0)))
         return g
 
     def _key_info(self, key):
@@ -1243,14 +1241,19 @@ def ghost_extension(pres, current_names):
     return pres.extend(extra, entries, name=pres.name + "+ghosts")
 
 
-def brst_charge(mod, current_names, structure, pairing):
+def brst_charge(mod, current_names):
     """The canonical odd charge state on a ghost-extended module:
 
         1/2 f^a_{bc} :b_a c^b c^c: + 1/2 K_{ab} :c^a d c^b:
         - :c^a mu_a:
 
-    structure[(a,b)] = {c: coeff} gives [mu_a, mu_b] = f^c_{ab} mu_c and
-    pairing[(a,b)] the invariant form; an empty one is zero (abelian)."""
+    f and K are read from the presentation's table: the index-0 entry
+    (mu_a, mu_b, 0) = f^c_{ab} mu_c must be linear with rational
+    coefficients, and the index-1 entry (mu_a, mu_b, 1) central, its
+    value stripped of the level parameter; a missing entry is zero.
+    The table, not the module, is read: with the level specialized
+    away, the module's J_a_(1) J_b would drop the form."""
+    table = mod.pres.table
     total = {}
     cs = {nm: mod.gen_state("c_" + nm) for nm in current_names}
     bs = {nm: mod.gen_state("b_" + nm) for nm in current_names}
@@ -1260,12 +1263,27 @@ def brst_charge(mod, current_names, structure, pairing):
         # sign relative to the opposite ordering, and this is the
         # relative sign against the trilinear term that squares to zero
         vadd(total, mod.nop(cs[nm], mod.gen_state(nm)))
-    for (a, b), c in pairing.items():
-        vadd(total, mod.nop(cs[a], mod.translate(cs[b])), Fraction(1, 2) * c)
-    for (a, b), val in structure.items():
-        for cnm, f in val.items():
-            term = mod.nop(bs[cnm], mod.nop(cs[a], cs[b]))
-            vadd(total, term, Fraction(1, 2) * f)
+    for a in current_names:
+        for b in current_names:
+            for mono, c in table.get(a, b, 0).terms.items():
+                if len(mono) != 1 or mono[0][1] != 0:
+                    raise PresentationError(
+                        "index-0 product (%s, %s) is not linear" % (a, b))
+                f = rational_of(c)
+                if f is None:
+                    raise PresentationError(
+                        "index-0 product (%s, %s) has parameters" % (a, b))
+                term = mod.nop(bs[mono[0][0]], mod.nop(cs[a], cs[b]))
+                vadd(total, term, Fraction(1, 2) * f)
+            e1 = table.get(a, b, 1).terms
+            if e1:
+                if set(e1) != {()}:
+                    raise PresentationError(
+                        "index-1 product (%s, %s) is not central" % (a, b))
+                # the invariant-form value, stripped of the level parameter
+                form = sum(as_scalar(e1[()]).terms.values())
+                vadd(total, mod.nop(cs[a], mod.translate(cs[b])),
+                     Fraction(1, 2) * form)
     return total
 
 

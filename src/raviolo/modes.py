@@ -8,7 +8,7 @@ aliases converted to this convention.
 """
 
 from fractions import Fraction
-from math import ceil, factorial, floor, lcm
+from math import factorial, floor, lcm
 from operator import add
 
 from .scalars import Grading, binom, as_vector, sum_str, vadd, vscale, vsub
@@ -194,14 +194,12 @@ def vac_induce(gens, spin_cap, word_cap, flavor_window=None):
     if not isinstance(spin_cap, (int, Fraction)):
         raise ValueError("spin cap must be an int or a Fraction, got %r"
                          % (spin_cap,))
-    # the mode range is an integer bound; spins compare with the exact cap
-    depth = ceil(spin_cap) * 4 + word_cap + 4
     for gi, g in enumerate(gens):
         # a_(n), n<0 adds spin s-n-1 >= s; finiteness needs s > 0, an odd
-        # parity at s = 0 (no repeats), or a flavor constraint
-        if g.grading.spin < 0 and flavor_window is None:
-            raise InfiniteGradedPiece(g.name)
-        if g.grading.spin == 0 and not g.grading.tot and flavor_window is None:
+        # parity at s = 0 (no repeats), or a flavor constraint.  A mode
+        # of negative spin lowers it, whatever the flavor window
+        if g.grading.spin < 0 or (g.grading.spin == 0 and not g.grading.tot
+                                  and flavor_window is None):
             raise InfiniteGradedPiece(g.name)
 
     # spins scaled by D, the lcm of their denominators, are ints, so a
@@ -223,16 +221,15 @@ def vac_induce(gens, spin_cap, word_cap, flavor_window=None):
             g0, n0 = key[-1] if key else (0, 0)
             for gi in range(g0, len(gens)):
                 gdeg, gspin, gpar, gfl, odd = steps[gi]
-                # keys stay sorted by (gi, n): after (g0, n0) the same
-                # generator takes n0 <= n <= -1, and n0 again only if
-                # even; after the vacuum (n0 = 0) every n is open
-                stop = n0 - 1 + odd if gi == g0 and n0 else -depth
+                # the mode (gi, n) adds spin gspin - (n + 1) D, so the cap
+                # admits n >= -1 - (cap - spin - gspin) // D; keys stay
+                # sorted by (gi, n): after (g0, n0) the same generator
+                # takes n0 <= n <= -1, and n0 again only if even
+                stop = -2 - (cap - spin - gspin) // D
+                if gi == g0 and n0:
+                    stop = max(stop, n0 - 1 + odd)
                 for n in range(-1, stop, -1):
                     mspin = gspin - (n + 1) * D
-                    if spin + mspin > cap:
-                        if mspin > 0:
-                            break  # more negative n only raises spin
-                        continue
                     nxt.append((key + ((gi, n),), deg + gdeg, spin + mspin,
                                 par + gpar, tuple(map(add, fl, gfl))))
         out.extend(nxt)

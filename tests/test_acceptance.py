@@ -543,13 +543,7 @@ def test_criterion_10_full_coverage():
     names = ["mu_" + a for a in SL2]
     M = PBWModule(ghost_extension(sl2(), names), spin_cap=2, word_cap=14,
                   specialize={"K": 1, "kappa": 0})
-    q = brst_charge(
-        M, names,
-        structure={("mu_" + a, "mu_" + b): {"mu_" + c: v
-                                            for c, v in f.items()}
-                   for (a, b), f in SL2_F.items()},
-        pairing={("mu_" + a, "mu_" + b): v
-                 for (a, b), v in SL2_KILLING.items()})
+    q = brst_charge(M, names)
     d = differential_map(M, q)
     ok, wit = check_square_zero(M, d)
     assert ok, wit

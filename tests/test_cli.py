@@ -365,6 +365,31 @@ def test_brst_neutral_flavor_mix(tmp_path, capsys):
         "square-zero              fail  [('b_mu_e_(-1)|0>',)]"]
 
 
+_TWO_CURRENTS = """\
+algebra gauge
+generator J : deg 1 spin 1 even
+generator L : deg 1 spin 1 even
+"""
+
+
+@pytest.mark.parametrize("extra, error", [
+    ("generator X : deg 0 spin 0 even flavor 1\n"
+     "generator Y : deg 1 spin 1 even flavor -1\n"
+     "ope J L : 0 -> NO[X, Y]\n",
+     "error: index-0 product (J, L) is not linear\n"),
+    ("generator c : deg 1 spin 0 even\n"
+     "ope J L : 1 -> c\n",
+     "error: index-1 product (J, L) is not central\n"),
+], ids=["not-linear", "not-central"])
+def test_brst_rejects_gauge_data_it_cannot_read(tmp_path, capsys, extra,
+                                                error):
+    path = tmp_path / "gauge.rav"
+    path.write_text(_TWO_CURRENTS + extra)
+    assert main(["brst", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error)
+
+
 def test_module_and_lattice_commands(capsys):
     assert main(["module", "fock", "--lambda", "3/2"]) == 0
     assert "kernel-is-cyclic" in capsys.readouterr().out

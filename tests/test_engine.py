@@ -241,23 +241,20 @@ def test_field_mode_matches_two_level_sum():
 
 def test_key_info_matches_the_grading_path():
     # the key record and key_grading sum ints; the reference adds one
-    # Fraction-valued Grading per mode on top of the cyclic vector's.
-    # The modules exercise every part of the sum: a half-integer spin,
-    # flavor on some generators only (sl2's currents, its ghosts), a
-    # cyclic vector of nonzero flavor (over the weight-one pair), and
-    # long keys (the chiral pair at word 12)
+    # Fraction-valued Grading per mode.  The modules exercise every part
+    # of the sum: a half-integer spin, flavor on some generators only
+    # (sl2's currents, its ghosts), and long keys (the chiral pair at
+    # word 12)
     mods = [PBWModule(pres, spin_cap=4, word_cap=3)
             for pres in (fc(Fraction(1, 2)), sl2(), virasoro())]
     mods.append(PBWModule(sl2(), spin_cap=3, word_cap=4, flavor_window=2))
-    mods.append(PBWModule(heisenberg(), spin_cap=4, word_cap=3,
-                          cyclic_grading=Grading(0, 0, 0, (2,))))
     mods.append(PBWModule(
         ghost_extension(sl2(), [g.name for g in sl2().gens]),
         spin_cap=2, word_cap=4))
     mods.append(_chiral_complex(5, 12)[0])
     longest = 0
     for mod in mods:
-        cyc, D = mod.cyclic_grading, mod._spin_den
+        D = mod._spin_den
         keys = [k for k, _ in mod.basis()]
         assert any(n < -1 for k in keys for _, n in k)
         for key in keys:
@@ -270,7 +267,7 @@ def test_key_info_matches_the_grading_path():
                 den *= factorial(-n - 1)
             p, s, inv_den = mod._key_info(key)
             assert p == kg.tot, (mod.pres.name, key)
-            assert s == (kg.spin - cyc.spin) * D, (mod.pres.name, key)
+            assert s == kg.spin * D, (mod.pres.name, key)
             assert (1 if inv_den is None else inv_den) == \
                 Fraction(1, den), (mod.pres.name, key)
             longest = max(longest, len(key))
@@ -1367,20 +1364,15 @@ def test_brst_charge_with_a_halved_structure_term_fails_square_zero():
     names = ["mu_" + a for a in catalog.SL2_NAMES]
     M = PBWModule(ghost_extension(sl2(), names), spin_cap=2, word_cap=3,
                   specialize={"K": 1, "kappa": 0})
-    structure = {("mu_" + a, "mu_" + b): {"mu_" + c: v
-                                          for c, v in f.items()}
-                 for (a, b), f in catalog.SL2_F.items()}
-    pairing = {("mu_" + a, "mu_" + b): v
-               for (a, b), v in catalog.SL2_KILLING.items()}
-
-    def square_zero(structure):
-        q = brst_charge(M, names, structure, pairing)
-        return check_square_zero(M, differential_map(M, q))
-    assert square_zero(structure) == (True, None)
-    halved = dict(structure)
-    halved[("mu_e", "mu_f")] = {
-        c: Fraction(1, 2) * v for c, v in structure[("mu_e", "mu_f")].items()}
-    assert square_zero(halved) == (False, ("mu_e_(-1)|0>",))
+    q = brst_charge(M, names)
+    assert check_square_zero(M, differential_map(M, q)) == (True, None)
+    # the (e, f) term is 1/2 f^h_{ef} :b_h :c_e c_f::, with f^h_{ef} = 1
+    halved = vadd(dict(q), M.nop(M.gen_state("b_mu_h"),
+                                 M.nop(M.gen_state("c_mu_e"),
+                                       M.gen_state("c_mu_f"))),
+                  Fraction(-1, 4))
+    assert check_square_zero(M, differential_map(M, halved)) == \
+        (False, ("mu_e_(-1)|0>",))
 
 
 @pytest.mark.parametrize("doc", ["sl2.rav", "notjacobi.rav"])

@@ -117,9 +117,9 @@ def mode_grading(gen, n):
 
 
 def key_grading_reference(mod, key):
-    """The Grading-sum rule: the cyclic vector's grading plus one
-    Fraction-valued mode_grading per factor of the PBW key."""
-    g = mod.cyclic_grading
+    """The Grading-sum rule: one Fraction-valued mode_grading per factor
+    of the PBW key."""
+    g = Grading(0, 0, 0)
     for gi, n in key:
         g = g + mode_grading(mod.gens[gi], n)
     return g
@@ -411,6 +411,14 @@ def test_vac_induce_infinite_piece_rejected():
         assert False, "expected InfiniteGradedPiece"
     except InfiniteGradedPiece as e:
         assert e.gen_name == "X"
+    # a generator of negative spin is refused whatever the flavor window
+    low = GeneratorInfo("low", Grading(0, -1, 0, (1,)))
+    for fw in (None, 0, 2):
+        try:
+            vac_induce([low, psi], 2, 4, flavor_window=fw)
+            assert False, "expected InfiniteGradedPiece"
+        except InfiniteGradedPiece as e:
+            assert e.gen_name == "low"
 
 
 def test_vac_induce_flavor_window():
